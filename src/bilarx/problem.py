@@ -4,9 +4,9 @@ An identification instance is a set of output sequences, the model orders,
 and a noise bound. Lifting replaces the bilinear product ``u @ b.T`` with a
 single matrix variable ``X`` per sequence, which turns the measurement
 equations into linear constraints on ``(X, a)`` plus a box-bounded slack
-``w``. This module owns the bookkeeping: validation, the dense constraint
-matrix, and the index map between constraint rows/columns and model
-coordinates.
+``w``. This module owns the bookkeeping: validation, the structural
+constraint operator (tap indices and lagged outputs, with a dense view), and
+the index map between constraint rows/columns and model coordinates.
 
 Public contracts use 1-based time and matrix indices; sequences are
 addressed by their 0-based position in the problem's sequence list.
@@ -15,6 +15,7 @@ addressed by their 0-based position in the problem's sequence list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -259,16 +260,30 @@ class OperatorIndexMap:
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """Dense matrix form of the equality constraints ``A(X, a) + w = y``.
+    """The equality constraints ``A(X, a) + w = y`` in structural form.
 
-    ``matrix`` maps the packed variable vector (X entries then a) to one
-    value per constraint row; ``rhs`` holds the targets ``y_j(t)``.
+    Row ``r`` of ``A`` holds a one in each packed-vector column
+    ``x_index[r]``, one per tap ``k1`` (X entry ``(t - n_k - k1, k1)`` of its
+    sequence), and the lagged outputs ``lagged[r] = y_j(t-1), ..., y_j(t-n_a)``
+    in the ``a`` columns; ``rhs`` holds the targets ``y_j(t)``. No other
+    entry is nonzero, and each X entry enters at most one row. ``matrix`` is
+    a read-only dense view, built on first access.
     """
 
-    matrix: np.ndarray
+    x_index: np.ndarray
+    lagged: np.ndarray
     rhs: np.ndarray
     index_map: OperatorIndexMap
-    y_samples: tuple
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense ``n_rows x n_columns`` form of ``A``; read-only."""
+        imap = self.index_map
+        dense = np.zeros((imap.n_rows, imap.n_columns))
+        dense[np.arange(imap.n_rows)[:, None], self.x_index] = 1.0
+        dense[:, imap.n_x_columns:] = self.lagged
+        dense.setflags(write=False)
+        return dense
 
     def pack(self, vars: LiftedVariables) -> np.ndarray:
         parts = [x.ravel() for x in vars.X_blocks]
@@ -285,16 +300,25 @@ class LiftedOperator:
             pos += size
         return blocks, vector[pos:pos + imap.n_a]
 
+    def matvec(self, vector: np.ndarray) -> np.ndarray:
+        """``A @ vector`` for a packed vector (X entries, then a)."""
+        n_x = self.index_map.n_x_columns
+        return vector[self.x_index].sum(axis=1) + self.lagged @ vector[n_x:]
+
+    def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        """``A.T @ z`` as a packed vector."""
+        z = np.asarray(z, dtype=float)
+        imap = self.index_map
+        x_part = np.bincount(self.x_index.ravel(), weights=np.repeat(z, imap.n_b),
+                             minlength=imap.n_x_columns)
+        return np.concatenate([x_part, self.lagged.T @ z])
+
     def apply(self, vars: LiftedVariables) -> np.ndarray:
-        return self.matrix @ self.pack(vars)
+        return self.matvec(self.pack(vars))
 
     def adjoint(self, z: np.ndarray):
         """Apply the transpose map; returns (X_blocks list, a)."""
-        return self.unpack(self.matrix.T @ np.asarray(z, dtype=float))
-
-    def x_block_matrix(self) -> np.ndarray:
-        """Columns acting on X entries only (drops the ``a`` columns)."""
-        return self.matrix[:, : self.index_map.n_x_columns]
+        return self.unpack(self.rmatvec(z))
 
     def iter_entries(self):
         """Yield every structural nonzero as ``(row, col, value)``.
@@ -302,35 +326,36 @@ class LiftedOperator:
         Each entry appears exactly once; the ``a`` coefficients equal lagged
         output samples and may be numerically zero for special data.
         """
-        imap = self.index_map
-        for row, (j, t) in enumerate(imap.constraint_rows):
-            for k1 in range(1, imap.n_b + 1):
-                yield row, imap.x_column(j, t - imap.n_k - k1, k1), 1.0
-            for k2 in range(1, imap.n_a + 1):
-                yield row, imap.a_column(k2), self.y_samples[j][t - k2 - 1]
+        n_x = self.index_map.n_x_columns
+        for row, (cols, lags) in enumerate(zip(self.x_index, self.lagged)):
+            for col in cols:
+                yield row, int(col), 1.0
+            for k2, value in enumerate(lags):
+                yield row, n_x + k2, value
 
 
 def build_lifted_operator(spec: ProblemSpec) -> LiftedOperator:
-    """Assemble the dense constraint matrix, rhs, and index map."""
+    """Assemble the tap indices, lagged outputs, rhs and index map."""
     orders = spec.orders
     imap = OperatorIndexMap(
         n=spec.n, n_b=orders.n_b, n_a=orders.n_a, n_k=orders.n_k,
         lengths=spec.lengths,
     )
-    matrix = np.zeros((imap.n_rows, imap.n_columns))
-    rhs = np.zeros(imap.n_rows)
-    for row, (j, t) in enumerate(imap.constraint_rows):
-        y = spec.sequences[j].samples
-        rhs[row] = y[t - 1]
-        for k1 in range(1, orders.n_b + 1):
-            matrix[row, imap.x_column(j, t - orders.n_k - k1, k1)] = 1.0
-        for k2 in range(1, orders.n_a + 1):
-            matrix[row, imap.a_column(k2)] = y[t - k2 - 1]
-    matrix.setflags(write=False)
-    rhs.setflags(write=False)
+    taps = np.arange(1, orders.n_b + 1)
+    lags = np.arange(1, orders.n_a + 1)
+    x_index, lagged, rhs = [], [], []
+    for j, seq in enumerate(spec.sequences):
+        y = seq.samples
+        t = np.arange(spec.n, len(seq) + 1)[:, None]
+        x_index.append(imap.x_column(j, 1, 1)
+                       + (t - orders.n_k - taps - 1) * orders.n_b + (taps - 1))
+        lagged.append(y[t - lags - 1])
+        rhs.append(y[t[:, 0] - 1])
     return LiftedOperator(
-        matrix=matrix, rhs=rhs, index_map=imap,
-        y_samples=tuple(s.samples for s in spec.sequences),
+        x_index=_frozen_array(np.vstack(x_index), dtype=np.intp),
+        lagged=_frozen_array(np.vstack(lagged)),
+        rhs=_frozen_array(np.concatenate(rhs)),
+        index_map=imap,
     )
 
 
@@ -342,22 +367,9 @@ def residual(spec: ProblemSpec, vars: LiftedVariables):
     noise bound ``eps`` iff every ``|r_j(t)| <= eps``.
     """
     check_dimensions(spec, vars)
-    orders = spec.orders
-    n = spec.n
-    out = []
-    for x, seq in zip(vars.X_blocks, spec.sequences):
-        y = seq.samples
-        m = len(seq) - n + 1
-        r = np.empty(m)
-        for idx, t in enumerate(range(n, len(seq) + 1)):
-            acc = y[t - 1]
-            for k1 in range(1, orders.n_b + 1):
-                acc -= x[t - orders.n_k - k1 - 1, k1 - 1]
-            for k2 in range(1, orders.n_a + 1):
-                acc -= vars.a[k2 - 1] * y[t - k2 - 1]
-            r[idx] = acc
-        out.append(r)
-    return out
+    op = build_lifted_operator(spec)
+    rows = np.cumsum([length - spec.n + 1 for length in spec.lengths])
+    return np.split(op.rhs - op.apply(vars), rows[:-1])
 
 
 def max_residual(spec: ProblemSpec, vars: LiftedVariables) -> float:

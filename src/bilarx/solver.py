@@ -23,14 +23,19 @@ by ``max |y|``, and the two constraint blocks whose multipliers grow with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from . import prox
 from .extract import factor_rank1
-from .problem import LiftedVariables, ProblemSpec, build_lifted_operator
+from .problem import (
+    LiftedOperator,
+    LiftedVariables,
+    ProblemSpec,
+    build_lifted_operator,
+)
 
 
 @dataclass(frozen=True)
@@ -97,25 +102,60 @@ class SweepResult:
     trace: tuple  # (lambda, rank_gap) per evaluated grid point
 
 
-class _PsdSolve:
-    """Solve with a fixed symmetric PSD matrix; pseudo-inverse fallback."""
+class _XSolve:
+    """Solve with the x-update matrix ``K = rho3 AᵀA + rho1 I_x + rho2 (L ⊗ I)``.
 
-    def __init__(self, K: np.ndarray):
-        try:
-            self._cho = scipy.linalg.cho_factor(K, lower=True)
-            self._pinv = None
-        except scipy.linalg.LinAlgError:
-            vals, vecs = scipy.linalg.eigh(K)
-            cutoff = np.max(np.abs(vals)) * K.shape[0] * np.finfo(float).eps
+    ``I_x`` and the row-difference Laplacian ``L`` act on the X entries only.
+    Each X entry enters at most one constraint row, so the X block of ``K``
+    is banded with bandwidth ``max(n_b, (n_b - 1)^2)`` and positive definite
+    through ``rho1``; it is factored once by a banded Cholesky. The ``a``
+    unknowns are eliminated through the ``n_a x n_a`` Schur complement
+    ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by eigendecomposition.
+    ``null(K) = {(0, v) : A_a v = 0}`` matches ``null(S)``, so a
+    rank-deficient ``a`` block gets the minimum-norm solution.
+    """
+
+    def __init__(self, op: LiftedOperator, rho1: float, rho2: float, rho3: float):
+        imap = op.index_map
+        n_b = imap.n_b
+        self.n_x = imap.n_x_columns
+
+        # LAPACK lower band form: ab[d, c] = Kxx[c + d, c].
+        bandwidth = max(n_b, (n_b - 1) ** 2)
+        ab = np.zeros((bandwidth + 1, self.n_x))
+        link = np.ones(sum(imap.lengths))        # row i of X joined to row i + 1
+        link[np.cumsum(imap.lengths) - 1] = 0.0
+        lap_diag = link + np.concatenate([[0.0], link[:-1]])
+        ab[0] = rho1 + rho2 * np.repeat(lap_diag, n_b)
+        ab[n_b] = -rho2 * np.repeat(link, n_b)
+        # AᵀA: the taps k1 < k1' of one row couple X columns (k1' - k1)(n_b - 1)
+        # apart, the larger index belonging to k1.
+        ab[0, op.x_index.ravel()] += rho3
+        for hi in range(n_b):
+            for lo in range(hi + 1, n_b):
+                cols = op.x_index[:, lo]
+                ab[op.x_index[:, hi] - cols, cols] += rho3
+        self._chol = (scipy.linalg.cholesky_banded(ab, lower=True), True)
+
+        self._Kxa = self._W = self._S_pinv = None
+        if imap.n_a:
+            Kxa = np.zeros((self.n_x, imap.n_a))
+            Kxa[op.x_index.ravel()] = rho3 * np.repeat(op.lagged, n_b, axis=0)
+            self._Kxa = Kxa
+            self._W = scipy.linalg.cho_solve_banded(self._chol, Kxa)
+            S = rho3 * (op.lagged.T @ op.lagged) - Kxa.T @ self._W
+            vals, vecs = scipy.linalg.eigh(S)
+            cutoff = np.max(np.abs(vals)) * S.shape[0] * np.finfo(float).eps
             inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-            self._cho = None
-            self._pinv = (vecs, inv)
+            self._S_pinv = (vecs * inv) @ vecs.T
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        if self._cho is not None:
-            return scipy.linalg.cho_solve(self._cho, rhs)
-        vecs, inv = self._pinv
-        return vecs @ (inv * (vecs.T @ rhs))
+        x = scipy.linalg.cho_solve_banded(self._chol, rhs[: self.n_x],
+                                          check_finite=False)
+        if self._W is None:
+            return np.concatenate([x, rhs[self.n_x :]])
+        a = self._S_pinv @ (rhs[self.n_x :] - self._Kxa.T @ x)
+        return np.concatenate([x - self._W @ a, a])
 
 
 class _Workspace:
@@ -123,7 +163,6 @@ class _Workspace:
 
     def __init__(self, spec: ProblemSpec, lam_scale: float, options: SolverOptions):
         self.spec = spec
-        self.operator = build_lifted_operator(spec)
         self.n_b = spec.orders.n_b
         self.n_a = spec.orders.n_a
         self.lengths = spec.lengths
@@ -140,37 +179,20 @@ class _Workspace:
         self.y_scale = max(max(np.max(np.abs(s.samples)) for s in spec.sequences), 0.0)
         if self.y_scale == 0.0:
             self.y_scale = 1.0
-        self.rhs = self.operator.rhs / self.y_scale
+        # Normalized units divide every output by y_scale, so the targets and
+        # the lagged outputs multiplying ``a`` shrink by the same factor; the
+        # X columns are ones either way.
+        op = build_lifted_operator(spec)
+        self.operator = replace(
+            op, rhs=op.rhs / self.y_scale, lagged=op.lagged / self.y_scale)
+        self.rhs = self.operator.rhs
         self.eps = spec.epsilon / self.y_scale
 
         rho = options.rho
         self.rho1 = rho
         self.rho2 = rho * lam_scale
         self.rho3 = rho * lam_scale
-        # Normalized units divide every output by y_scale, so the columns
-        # multiplying ``a`` (lagged outputs) shrink by the same factor; the
-        # X columns already act on the rescaled matrix and stay as built.
-        A = np.array(self.operator.matrix)
-        n_x = self.total_rows * self.n_b
-        A[:, n_x:] /= self.y_scale
-        self.A = A
-
-        K = self.rho3 * (self.A.T @ self.A)
-        ix = np.arange(self.total_rows * self.n_b)
-        K[ix, ix] += self.rho1
-        offset = 0
-        for length in self.lengths:
-            lap = np.zeros((length, length))
-            idx = np.arange(length)
-            lap[idx, idx] = 2.0
-            lap[0, 0] = lap[-1, -1] = 1.0
-            lap[idx[:-1], idx[:-1] + 1] = -1.0
-            lap[idx[:-1] + 1, idx[:-1]] = -1.0
-            size = length * self.n_b
-            block = slice(offset, offset + size)
-            K[block, block] += self.rho2 * np.kron(lap, np.eye(self.n_b))
-            offset += size
-        self.solve_K = _PsdSolve(K)
+        self.solve_K = _XSolve(self.operator, self.rho1, self.rho2, self.rho3)
 
     def split_x(self, xvec):
         X = xvec[: self.total_rows * self.n_b].reshape(self.total_rows, self.n_b)
@@ -192,7 +214,7 @@ def _admm(work: _Workspace, prox2, lam: float, options: SolverOptions):
     alpha = options.over_relaxation
     rho1, rho2, rho3 = work.rho1, work.rho2, work.rho3
     rhs = work.rhs
-    A = work.A
+    op = work.operator
 
     X = np.zeros((T, n_b))
     a = np.zeros(n_a)
@@ -218,12 +240,12 @@ def _admm(work: _Workspace, prox2, lam: float, options: SolverOptions):
             [rho2 * (z - s) for z, s in zip(Z2, S2)]
         )
         xrhs = np.concatenate([target + target_diff.ravel(), np.zeros(n_a)])
-        xrhs += rho3 * (A.T @ (rhs - w - S3))
+        xrhs += rho3 * op.rmatvec(rhs - w - S3)
         xvec = work.solve_K(xrhs)
         X, a = work.split_x(xvec)
 
         DX = work.row_diff(X)
-        Ax = A @ xvec
+        Ax = op.matvec(xvec)
 
         hatX = alpha * X + (1 - alpha) * Z1
         hatDX = [alpha * d + (1 - alpha) * z for d, z in zip(DX, Z2)]

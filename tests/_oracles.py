@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own kernels: singular
 values come from numpy's LAPACK eigensolver on the Gram matrix, proximal
-minimizers from direct search over the small dense parameter space, and
-segmentations from explicit enumeration.
+minimizers from direct search over the small dense parameter space,
+segmentations from explicit enumeration, and the lifted constraint matrix
+from the model equation entry by entry.
 """
 
 from __future__ import annotations
@@ -90,3 +91,31 @@ def exhaustive_segmentation_cost(y, max_segments: int) -> float:
             cost = sum(sse(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
             best = min(best, cost)
     return best
+
+
+def arx_constraint_matrix(sequences, n_a: int, n_b: int, n_k: int):
+    """Dense constraint matrix and targets, written from the model equation.
+
+    One row per sequence ``j`` and time ``t = n..N_j`` (``n = max(n_a,
+    n_k + n_b) + 1``), in sequence order, encoding
+    ``y_j(t) = sum_k1 X_j(t - n_k - k1, k1) + sum_k2 a_k2 y_j(t - k2)``.
+    Columns are the row-major entries of every ``X_j`` (``N_j x n_b``),
+    blocks in sequence order, then ``a_1..a_{n_a}``. Times and indices in
+    the equation are 1-based.
+    """
+    n = max(n_a, n_k + n_b) + 1
+    n_x = sum(len(y) for y in sequences) * n_b
+    rows, targets = [], []
+    offset = 0
+    for y in sequences:
+        for t in range(n, len(y) + 1):
+            row = np.zeros(n_x + n_a)
+            for k1 in range(1, n_b + 1):
+                i = t - n_k - k1
+                row[offset + (i - 1) * n_b + (k1 - 1)] = 1.0
+            for k2 in range(1, n_a + 1):
+                row[n_x + k2 - 1] = y[t - k2 - 1]
+            rows.append(row)
+            targets.append(y[t - 1])
+        offset += len(y) * n_b
+    return np.array(rows), np.array(targets)

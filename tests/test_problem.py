@@ -13,6 +13,8 @@ from bilarx import (
 )
 from bilarx.problem import LiftedVariables, check_dimensions
 
+from _oracles import arx_constraint_matrix
+
 
 class TestBuildProblem:
     def test_fir_example(self):
@@ -165,6 +167,48 @@ class TestLiftedOperator:
             else:
                 assert imap.a_column(meaning[1]) == col
 
+
+
+@pytest.mark.parametrize("n_seq", [1, 2])
+@pytest.mark.parametrize("n_k", [0, 1])
+@pytest.mark.parametrize("n_a", [0, 1, 2])
+@pytest.mark.parametrize("n_b", [1, 2, 3, 4])
+def test_operator_matches_model_equation(n_b, n_a, n_k, n_seq):
+    rng = np.random.default_rng(1000 * n_b + 100 * n_a + 10 * n_k + n_seq)
+    ys = [rng.uniform(0.5, 2.0, size=length) * rng.choice([-1.0, 1.0], size=length)
+          for length in (11, 8)[:n_seq]]
+    spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b, n_k=n_k), 0.1)
+    op = build_lifted_operator(spec)
+    A, targets = arx_constraint_matrix(ys, n_a, n_b, n_k)
+
+    assert np.array_equal(op.matrix, A)
+    assert np.array_equal(op.rhs, targets)
+
+    vars = LiftedVariables(
+        X_blocks=tuple(rng.normal(size=(len(y), n_b)) for y in ys),
+        a=rng.normal(size=n_a),
+        w_blocks=tuple(np.zeros(len(y) - spec.n + 1) for y in ys),
+    )
+    packed = np.concatenate([x.ravel() for x in vars.X_blocks] + [vars.a])
+    assert np.allclose(op.apply(vars), A @ packed, rtol=1e-13, atol=1e-13)
+    per_seq = residual(spec, vars)
+    assert [r.shape for r in per_seq] == [(len(y) - spec.n + 1,) for y in ys]
+    assert np.allclose(np.concatenate(per_seq), targets - A @ packed,
+                       rtol=1e-13, atol=1e-13)
+
+    z = rng.normal(size=A.shape[0])
+    x_adj, a_adj = op.adjoint(z)
+    assert np.allclose(np.concatenate([x.ravel() for x in x_adj] + [a_adj]), A.T @ z,
+                       rtol=1e-13, atol=1e-13)
+
+    rebuilt = np.zeros_like(A)
+    seen = set()
+    for row, col, value in op.iter_entries():
+        assert (row, col) not in seen
+        seen.add((row, col))
+        rebuilt[row, col] = value
+    assert np.array_equal(rebuilt, A)
+    assert len(seen) == A.shape[0] * (n_b + n_a) == int(np.sum(A != 0))
 
 class TestResidual:
     def test_planted_exact_zero(self):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bilarx import (
     ArxOrders,
@@ -16,6 +19,9 @@ from bilarx import (
     sweep_lambda,
 )
 
+from bilarx.solver import _Workspace
+
+from _oracles import arx_constraint_matrix
 from _slowref import SlowReference
 
 
@@ -103,6 +109,81 @@ class TestSolveBil:
         assert sol.diagnostics.iterations == 5
         assert np.isfinite(sol.diagnostics.primal_residual)
         assert np.isfinite(sol.diagnostics.dual_residual)
+
+
+    def test_long_series_memory_is_linear(self):
+        # A dense x-update matrix at N = 10^4 alone would take 7.2 GB.
+        ref = scenario("scenario_arx_noisy")
+        N = 10_000
+        u = gen_piecewise_input(N, (2500, 5000, 7500), (4.0, -3.0, 6.0, -1.0))
+        y = simulate_arx(ref.truth.a, ref.truth.b, ref.spec.orders, u)
+        spec = build_problem([y], ref.spec.orders, epsilon=0.5)
+        tracemalloc.start()
+        try:
+            sol = solve_bil(spec, 1e4, SolverOptions(max_iters=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.diagnostics.iterations == 5
+        assert peak < 64e6
+
+
+def dense_x_update_matrix(spec, lam_scale, rho):
+    """``rho3 AᵀA + rho1 I_x + rho2 (L ⊗ I)`` in the solver's normalized units.
+
+    ``A`` comes from the model-equation oracle with its ``a`` columns divided
+    by ``max |y|``; ``L = DᵀD`` for the row-difference matrix ``D`` of each
+    sequence; ``rho1 = rho`` and ``rho2 = rho3 = rho * lam_scale``.
+    """
+    orders = spec.orders
+    ys = [s.samples for s in spec.sequences]
+    A, _ = arx_constraint_matrix(ys, orders.n_a, orders.n_b, orders.n_k)
+    y_scale = max(float(np.max(np.abs(y))) for y in ys) or 1.0
+    n_x = A.shape[1] - orders.n_a
+    A[:, n_x:] /= y_scale
+    laplacians = []
+    for length in spec.lengths:
+        D = np.diff(np.eye(length), axis=0)
+        laplacians.append(np.kron(D.T @ D, np.eye(orders.n_b)))
+    K = rho * lam_scale * (A.T @ A)
+    K[:n_x, :n_x] += rho * np.eye(n_x) + rho * lam_scale * scipy.linalg.block_diag(
+        *laplacians)
+    return K
+
+
+class TestXUpdateSolve:
+    @pytest.mark.parametrize("n_seq", [1, 2])
+    @pytest.mark.parametrize("n_k", [0, 1])
+    @pytest.mark.parametrize("n_a", [0, 1, 2])
+    @pytest.mark.parametrize("n_b", [1, 2, 3, 4])
+    def test_matches_dense_solve(self, n_b, n_a, n_k, n_seq):
+        rng = np.random.default_rng(1000 * n_b + 100 * n_a + 10 * n_k + n_seq)
+        ys = [rng.normal(size=length) for length in (11, 8)[:n_seq]]
+        spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b, n_k=n_k), 0.1)
+        work = _Workspace(spec, lam_scale=7.0, options=SolverOptions(rho=0.6))
+        K = dense_x_update_matrix(spec, 7.0, 0.6)
+        rhs = rng.normal(size=K.shape[0])
+        expected = np.linalg.solve(K, rhs)
+        assert np.allclose(work.solve_K(rhs), expected, rtol=0,
+                           atol=1e-10 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n_b", [1, 3])
+    @pytest.mark.parametrize("levels,n_a", [
+        ((0.0,), 1), ((0.0, 0.0), 2),     # all-zero output: the a block of K is zero
+        ((3.0,), 2), ((3.0, -1.5), 2),    # constant output: collinear lag columns
+    ])
+    def test_singular_a_block_gets_minimum_norm(self, levels, n_a, n_b):
+        rng = np.random.default_rng(5)
+        ys = [np.full(length, level) for length, level in zip((10, 7), levels)]
+        spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b), 0.1)
+        work = _Workspace(spec, lam_scale=4.0, options=SolverOptions(rho=1.3))
+        K = dense_x_update_matrix(spec, 4.0, 1.3)
+        assert np.linalg.matrix_rank(K) < K.shape[0]
+        # x-update right-hand sides lie in range(K): their a part is A_aᵀ r
+        rhs = K @ rng.normal(size=K.shape[0])
+        expected = np.linalg.pinv(K) @ rhs
+        assert np.allclose(work.solve_K(rhs), expected, rtol=0,
+                           atol=1e-10 * np.max(np.abs(expected)))
 
 
 class TestSolverOptions:
