@@ -12,8 +12,9 @@ simulate   generate a named synthetic scenario as CSV
 Data files are CSV with header ``t,y`` (single sequence) or ``t,y,series``;
 extra columns are ignored, time indices are 1-based and consecutive per
 series. Configuration is flat JSON with keys ``n_a, n_b, n_k, epsilon,
-lambda, gamma, rho, max_iters, tol``. Results are JSON; all floats carry 17
-significant digits so they parse back bit-exact.
+lambda, gamma, rho, max_iters, tol``. Results are JSON; every float is
+written in its shortest round-trip representation, so it parses back
+bit-exact.
 
 Exit codes: 0 success, 1 usage or file-format error, 2 solver
 non-convergence, 3 invalid or infeasible input data. The environment
@@ -23,6 +24,7 @@ variable ``BILARX_SEED`` overrides scenario seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -39,7 +41,9 @@ from .problem import ArxOrders, OutputSeries, build_problem
 from .solver import (
     BilSolution,
     SolverOptions,
-    refine_pipeline,
+    check_non_negative,
+    check_sweep_grid,
+    freeze_small_differences,
     solve_bil,
     solve_refined,
     sweep_lambda,
@@ -63,6 +67,15 @@ class _DataError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _usage_errors(where):
+    """Report a ValueError or TypeError from checking a setting as a usage error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"{where}: {exc}") from exc
+
+
 def _fmt(x: float) -> str:
     if x != x:
         return "NaN"
@@ -71,36 +84,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _dumps(obj, indent=0) -> str:
-    """JSON text with floats at 17 significant digits (round-trip exact)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_dumps(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{inner}{_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _dumps(obj.tolist(), indent)
+def _numpy_to_python(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _dumps(obj) -> str:
+    """JSON text; floats use Python's shortest round-trip ``repr``."""
+    return json.dumps(obj, indent=2, default=_numpy_to_python)
 
 
 def _write_json(path, obj):
@@ -131,22 +123,23 @@ def _load_config(path):
     return cfg
 
 
-def _config_orders(cfg) -> ArxOrders:
-    try:
-        return ArxOrders(n_a=int(cfg["n_a"]), n_b=int(cfg["n_b"]),
-                         n_k=int(cfg.get("n_k", 0)))
-    except ValueError as exc:
-        raise _DataError(str(exc)) from exc
+def _config_options(path, cfg) -> SolverOptions:
+    with _usage_errors(path):
+        tol = float(cfg.get("tol", 1e-7))
+        return SolverOptions(
+            rho=float(cfg.get("rho", 1.0)),
+            max_iters=int(cfg.get("max_iters", 5000)),
+            tol_primal=tol,
+            tol_dual=tol,
+        )
 
 
-def _config_options(cfg) -> SolverOptions:
-    tol = float(cfg.get("tol", 1e-7))
-    return SolverOptions(
-        rho=float(cfg.get("rho", 1.0)),
-        max_iters=int(cfg.get("max_iters", 5000)),
-        tol_primal=tol,
-        tol_dual=tol,
-    )
+def _non_negative(where, name, value) -> float:
+    """``float(value)`` checked to be >= 0; a bad value is a usage error."""
+    with _usage_errors(where):
+        value = float(value)
+        check_non_negative(name, value)
+    return value
 
 
 def _load_series_csv(path):
@@ -185,10 +178,11 @@ def _load_series_csv(path):
 
 def _build_spec(args, cfg):
     series = _load_series_csv(args.data)
-    orders = _config_orders(cfg)
     try:
+        orders = ArxOrders(n_a=int(cfg["n_a"]), n_b=int(cfg["n_b"]),
+                           n_k=int(cfg.get("n_k", 0)))
         return build_problem(series, orders, float(cfg.get("epsilon", 0.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _DataError(str(exc)) from exc
 
 
@@ -217,28 +211,33 @@ def _solution_payload(spec, sol: BilSolution, gamma: float):
     return payload
 
 
+def _write_series_csv(path, columns, *series):
+    """CSV with header ``t, *columns`` and one row per time index ``t = 1..N``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", *columns])
+        for t, values in enumerate(zip(*series), start=1):
+            writer.writerow([t, *map(_fmt, values)])
+
+
 def _write_plots(plot_dir, spec, sol: BilSolution):
     """Per-figure CSVs: measured vs model output, and the input estimate."""
     out = Path(plot_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for seq, u in zip(spec.sequences, sol.u_est):
         if sol.b_est is None:
             continue
         y_model = simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
-        with open(out / f"fit_{seq.label}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y_measured", "y_model"])
-            for t in range(1, len(seq) + 1):
-                writer.writerow([t, _fmt(seq.samples[t - 1]), _fmt(y_model[t - 1])])
-        with open(out / f"input_{seq.label}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "u_estimate"])
-            for t in range(1, len(seq) + 1):
-                writer.writerow([t, _fmt(u[t - 1])])
+        _write_series_csv(out / f"fit_{seq.label}.csv", ["y_measured", "y_model"],
+                          seq.samples, y_model)
+        _write_series_csv(out / f"input_{seq.label}.csv", ["u_estimate"], u)
 
 
-def _finish_solution(args, spec, sol, gamma):
+def _finish_solution(args, spec, sol, gamma, **extra):
+    """Write the result JSON (plus ``extra`` top-level blocks) and the plots;
+    the exit code reports convergence."""
     payload = _solution_payload(spec, sol, gamma)
+    payload.update(extra)
     _write_json(args.out, payload)
     if getattr(args, "plot_dir", None):
         _write_plots(args.plot_dir, spec, sol)
@@ -249,9 +248,12 @@ def _cmd_identify(args):
     cfg = _load_config(args.config)
     if "lambda" not in cfg:
         raise _UsageError("identify needs 'lambda' in the config")
+    lam = _non_negative(args.config, "lambda", cfg["lambda"])
+    gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
+    options = _config_options(args.config, cfg)
     spec = _build_spec(args, cfg)
-    sol = solve_bil(spec, float(cfg["lambda"]), _config_options(cfg))
-    return _finish_solution(args, spec, sol, float(cfg.get("gamma", 0.0)))
+    sol = solve_bil(spec, lam, options)
+    return _finish_solution(args, spec, sol, gamma)
 
 
 def _cmd_refine(args):
@@ -259,45 +261,44 @@ def _cmd_refine(args):
     gamma = args.gamma if args.gamma is not None else cfg.get("gamma")
     if gamma is None:
         raise _UsageError("refine needs --gamma or 'gamma' in the config")
-    gamma = float(gamma)
+    gamma = _non_negative(args.config if args.gamma is None else "--gamma",
+                          "gamma", gamma)
+    options = _config_options(args.config, cfg)
     spec = _build_spec(args, cfg)
     prior = _load_json(args.result)
-    if "u" not in prior:
+    prior_u = prior.get("u") if isinstance(prior, dict) else None
+    if not isinstance(prior_u, dict):
         raise _UsageError(f"{args.result}: missing 'u' estimates")
-    freeze = []
+    estimates = []
     for seq in spec.sequences:
-        if seq.label not in prior["u"]:
+        if seq.label not in prior_u:
             raise _UsageError(f"{args.result}: no input estimate for {seq.label!r}")
-        u = np.asarray(prior["u"][seq.label], dtype=float)
-        if u.shape[0] != len(seq):
+        with _usage_errors(args.result):
+            u = np.asarray(prior_u[seq.label], dtype=float)
+        if u.shape != (len(seq),):
             raise _DataError(
-                f"series {seq.label!r}: estimate length {u.shape[0]} does not "
+                f"series {seq.label!r}: estimate shape {u.shape} does not "
                 f"match data length {len(seq)}"
             )
-        du = np.abs(u[:-1] - u[1:])
-        freeze.append({int(i) + 1 for i in np.nonzero(du <= gamma)[0]})
-    sol = solve_refined(spec, freeze, _config_options(cfg))
+        estimates.append(u)
+    sol = solve_refined(spec, freeze_small_differences(estimates, gamma), options)
     return _finish_solution(args, spec, sol, gamma)
 
 
 def _cmd_sweep(args):
     cfg = _load_config(args.config)
-    try:
-        grid = [float(v) for v in args.lambdas.split(",") if v.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse --lambdas {args.lambdas!r}") from exc
+    with _usage_errors("sweep"):
+        grid = check_sweep_grid(
+            [v for v in args.lambdas.split(",") if v.strip()], args.gap_target)
+    gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
+    options = _config_options(args.config, cfg)
     spec = _build_spec(args, cfg)
-    result = sweep_lambda(spec, grid, args.gap_target, _config_options(cfg))
-    payload = _solution_payload(spec, result.solution, float(cfg.get("gamma", 0.0)))
-    payload["sweep"] = {
+    result = sweep_lambda(spec, grid, args.gap_target, options)
+    return _finish_solution(args, spec, result.solution, gamma, sweep={
         "lambda_chosen": result.lambda_chosen,
         "qualified": result.qualified,
         "trace": [{"lambda": lam, "rank_gap": gap} for lam, gap in result.trace],
-    }
-    _write_json(args.out, payload)
-    if getattr(args, "plot_dir", None):
-        _write_plots(args.plot_dir, spec, result.solution)
-    return EXIT_OK if result.solution.diagnostics.converged else EXIT_NOT_CONVERGED
+    })
 
 
 def _cmd_baseline(args):
@@ -319,14 +320,9 @@ def _cmd_baseline(args):
     }
     _write_json(args.out, payload)
     if getattr(args, "plot_dir", None):
-        out = Path(args.plot_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for seq, u in zip(spec.sequences, u_hats):
-            with open(out / f"baseline_{seq.label}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "y_measured", "u_fit"])
-                for t in range(1, len(seq) + 1):
-                    writer.writerow([t, _fmt(seq.samples[t - 1]), _fmt(u[t - 1])])
+            _write_series_csv(Path(args.plot_dir) / f"baseline_{seq.label}.csv",
+                              ["y_measured", "u_fit"], seq.samples, u)
     return EXIT_OK
 
 
@@ -370,14 +366,9 @@ def _cmd_simulate(args):
                     row.append(seq.label)
                 writer.writerow(row)
     if args.plot_dir:
-        out = Path(args.plot_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for seq, u in zip(scn.spec.sequences, scn.truth.u_blocks):
-            with open(out / f"true_input_{seq.label}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "u_true"])
-                for t in range(1, len(seq) + 1):
-                    writer.writerow([t, _fmt(u[t - 1])])
+            _write_series_csv(Path(args.plot_dir) / f"true_input_{seq.label}.csv",
+                              ["u_true"], u)
     return EXIT_OK
 
 
@@ -452,12 +443,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, _DataError) as exc:
         print(f"bilarx: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DataError as exc:
-        print(f"bilarx: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATA
+        return EXIT_BAD_DATA if isinstance(exc, _DataError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,10 +1,8 @@
 """Dense linear-algebra kernels and proximal operators.
 
-The singular value decomposition here is self-contained: it diagonalizes the
-small Gram matrix ``M.T @ M`` with cyclic Jacobi rotations and recovers left
-singular vectors as ``M @ v / sigma``. Matrices in this package are tall and
-narrow (at most a few hundred rows, at most 16 columns), where this route is
-exact and needs no external eigensolver.
+The singular value decomposition is LAPACK's (``numpy.linalg.svd``), thin,
+with one deterministic sign convention on top, so every caller sees the same
+factors for the same matrix.
 """
 
 from __future__ import annotations
@@ -12,11 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Jacobi stops when the off-diagonal Frobenius mass falls below this fraction
-# of the Gram matrix norm.
-_JACOBI_RTOL = 1e-14
-_JACOBI_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -43,88 +36,13 @@ class ThinSvd:
         return (u * s) @ v.T
 
 
-def _jacobi_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small symmetric PSD matrix by cyclic Jacobi.
-
-    Returns eigenvalues sorted non-increasing and the matching orthonormal
-    eigenvector columns.
-    """
-    n = gram.shape[0]
-    a = np.array(gram, dtype=float)
-    v = np.eye(n)
-    if n == 1:
-        return a[0].copy(), v
-
-    norm = np.sqrt(np.sum(a * a))
-    tol = _JACOBI_RTOL * max(norm, np.finfo(float).tiny)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / (n * n):
-                    continue
-                # Classic symmetric Schur rotation annihilating a[p, q].
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], v[:, order]
-
-
-def _complete_orthonormal(u: np.ndarray, ncols: int) -> np.ndarray:
-    """Append ``ncols`` columns to ``u`` keeping the block orthonormal.
-
-    Each new column is the standard basis vector with the largest residual
-    after orthogonalization against everything chosen so far (ties resolve
-    by index order, so the result is deterministic).
-    """
-    n, have = u.shape
-    cols = [u[:, i] for i in range(have)]
-    for _ in range(ncols):
-        best, best_norm = None, -1.0
-        for j in range(n):
-            cand = np.zeros(n)
-            cand[j] = 1.0
-            for c in cols:
-                cand -= (c @ cand) * c
-            norm = float(np.sqrt(cand @ cand))
-            if norm > best_norm + 1e-12:
-                best, best_norm = cand, norm
-        if best is None or best_norm <= 1e-6:
-            raise RuntimeError("orthonormal completion failed; input not orthonormal?")
-        cols.append(best / best_norm)
-    return np.column_stack(cols) if cols else np.zeros((n, 0))
-
-
 def thin_svd(matrix: np.ndarray) -> ThinSvd:
-    """Thin SVD of a dense real matrix.
-
-    Wide inputs are transposed internally, so the Gram matrix handled by the
-    Jacobi sweep is always ``min(shape)`` square.
+    """Thin SVD of a dense real matrix; all returned arrays are read-only.
 
     Raises
     ------
     ValueError
-        If the input contains NaN or infinity.
+        If the input is not 2-d or contains NaN or infinity.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -132,35 +50,15 @@ def thin_svd(matrix: np.ndarray) -> ThinSvd:
     if not np.all(np.isfinite(m)):
         raise ValueError("thin_svd: input has non-finite entries")
 
-    if m.shape[0] < m.shape[1]:
-        inner = thin_svd(m.T)
-        return ThinSvd(
-            left_vectors=inner.right_vectors,
-            singular_values=inner.singular_values,
-            right_vectors=inner.left_vectors,
-        )
-
-    nrows, ncols = m.shape
-    gram = m.T @ m
-    eigvals, v = _jacobi_eigh(gram)
-    sigma = np.sqrt(np.clip(eigvals, 0.0, None))
-
-    # Left vectors: M v / sigma where sigma is resolvable, orthonormal
-    # completion for the (numerically) zero tail.
-    cutoff = sigma[0] * nrows * np.finfo(float).eps if sigma.size else 0.0
-    rank = int(np.sum(sigma > cutoff))
-    u_lead = np.zeros((nrows, rank))
-    for i in range(rank):
-        u_lead[:, i] = (m @ v[:, i]) / sigma[i]
-    sigma[rank:] = np.where(sigma[rank:] > 0, sigma[rank:], 0.0)
-    u = _complete_orthonormal(u_lead, ncols - rank)
-
-    # Deterministic sign: largest-magnitude entry of each right vector > 0.
-    for i in range(ncols):
-        k = int(np.argmax(np.abs(v[:, i])))
-        if v[k, i] < 0:
-            v[:, i] = -v[:, i]
-            u[:, i] = -u[:, i]
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    v = vt.T
+    # Deterministic sign: largest-magnitude entry of each right vector > 0
+    # (the first such entry on ties). A matrix without columns has none.
+    if v.size:
+        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        flip = np.where(lead < 0, -1.0, 1.0)
+        u = u * flip
+        v = v * flip
 
     for arr in (u, sigma, v):
         arr.setflags(write=False)

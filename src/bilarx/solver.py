@@ -335,6 +335,12 @@ def _package_solution(work: _Workspace, X, a, w, lam, diag, frozen_rows=None):
     )
 
 
+def check_non_negative(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is >= 0 (so also for NaN)."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def solve_bil(spec: ProblemSpec, lam: float,
               options: SolverOptions | None = None) -> BilSolution:
     """Solve the convex lifted program at one penalty weight ``lam``.
@@ -343,8 +349,7 @@ def solve_bil(spec: ProblemSpec, lam: float,
     iterate comes back with ``diagnostics.converged`` False and the final
     residual norms filled in.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
+    check_non_negative("lambda", lam)
     options = options or SolverOptions()
     work = _Workspace(spec, lam_scale=max(1.0, lam), options=options)
     kappa = lam / work.rho2
@@ -401,6 +406,14 @@ def solve_refined(spec: ProblemSpec, freeze,
     return _package_solution(work, X, a, w, 0.0, diag, frozen_rows=freeze)
 
 
+def freeze_small_differences(u_blocks, gamma: float) -> list:
+    """Per input estimate, the 1-based indices ``i`` with ``|u(i) - u(i+1)| <= gamma``,
+    which the refinement re-solve freezes; ValueError unless ``gamma >= 0``."""
+    check_non_negative("gamma", gamma)
+    return [{int(i) + 1 for i in np.nonzero(np.abs(np.diff(u)) <= gamma)[0]}
+            for u in map(np.asarray, u_blocks)]
+
+
 def refine_pipeline(spec: ProblemSpec, bil_solution: BilSolution, gamma: float,
                     options: SolverOptions | None = None) -> BilSolution:
     """Freeze the small input differences of a solution and re-solve.
@@ -409,13 +422,23 @@ def refine_pipeline(spec: ProblemSpec, bil_solution: BilSolution, gamma: float,
     hard row equalities; the re-solve then removes the shrinkage bias from
     the surviving changes.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    freeze = []
-    for u, length in zip(bil_solution.u_est, spec.lengths):
-        du = np.abs(np.asarray(u)[:-1] - np.asarray(u)[1:])
-        freeze.append({int(i) + 1 for i in np.nonzero(du <= gamma)[0]})
-    return solve_refined(spec, freeze, options)
+    return solve_refined(spec, freeze_small_differences(bil_solution.u_est, gamma),
+                         options)
+
+
+def check_sweep_grid(grid, gap_target: float) -> list:
+    """The penalty grid as floats; raises ValueError unless it is non-empty,
+    positive and strictly ascending and ``0 < gap_target < 1``."""
+    grid = [float(g) for g in grid]
+    if not grid:
+        raise ValueError("lambda grid must be non-empty")
+    if any(g <= 0 for g in grid):
+        raise ValueError("lambda grid entries must be positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("lambda grid must be strictly ascending")
+    if not 0.0 < gap_target < 1.0:
+        raise ValueError(f"gap_target must lie in (0, 1), got {gap_target}")
+    return grid
 
 
 def sweep_lambda(spec: ProblemSpec, grid, gap_target: float,
@@ -427,16 +450,7 @@ def sweep_lambda(spec: ProblemSpec, grid, gap_target: float,
     smallest gap is returned with ``qualified`` False. The scan stops at the
     first qualifying point.
     """
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("lambda grid must be non-empty")
-    if any(g <= 0 for g in grid):
-        raise ValueError("lambda grid entries must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly ascending")
-    if not 0.0 < gap_target < 1.0:
-        raise ValueError(f"gap_target must lie in (0, 1), got {gap_target}")
-
+    grid = check_sweep_grid(grid, gap_target)
     trace = []
     best = None
     for lam in grid:

@@ -144,6 +144,35 @@ class TestIdentify:
         assert inp[0] == "t,u_estimate"
 
 
+class TestBadSettings:
+    """Bad config values and flags end with exit 1 and one message line."""
+
+    @pytest.mark.parametrize("command, cfg_overrides, flags", [
+        ("identify", {"rho": -1}, []),
+        ("identify", {"lambda": -5}, []),
+        ("identify", {"max_iters": "many"}, []),
+        ("sweep", {}, ["--lambdas", "5,2"]),
+        ("sweep", {}, ["--lambdas", "1,2", "--gap-target", "2"]),
+        ("refine", {}, ["--gamma", "-1"]),
+    ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma"])
+    def test_exits_1_without_traceback(self, workdir, capsys, command,
+                                       cfg_overrides, flags):
+        tmp, data, _ = workdir
+        cfg = write_config(tmp / "bad.json", **cfg_overrides)
+        prior = tmp / "prior.json"
+        prior.write_text(json.dumps({"u": {"y1": [0.0] * 30}}))
+        if command == "refine":
+            flags = ["--result", str(prior), *flags]
+        capsys.readouterr()
+        code = run_cli(command, "--data", str(data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"), *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("bilarx: ")
+        assert "Traceback" not in err
+        assert not (tmp / "o.json").exists()
+
+
 class TestRefine:
     def test_cli_matches_library_pipeline(self, workdir):
         tmp, data, cfg = workdir
@@ -166,6 +195,15 @@ class TestRefine:
         tmp, data, cfg = workdir
         prior = tmp / "prior.json"
         prior.write_text(json.dumps({"u": {"other": [0.0] * 30}}))
+        assert run_cli("refine", "--data", str(data), "--config", str(cfg),
+                       "--result", str(prior), "--gamma", "0.5",
+                       "--out", str(tmp / "o.json")) == 1
+
+    @pytest.mark.parametrize("prior_text", ["5", '{"u": [0.0, 1.0]}'])
+    def test_refine_prior_without_estimates_exits_1(self, workdir, prior_text):
+        tmp, data, cfg = workdir
+        prior = tmp / "prior.json"
+        prior.write_text(prior_text)
         assert run_cli("refine", "--data", str(data), "--config", str(cfg),
                        "--result", str(prior), "--gamma", "0.5",
                        "--out", str(tmp / "o.json")) == 1

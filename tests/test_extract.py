@@ -14,10 +14,18 @@ class TestFactorRank1:
         model = factor_rank1([np.outer(u, b)])
         b_unit = b / np.linalg.norm(b)
         assert abs(abs(float(model.b @ b_unit)) - 1.0) <= 1e-10
-        # sigma2 of an exact rank-1 matrix floors near sqrt(eps)*sigma1 when
-        # computed through the Gram matrix; 1e-7 is far below any gap
-        # threshold used downstream.
+        # 1e-7 is far below any gap threshold used downstream;
+        # test_exact_rank_one_gap_at_roundoff pins the tighter bound.
         assert model.rank_gap <= 1e-7
+
+    def test_exact_rank_one_gap_at_roundoff(self):
+        # A direct SVD resolves sigma2 of an exact rank-1 matrix down to
+        # roundoff, with no sqrt(eps) floor from forming the Gram matrix.
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            u = rng.normal(size=int(rng.integers(5, 40)))
+            b = rng.normal(size=int(rng.integers(2, 6)))
+            assert factor_rank1([np.outer(u, b)]).rank_gap <= 1e-12
 
     def test_diag_two_one(self):
         model = factor_rank1([np.diag([2.0, 1.0])])

@@ -61,6 +61,14 @@ class TestThinSvd:
             col = dec.right_vectors[:, i]
             assert col[np.argmax(np.abs(col))] > 0
 
+    def test_sign_convention_wide(self):
+        # Wide inputs sign their right vectors like tall ones.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            dec = prox.thin_svd(random_matrix(rng, (3, 6)))
+            for col in dec.right_vectors.T:
+                assert col[np.argmax(np.abs(col))] > 0
+
     def test_zero_matrix(self):
         dec = prox.thin_svd(np.zeros((4, 2)))
         assert np.all(dec.singular_values == 0)
