@@ -5,7 +5,9 @@ row-difference support is small, with the first and last differences pinned
 to zero. On each admissible support pattern the matrices with that
 difference structure form a linear subspace, so the isometry constant is
 computed exactly: restrict the operator to an orthonormal basis of the
-subspace and read off the extreme singular values. No sampling is involved.
+subspace and read off the extreme singular values. No sampling is involved,
+and no basis matrix is formed: in that basis the restriction is a column sum
+per segment.
 
 The brute-force solver enumerates the same difference-support patterns and
 solves the data constraints exactly on each one, which makes it an
@@ -93,30 +95,29 @@ def _count_patterns(n_indices: int, sizes) -> int:
     return sum(math.comb(n_indices, s) for s in sizes)
 
 
-def _segment_basis(n1: int, n2: int, pattern) -> np.ndarray:
-    """Orthonormal basis of {Z : row differences supported within pattern}.
+def _segments(n1: int, pattern):
+    """First row and length of each run of equal rows between allowed changes."""
+    bounds = np.array([0, *pattern, n1])
+    return bounds[:-1], bounds[1:] - bounds[:-1]
 
-    Rows between consecutive allowed change indices are equal, so the
-    subspace is spanned by (segment indicator / sqrt(length)) x (unit
-    column), giving dimension (len(pattern) + 1) * n2.
+
+def _restrict(matrix: np.ndarray, n1: int, n2: int, starts, lengths) -> np.ndarray:
+    """``matrix`` restricted to {Z : rows equal within each segment}.
+
+    The subspace has the orthonormal basis (segment indicator / sqrt(length))
+    x (unit column), segment-major, of dimension ``len(starts) * n2``; in it
+    the restriction sums each segment's columns of the row-major ``matrix``.
     """
-    bounds = [0] + [int(i) for i in pattern] + [n1]
-    cols = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        seg = np.zeros(n1)
-        seg[lo:hi] = 1.0 / np.sqrt(hi - lo)
-        for c in range(n2):
-            E = np.zeros((n1, n2))
-            E[:, c] = seg
-            cols.append(E.ravel())
-    return np.column_stack(cols)
+    rows = matrix.shape[0]
+    sums = np.add.reduceat(matrix.reshape(rows, n1, n2), starts, axis=1)
+    return (sums * (1.0 / np.sqrt(lengths))[:, None]).reshape(rows, -1)
 
 
 def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> float:
     """Smallest constant for the restricted isometry at sparsity ``k``.
 
     Enumerates every difference-support pattern of 1..k interior indices,
-    restricts the operator to an orthonormal subspace basis, and takes the
+    restricts the operator to the subspace of each, and takes the
     worst deviation ``max(sigma_max^2 - 1, 1 - sigma_min^2)`` over all
     patterns.
     """
@@ -136,11 +137,12 @@ def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> flo
     worst = 0.0
     for size in sizes:
         for pattern in itertools.combinations(indices, size):
-            basis = _segment_basis(n1, operator.n2, pattern)
-            restricted = operator.matrix @ basis
+            restricted = _restrict(operator.matrix, n1, operator.n2,
+                                   *_segments(n1, pattern))
             sigma = np.linalg.svd(restricted, compute_uv=False)
             smax = float(sigma[0])
-            smin = float(sigma[-1]) if restricted.shape[0] >= basis.shape[1] else 0.0
+            tall = restricted.shape[0] >= restricted.shape[1]
+            smin = float(sigma[-1]) if tall else 0.0
             worst = max(worst, smax * smax - 1.0, 1.0 - smin * smin)
     return worst
 
@@ -356,9 +358,9 @@ def brute_force_solve(problem, k_max: int, rhs=None, epsilon: float | None = Non
     for size in sizes:
         for pattern in itertools.combinations(indices, size):
             patterns_checked += 1
-            basis = _segment_basis(n1, n2, pattern)
-            A = np.hstack([x_matrix @ basis, a_cols])
-            d_x = basis.shape[1]
+            starts, lengths = _segments(n1, pattern)
+            A = np.hstack([_restrict(x_matrix, n1, n2, starts, lengths), a_cols])
+            d_x = starts.size * n2
 
             candidates = []
             if eps == 0.0:
@@ -400,7 +402,8 @@ def brute_force_solve(problem, k_max: int, rhs=None, epsilon: float | None = Non
                             candidates.append(point)
 
             for coef in candidates:
-                X = (basis @ coef[:d_x]).reshape(n1, n2)
+                levels = coef[:d_x].reshape(-1, n2) * (1.0 / np.sqrt(lengths))[:, None]
+                X = np.repeat(levels, lengths, axis=0)
                 a = coef[d_x:]
                 sigma = np.linalg.svd(X, compute_uv=False)
                 if require_rank_one and sigma.size > 1:

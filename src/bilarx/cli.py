@@ -16,9 +16,10 @@ lambda, gamma, rho, max_iters, tol``. Results are JSON; every float is
 written in its shortest round-trip representation, so it parses back
 bit-exact.
 
-Exit codes: 0 success, 1 usage or file-format error, 2 solver
-non-convergence, 3 invalid or infeasible input data. The environment
-variable ``BILARX_SEED`` overrides scenario seeds.
+Exit codes: 0 success, 1 usage, configuration, file-format or file-write
+error, 2 solver non-convergence, 3 invalid or infeasible input data (a
+series too short for the model orders, non-consecutive ``t``). The
+environment variable ``BILARX_SEED`` overrides scenario seeds.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def _usage_errors(where):
         raise _UsageError(f"{where}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _write_errors(path):
+    """Report an OSError from writing ``path`` as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _fmt(x: float) -> str:
     if x != x:
         return "NaN"
@@ -96,7 +106,9 @@ def _dumps(obj) -> str:
 
 
 def _write_json(path, obj):
-    Path(path).write_text(_dumps(obj) + "\n")
+    text = _dumps(obj) + "\n"
+    with _write_errors(path):
+        Path(path).write_text(text)
 
 
 def _load_json(path):
@@ -177,12 +189,14 @@ def _load_series_csv(path):
 
 
 def _build_spec(args, cfg):
-    series = _load_series_csv(args.data)
-    try:
+    with _usage_errors(args.config):
         orders = ArxOrders(n_a=int(cfg["n_a"]), n_b=int(cfg["n_b"]),
                            n_k=int(cfg.get("n_k", 0)))
-        return build_problem(series, orders, float(cfg.get("epsilon", 0.0)))
-    except (TypeError, ValueError) as exc:
+    epsilon = _non_negative(args.config, "epsilon", cfg.get("epsilon", 0.0))
+    series = _load_series_csv(args.data)
+    try:
+        return build_problem(series, orders, epsilon)
+    except ValueError as exc:
         raise _DataError(str(exc)) from exc
 
 
@@ -213,12 +227,13 @@ def _solution_payload(spec, sol: BilSolution, gamma: float):
 
 def _write_series_csv(path, columns, *series):
     """CSV with header ``t, *columns`` and one row per time index ``t = 1..N``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *columns])
-        for t, values in enumerate(zip(*series), start=1):
-            writer.writerow([t, *map(_fmt, values)])
+    with _write_errors(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", *columns])
+            for t, values in enumerate(zip(*series), start=1):
+                writer.writerow([t, *map(_fmt, values)])
 
 
 def _write_plots(plot_dir, spec, sol: BilSolution):
@@ -356,7 +371,7 @@ def _cmd_simulate(args):
     except ValueError as exc:
         raise _DataError(str(exc)) from exc
     multi = len(scn.spec.sequences) > 1
-    with open(args.out, "w", newline="") as fh:
+    with _write_errors(args.out), open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "z", "y", "series"] if multi else ["t", "z", "y"])
         for seq, z in zip(scn.spec.sequences, scn.truth.z_blocks):

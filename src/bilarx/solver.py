@@ -105,7 +105,9 @@ class SweepResult:
 class _XSolve:
     """Solve with the x-update matrix ``K = rho3 AᵀA + rho1 I_x + rho2 (L ⊗ I)``.
 
-    ``I_x`` and the row-difference Laplacian ``L`` act on the X entries only.
+    ``I_x`` and the row-difference Laplacian ``L = DᵀD`` act on the X entries
+    only; ``link[i]`` is 1 when ``D`` joins row ``i`` of the stacked X to
+    row ``i + 1``.
     Each X entry enters at most one constraint row, so the X block of ``K``
     is banded with bandwidth ``max(n_b, (n_b - 1)^2)`` and positive definite
     through ``rho1``; it is factored once by a banded Cholesky. The ``a``
@@ -115,7 +117,8 @@ class _XSolve:
     rank-deficient ``a`` block gets the minimum-norm solution.
     """
 
-    def __init__(self, op: LiftedOperator, rho1: float, rho2: float, rho3: float):
+    def __init__(self, op: LiftedOperator, link: np.ndarray,
+                 rho1: float, rho2: float, rho3: float):
         imap = op.index_map
         n_b = imap.n_b
         self.n_x = imap.n_x_columns
@@ -123,8 +126,6 @@ class _XSolve:
         # LAPACK lower band form: ab[d, c] = Kxx[c + d, c].
         bandwidth = max(n_b, (n_b - 1) ** 2)
         ab = np.zeros((bandwidth + 1, self.n_x))
-        link = np.ones(sum(imap.lengths))        # row i of X joined to row i + 1
-        link[np.cumsum(imap.lengths) - 1] = 0.0
         lap_diag = link + np.concatenate([[0.0], link[:-1]])
         ab[0] = rho1 + rho2 * np.repeat(lap_diag, n_b)
         ab[n_b] = -rho2 * np.repeat(link, n_b)
@@ -168,13 +169,14 @@ class _Workspace:
         self.lengths = spec.lengths
         self.total_rows = sum(self.lengths)
         self.p = self.total_rows * self.n_b + self.n_a
+        # First stacked row of every sequence block after the first.
+        self.block_starts = np.cumsum(self.lengths)[:-1]
 
-        # Row ranges of each sequence block inside the stacked X.
-        self.block_slices = []
-        start = 0
-        for length in self.lengths:
-            self.block_slices.append(slice(start, start + length))
-            start += length
+        # D acts on the stacked X but zeroes the row pairs that straddle two
+        # sequences: row i is linked to row i + 1 unless it ends a block.
+        self.link = np.ones(self.total_rows)
+        self.link[np.cumsum(self.lengths) - 1] = 0.0
+        self.straddling = np.flatnonzero(self.link[:-1] == 0.0)
 
         self.y_scale = max(max(np.max(np.abs(s.samples)) for s in spec.sequences), 0.0)
         if self.y_scale == 0.0:
@@ -192,20 +194,25 @@ class _Workspace:
         self.rho1 = rho
         self.rho2 = rho * lam_scale
         self.rho3 = rho * lam_scale
-        self.solve_K = _XSolve(self.operator, self.rho1, self.rho2, self.rho3)
+        self.solve_K = _XSolve(self.operator, self.link,
+                               self.rho1, self.rho2, self.rho3)
 
     def split_x(self, xvec):
         X = xvec[: self.total_rows * self.n_b].reshape(self.total_rows, self.n_b)
         return X, xvec[self.total_rows * self.n_b :]
 
     def row_diff(self, X):
-        return [prox.row_diff(X[sl]) for sl in self.block_slices]
+        """``D X``: consecutive row differences of the stacked X, one row per
+        pair; a pair that straddles two sequences reads zero."""
+        d = prox.row_diff(X)
+        d[self.straddling] = 0.0
+        return d
 
-    def row_diff_adjoint_stacked(self, blocks):
-        out = np.zeros((self.total_rows, self.n_b))
-        for sl, d in zip(self.block_slices, blocks):
-            out[sl] = prox.row_diff_adjoint(d)
-        return out
+    def row_diff_adjoint(self, V):
+        """``Dᵀ V``, the adjoint of :meth:`row_diff`."""
+        V = np.array(V, dtype=float)
+        V[self.straddling] = 0.0
+        return prox.row_diff_adjoint(V)
 
 
 def _admm(work: _Workspace, prox2, lam: float, options: SolverOptions):
@@ -219,13 +226,13 @@ def _admm(work: _Workspace, prox2, lam: float, options: SolverOptions):
     X = np.zeros((T, n_b))
     a = np.zeros(n_a)
     Z1 = np.zeros_like(X)
-    Z2 = [np.zeros((length - 1, n_b)) for length in work.lengths]
+    Z2 = np.zeros((T - 1, n_b))     # rows of straddling pairs stay zero
     w = np.zeros(rhs.shape[0])
     S1 = np.zeros_like(X)
-    S2 = [np.zeros_like(z) for z in Z2]
+    S2 = np.zeros_like(Z2)
     S3 = np.zeros_like(w)
 
-    dim_primal = math.sqrt(X.size + sum(z.size for z in Z2) + w.size)
+    dim_primal = math.sqrt(X.size + Z2.size + w.size)
     dim_dual = math.sqrt(work.p)
     floor_pri = 1e-14 * dim_primal
     floor_dual = 1e-14 * dim_dual
@@ -236,9 +243,7 @@ def _admm(work: _Workspace, prox2, lam: float, options: SolverOptions):
     for iters in range(1, options.max_iters + 1):
         # (X, a) update: positive-definite solve against the current copies.
         target = rho1 * (Z1 - S1).ravel()
-        target_diff = work.row_diff_adjoint_stacked(
-            [rho2 * (z - s) for z, s in zip(Z2, S2)]
-        )
+        target_diff = work.row_diff_adjoint(rho2 * (Z2 - S2))
         xrhs = np.concatenate([target + target_diff.ravel(), np.zeros(n_a)])
         xrhs += rho3 * op.rmatvec(rhs - w - S3)
         xvec = work.solve_K(xrhs)
@@ -248,21 +253,20 @@ def _admm(work: _Workspace, prox2, lam: float, options: SolverOptions):
         Ax = op.matvec(xvec)
 
         hatX = alpha * X + (1 - alpha) * Z1
-        hatDX = [alpha * d + (1 - alpha) * z for d, z in zip(DX, Z2)]
+        hatDX = alpha * DX + (1 - alpha) * Z2
         hatAx = alpha * Ax + (1 - alpha) * (rhs - w)
 
         Z1_old, Z2_old, w_old = Z1, Z2, w
         Z1 = prox.svt(hatX + S1, 1.0 / rho1)
-        Z2 = [prox2(hatDX[j] + S2[j], j) for j in range(len(Z2))]
+        Z2 = prox2(hatDX + S2)
         w = prox.box_clip(rhs - hatAx - S3, work.eps)
 
         S1 = S1 + hatX - Z1
-        S2 = [s + d - z for s, d, z in zip(S2, hatDX, Z2)]
+        S2 = S2 + hatDX - Z2
         S3 = S3 + hatAx + w - rhs
 
         r_data = Ax + w - rhs
-        pri_sq = np.sum((X - Z1) ** 2) + np.sum(r_data**2)
-        pri_sq += sum(np.sum((d - z) ** 2) for d, z in zip(DX, Z2))
+        pri_sq = np.sum((X - Z1) ** 2) + np.sum(r_data**2) + np.sum((DX - Z2) ** 2)
         pri_norm = math.sqrt(pri_sq)
 
         # Dual progress measured in copy space: the smooth part of the first
@@ -271,21 +275,17 @@ def _admm(work: _Workspace, prox2, lam: float, options: SolverOptions):
         # test. The per-block penalty weights make this scale-covariant.
         dual_norm = math.sqrt(
             rho1**2 * np.sum((Z1 - Z1_old) ** 2)
-            + rho2**2 * sum(np.sum((z - zo) ** 2) for z, zo in zip(Z2, Z2_old))
+            + rho2**2 * np.sum((Z2 - Z2_old) ** 2)
             + rho3**2 * np.sum((w - w_old) ** 2)
         )
         dual_scale = math.sqrt(
             rho1**2 * np.sum(S1**2)
-            + rho2**2 * sum(np.sum(s**2) for s in S2)
+            + rho2**2 * np.sum(S2**2)
             + rho3**2 * np.sum(S3**2)
         )
 
-        mx_norm = math.sqrt(
-            np.sum(X**2) + sum(np.sum(d**2) for d in DX) + np.sum(Ax**2)
-        )
-        bz_norm = math.sqrt(
-            np.sum(Z1**2) + sum(np.sum(z**2) for z in Z2) + np.sum(w**2)
-        )
+        mx_norm = math.sqrt(np.sum(X**2) + np.sum(DX**2) + np.sum(Ax**2))
+        bz_norm = math.sqrt(np.sum(Z1**2) + np.sum(Z2**2) + np.sum(w**2))
         c_norm = float(np.linalg.norm(rhs))
         eps_pri = options.tol_primal * max(mx_norm, bz_norm, c_norm) + floor_pri
         eps_dual = options.tol_dual * (1.0 + dual_scale) + floor_dual
@@ -304,22 +304,15 @@ def _admm(work: _Workspace, prox2, lam: float, options: SolverOptions):
 
 
 def _package_solution(work: _Workspace, X, a, w, lam, diag, frozen_rows=None):
-    scale = work.y_scale
-    X_blocks = tuple(scale * X[sl] for sl in work.block_slices)
-    w_blocks = []
-    pos = 0
-    for length in work.lengths:
-        m = length - work.spec.n + 1
-        w_blocks.append(scale * w[pos : pos + m])
-        pos += m
-    vars = LiftedVariables(X_blocks=X_blocks, a=a.copy(), w_blocks=tuple(w_blocks))
+    stacked = work.y_scale * X
+    X_blocks = tuple(np.split(stacked, work.block_starts))
+    w_rows = np.subtract(work.lengths, work.spec.n - 1)    # one per time n..N_j
+    w_blocks = tuple(np.split(work.y_scale * w, np.cumsum(w_rows)[:-1]))
+    vars = LiftedVariables(X_blocks=X_blocks, a=a.copy(), w_blocks=w_blocks)
 
-    stacked = np.vstack(X_blocks)
     dec = prox.thin_svd(stacked)
     sigma = dec.singular_values
-    objective = float(np.sum(sigma)) + lam * sum(
-        prox.row_group_norm(prox.row_diff(xb)) for xb in X_blocks
-    )
+    objective = float(np.sum(sigma)) + lam * prox.row_group_norm(work.row_diff(stacked))
     if sigma[0] == 0.0:
         u_est = tuple(np.zeros(length) for length in work.lengths)
         b_est = None
@@ -354,7 +347,7 @@ def solve_bil(spec: ProblemSpec, lam: float,
     work = _Workspace(spec, lam_scale=max(1.0, lam), options=options)
     kappa = lam / work.rho2
 
-    def prox2(V, _j):
+    def prox2(V):
         return prox.row_group_shrink(V, kappa)
 
     X, a, w, diag = _admm(work, prox2, lam, options)
@@ -390,16 +383,14 @@ def solve_refined(spec: ProblemSpec, freeze,
     options = options or SolverOptions()
     freeze = _normalize_freeze(spec, freeze)
     work = _Workspace(spec, lam_scale=1.0, options=options)
-    masks = []
-    for idx, length in zip(freeze, spec.lengths):
-        mask = np.zeros(length - 1, dtype=bool)
-        for i in idx:
-            mask[i - 1] = True
-        masks.append(mask)
+    # Difference i of sequence j is stacked pair start_j + i - 1.
+    frozen = np.zeros(work.total_rows - 1, dtype=bool)
+    starts = np.concatenate([[0], work.block_starts])
+    frozen[[start + i - 1 for start, idx in zip(starts, freeze) for i in idx]] = True
 
-    def prox2(V, j):
+    def prox2(V):
         out = V.copy()
-        out[masks[j]] = 0.0
+        out[frozen] = 0.0
         return out
 
     X, a, w, diag = _admm(work, prox2, 0.0, options)

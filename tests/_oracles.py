@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own kernels: singular
 values come from numpy's LAPACK eigensolver on the Gram matrix, proximal
 minimizers from direct search over the small dense parameter space,
-segmentations from explicit enumeration, and the lifted constraint matrix
-from the model equation entry by entry.
+segmentations from explicit enumeration, the lifted constraint matrix
+from the model equation entry by entry, and isometry constants from an
+explicit basis of each pattern's subspace.
 """
 
 from __future__ import annotations
@@ -119,3 +120,39 @@ def arx_constraint_matrix(sequences, n_a: int, n_b: int, n_k: int):
             targets.append(y[t - 1])
         offset += len(y) * n_b
     return np.array(rows), np.array(targets)
+
+
+def segment_basis(n1: int, n2: int, pattern) -> np.ndarray:
+    """Orthonormal basis of the ``n1 x n2`` matrices whose rows change only
+    at the 1-based difference indices in ``pattern``, one column at a time.
+
+    Rows between consecutive allowed change indices are equal, so the
+    subspace is spanned by (segment indicator / sqrt(length)) x (unit
+    column), segment-major, each vectorized row-major.
+    """
+    bounds = [0] + [int(i) for i in pattern] + [n1]
+    cols = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        seg = np.zeros(n1)
+        seg[lo:hi] = 1.0 / np.sqrt(hi - lo)
+        for c in range(n2):
+            E = np.zeros((n1, n2))
+            E[:, c] = seg
+            cols.append(E.ravel())
+    return np.column_stack(cols)
+
+
+def rip_constant_by_basis(matrix, n1: int, n2: int, k: int) -> float:
+    """Isometry constant over every pattern of 1..k interior change indices
+    (``2..n1-2``, boundary differences pinned), from the SVD of
+    ``matrix @ basis`` with an explicit basis per pattern."""
+    matrix = np.asarray(matrix, dtype=float)
+    indices = range(2, n1 - 1)
+    worst = 0.0
+    for size in range(1, min(k, len(indices)) + 1):
+        for pattern in itertools.combinations(indices, size):
+            restricted = matrix @ segment_basis(n1, n2, pattern)
+            sigma = np.linalg.svd(restricted, compute_uv=False)
+            smin = sigma[-1] if restricted.shape[0] >= restricted.shape[1] else 0.0
+            worst = max(worst, sigma[0] ** 2 - 1.0, 1.0 - smin**2)
+    return float(worst)

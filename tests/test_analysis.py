@@ -19,6 +19,8 @@ from bilarx.analysis import (
     rip_report,
 )
 
+from _oracles import rip_constant_by_basis
+
 
 def gaussian_operator(rng, n1, n2, n3):
     return MatrixOperator(rng.normal(size=(n3, n1 * n2)) / np.sqrt(n3), n1, n2)
@@ -57,6 +59,15 @@ class TestRipConstant:
             worst = max(worst, abs(float(v @ v) - 1.0))
         assert exact >= worst - 1e-12
         assert exact <= worst * (1.0 + 5e-2) + 1e-6
+
+    @pytest.mark.parametrize("n1,n2,n3", [(8, 2, 40), (10, 3, 25), (7, 1, 12),
+                                          (9, 2, 10), (6, 4, 30)])
+    def test_matches_explicit_basis_oracle(self, n1, n2, n3):
+        rng = np.random.default_rng(100 * n1 + 10 * n2 + n3)
+        op = gaussian_operator(rng, n1, n2, n3)
+        for k in (1, 2):
+            expected = rip_constant_by_basis(op.matrix, n1, n2, k)
+            assert abs(rip_constant(op, k) - expected) <= 1e-12
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(4)

@@ -154,7 +154,11 @@ class TestBadSettings:
         ("sweep", {}, ["--lambdas", "5,2"]),
         ("sweep", {}, ["--lambdas", "1,2", "--gap-target", "2"]),
         ("refine", {}, ["--gamma", "-1"]),
-    ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma"])
+        ("identify", {"n_a": [1]}, []),
+        ("identify", {"n_b": 0}, []),
+        ("identify", {"epsilon": -1}, []),
+    ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma",
+            "n_a", "n_b", "epsilon"])
     def test_exits_1_without_traceback(self, workdir, capsys, command,
                                        cfg_overrides, flags):
         tmp, data, _ = workdir
@@ -171,6 +175,31 @@ class TestBadSettings:
         assert err.startswith("bilarx: ")
         assert "Traceback" not in err
         assert not (tmp / "o.json").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written ends with exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("identify", ["--out", "{missing}/o.json"]),
+        ("simulate", ["--out", "{missing}/o.csv"]),
+        ("identify", ["--out", "{tmp}/o.json", "--plot-dir", "{file}/plots"]),
+    ], ids=["identify_out", "simulate_out", "plot_dir_in_file"])
+    def test_exits_1_without_traceback(self, workdir, capsys, command, flags):
+        tmp, data, cfg = workdir
+        names = {"missing": tmp / "missing_dir", "tmp": tmp, "file": data}
+        flags = [f.format(**names) for f in flags]
+        if command == "simulate":
+            flags = ["--scenario", "scenario_arx_noisy", *flags]
+        else:
+            flags = ["--data", str(data), "--config", str(cfg), *flags]
+        capsys.readouterr()
+        code = run_cli(command, *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("bilarx: cannot write ")
+        assert "Traceback" not in err
+        assert not (tmp / "missing_dir").exists()
 
 
 class TestRefine:

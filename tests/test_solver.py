@@ -186,6 +186,27 @@ class TestXUpdateSolve:
                            atol=1e-10 * np.max(np.abs(expected)))
 
 
+class TestStackedRowDiff:
+    """``D`` on the stacked X is the row difference inside each sequence;
+    the row pairs that straddle two sequences read zero."""
+
+    @pytest.mark.parametrize("lengths", [(7,), (5, 9), (4, 11, 6)])
+    def test_matches_dense_difference(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        ys = [rng.normal(size=length) for length in lengths]
+        spec = build_problem(ys, ArxOrders(n_a=1, n_b=2), 0.1)
+        work = _Workspace(spec, lam_scale=1.0, options=SolverOptions())
+        D = -np.diff(np.eye(sum(lengths)), axis=0)
+        D[np.cumsum(lengths)[:-1] - 1] = 0.0
+        X = rng.normal(size=(sum(lengths), 2))
+        V = rng.normal(size=(D.shape[0], 2))
+        assert np.allclose(work.row_diff(X), D @ X, rtol=0, atol=1e-14)
+        assert np.allclose(work.row_diff_adjoint(V), D.T @ V, rtol=0, atol=1e-14)
+        lhs = float(np.sum(work.row_diff(X) * V))
+        rhs = float(np.sum(X * work.row_diff_adjoint(V)))
+        assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+
+
 class TestSolverOptions:
     def test_defaults(self):
         opts = SolverOptions()
@@ -225,6 +246,26 @@ class TestSolveRefined:
         assert np.max(np.abs(X - X[0])) <= 1e-5 * (1 + np.max(np.abs(X)))
         u = np.asarray(sol.u_est[0])
         assert np.max(np.abs(u - u[0])) <= 1e-4 * (1 + np.max(np.abs(u)))
+
+    def test_fully_frozen_two_sequences_keep_their_levels(self):
+        # every difference inside each sequence is frozen; the row pair that
+        # straddles the two sequences is neither frozen nor penalized, so
+        # the blocks settle at two different constant levels
+        orders = ArxOrders(n_a=1, n_b=3, n_k=0)
+        rng = np.random.default_rng(56)
+        ys = []
+        for length, level in ((24, 5.0), (17, -2.0)):
+            z = simulate_arx((0.2,), (-4.9594, 6.1774, 3.3930), orders,
+                             np.full(length, level))
+            ys.append(z + rng.uniform(-0.5, 0.5, size=length))
+        spec = build_problem(ys, orders, epsilon=0.7)
+        sol = solve_refined(spec, [set(range(1, n)) for n in spec.lengths],
+                            SolverOptions(max_iters=20000))
+        assert sol.diagnostics.converged
+        for X in sol.vars.X_blocks:
+            assert np.max(np.abs(X - X[0])) <= 1e-5 * (1 + np.max(np.abs(X)))
+        u1, u2 = (float(u[0]) for u in sol.u_est)
+        assert abs(u1 - u2) >= 0.5 * max(abs(u1), abs(u2))
 
     def test_infeasible_freeze_reported_unconverged(self):
         # freezing every difference of stepped noise-free data leaves no
