@@ -7,7 +7,8 @@ difference structure form a linear subspace, so the isometry constant is
 computed exactly: restrict the operator to an orthonormal basis of the
 subspace and read off the extreme singular values. No sampling is involved,
 and no basis matrix is formed: in that basis the restriction is a column sum
-per segment.
+per segment. Subspaces grow with their patterns, so only the patterns with
+the most changes are walked.
 
 The brute-force solver enumerates the same difference-support patterns and
 solves the data constraints exactly on each one, which makes it an
@@ -59,8 +60,9 @@ class MatrixOperator:
 class RipReport:
     """Isometry constant at one sparsity level plus the uniqueness verdict.
 
-    ``certified_unique`` is evaluated at level ``2k``: it is True exactly
-    when the constant at ``2k`` is below one.
+    ``patterns_checked`` counts every pattern of 1..k changes, the set the
+    constant is a maximum over. ``certified_unique`` is evaluated at level
+    ``2k``: it is True exactly when the constant at ``2k`` is below one.
     """
 
     k: int
@@ -86,13 +88,22 @@ def operator_from_problem(spec: ProblemSpec) -> MatrixOperator:
     )
 
 
-def _interior_indices(n1: int):
-    """Difference indices free to change once the boundary rows are pinned."""
-    return range(2, n1 - 1)
+def _patterns(n1: int, k: int, interior_only: bool, budget) -> tuple:
+    """Change indices, pattern sizes and pattern count of a walk up to ``k``.
 
-
-def _count_patterns(n_indices: int, sizes) -> int:
-    return sum(math.comb(n_indices, s) for s in sizes)
+    With ``interior_only`` the boundary differences are pinned, so indices
+    run over ``2..n1-2`` and sizes over ``1..k``; otherwise every difference
+    index ``1..n1-1`` is free and the empty pattern (a constant matrix) is
+    included. Raises ValueError when the count exceeds ``budget``.
+    """
+    indices = range(2, n1 - 1) if interior_only else range(1, n1)
+    sizes = range(1 if interior_only else 0, min(k, len(indices)) + 1)
+    total = sum(math.comb(len(indices), s) for s in sizes)
+    if total > budget:
+        raise ValueError(
+            f"pattern enumeration needs {total} patterns, over the budget {budget}"
+        )
+    return indices, sizes, total
 
 
 def _segments(n1: int, pattern):
@@ -116,41 +127,37 @@ def _restrict(matrix: np.ndarray, n1: int, n2: int, starts, lengths) -> np.ndarr
 def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> float:
     """Smallest constant for the restricted isometry at sparsity ``k``.
 
-    Enumerates every difference-support pattern of 1..k interior indices,
-    restricts the operator to the subspace of each, and takes the
-    worst deviation ``max(sigma_max^2 - 1, 1 - sigma_min^2)`` over all
-    patterns.
+    The constant is the worst deviation ``max(sigma_max^2 - 1,
+    1 - sigma_min^2)`` of the operator restricted to the subspace of each
+    difference-support pattern of 1..k interior indices. Only the patterns
+    with exactly ``min(k, #interior indices)`` changes are walked: every
+    smaller pattern lies inside one of them, whose subspace contains its
+    subspace, so there ``sigma_max`` is no smaller and ``sigma_min`` no
+    larger. ``budget`` bounds the count of all 1..k patterns.
     """
     if k <= 0:
         raise ValueError(f"sparsity level k must be positive, got {k}")
     n1 = operator.n1
     if n1 < 4:
         raise ValueError(f"need n1 >= 4 to pin the boundary differences, got {n1}")
-    indices = list(_interior_indices(n1))
-    sizes = range(1, min(k, len(indices)) + 1)
-    total = _count_patterns(len(indices), sizes)
-    if total > budget:
-        raise ValueError(
-            f"pattern enumeration needs {total} patterns, over the budget {budget}"
-        )
+    indices, sizes, _ = _patterns(n1, k, True, budget)
 
     worst = 0.0
-    for size in sizes:
-        for pattern in itertools.combinations(indices, size):
-            restricted = _restrict(operator.matrix, n1, operator.n2,
-                                   *_segments(n1, pattern))
-            sigma = np.linalg.svd(restricted, compute_uv=False)
-            smax = float(sigma[0])
-            tall = restricted.shape[0] >= restricted.shape[1]
-            smin = float(sigma[-1]) if tall else 0.0
-            worst = max(worst, smax * smax - 1.0, 1.0 - smin * smin)
+    for pattern in itertools.combinations(indices, sizes[-1]):
+        restricted = _restrict(operator.matrix, n1, operator.n2,
+                               *_segments(n1, pattern))
+        sigma = np.linalg.svd(restricted, compute_uv=False)
+        smax = float(sigma[0])
+        tall = restricted.shape[0] >= restricted.shape[1]
+        smin = float(sigma[-1]) if tall else 0.0
+        worst = max(worst, smax * smax - 1.0, 1.0 - smin * smin)
     return worst
 
 
 def rip_patterns_checked(operator: MatrixOperator, k: int) -> int:
-    """How many patterns :func:`rip_constant` would enumerate at level ``k``."""
-    indices = list(_interior_indices(operator.n1))
-    return _count_patterns(len(indices), range(1, min(k, len(indices)) + 1))
+    """How many patterns the constant at level ``k`` is a maximum over: every
+    pattern of 1..k interior indices, the count ``budget`` is checked against."""
+    return _patterns(operator.n1, k, True, math.inf)[2]
 
 
 def certify_uniqueness(operator: MatrixOperator, k: int,
@@ -275,21 +282,20 @@ def _actual_changes(X, tol):
     return [int(i) + 1 for i in np.nonzero(norms > tol)[0]]
 
 
-def brute_force_solve(problem, k_max: int, rhs=None, epsilon: float | None = None,
-                      budget: int = 20_000, require_rank_one: bool = True,
-                      interior_only: bool | None = None) -> BruteForceResult:
+def brute_force_solve(problem, k_max: int, rhs=None, budget: int = 20_000,
+                      require_rank_one: bool = True) -> BruteForceResult:
     """Enumerate all piecewise-row-constant solutions with few changes.
 
     ``problem`` is either a :class:`ProblemSpec` (single sequence; the
     autoregressive coefficients are solved jointly and the noise bound comes
-    from the spec) or a :class:`MatrixOperator` together with ``rhs`` (and
-    optional ``epsilon``, default exact).
+    from the spec) or a :class:`MatrixOperator` together with exact data
+    ``rhs``.
 
     For a spec, patterns range over all difference indices including the
     empty pattern (a constant input is admissible); for an operator the
     boundary differences are pinned and at least one change is required,
-    matching the uniqueness analysis. ``interior_only`` overrides either
-    default.
+    matching the uniqueness analysis. Every pattern of up to ``k_max``
+    changes is walked, and ``budget`` bounds their count.
 
     Exact data: each pattern system is solved exactly. A one-dimensional
     solution family (the generic case for these operators, whose null space
@@ -299,10 +305,11 @@ def brute_force_solve(problem, k_max: int, rhs=None, epsilon: float | None = Non
     rank-deficient for every parameter, or of dimension two and higher, are
     reported in ``ambiguous_patterns`` instead of enumerated.
 
-    Slack data (eps > 0): the solution set is a polyhedron, so the search
-    degrades to a feasibility probe returning one distinguished witness per
-    pattern (the zero point if feasible, else the min-norm least-squares
-    point, else a Chebyshev point from a linear program), rank-filtered.
+    Slack data (a spec with eps > 0): the solution set is a polyhedron, so
+    the search degrades to a feasibility probe returning one distinguished
+    witness per pattern (the zero point if feasible, else the min-norm
+    least-squares point, else a Chebyshev point from a linear program),
+    rank-filtered.
 
     Returns every distinct solution with the minimal change count found;
     ``require_rank_one`` filters out higher-rank candidates first (with
@@ -320,9 +327,8 @@ def brute_force_solve(problem, k_max: int, rhs=None, epsilon: float | None = Non
         a_cols = op.matrix[:, n1 * n2 :]
         x_matrix = op.matrix[:, : n1 * n2]
         rhs_vec = op.rhs
-        eps = problem.epsilon if epsilon is None else float(epsilon)
-        if interior_only is None:
-            interior_only = False
+        eps = problem.epsilon
+        interior_only = False
     elif isinstance(problem, MatrixOperator):
         if rhs is None:
             raise ValueError("rhs is required with a MatrixOperator")
@@ -330,23 +336,11 @@ def brute_force_solve(problem, k_max: int, rhs=None, epsilon: float | None = Non
         x_matrix = problem.matrix
         a_cols = np.zeros((x_matrix.shape[0], 0))
         rhs_vec = np.asarray(rhs, dtype=float)
-        eps = 0.0 if epsilon is None else float(epsilon)
-        if interior_only is None:
-            interior_only = True
+        eps = 0.0
+        interior_only = True
     else:
         raise TypeError(f"unsupported problem type {type(problem)!r}")
-
-    if interior_only:
-        indices = list(_interior_indices(n1))
-        sizes = range(1, min(k_max, len(indices)) + 1)
-    else:
-        indices = list(range(1, n1))
-        sizes = range(0, min(k_max, len(indices)) + 1)
-    total = _count_patterns(len(indices), sizes)
-    if total > budget:
-        raise ValueError(
-            f"pattern enumeration needs {total} patterns, over the budget {budget}"
-        )
+    indices, sizes, total = _patterns(n1, k_max, interior_only, budget)
 
     scale = 1.0 + float(np.max(np.abs(rhs_vec))) if rhs_vec.size else 1.0
     tol = 1e-9 * scale
@@ -354,10 +348,8 @@ def brute_force_solve(problem, k_max: int, rhs=None, epsilon: float | None = Non
 
     found = []
     ambiguous = []
-    patterns_checked = 0
     for size in sizes:
         for pattern in itertools.combinations(indices, size):
-            patterns_checked += 1
             starts, lengths = _segments(n1, pattern)
             A = np.hstack([_restrict(x_matrix, n1, n2, starts, lengths), a_cols])
             d_x = starts.size * n2
@@ -427,6 +419,6 @@ def brute_force_solve(problem, k_max: int, rhs=None, epsilon: float | None = Non
         found = [s for s in found if s.change_count == least]
     return BruteForceResult(
         solutions=tuple(found),
-        patterns_checked=patterns_checked,
+        patterns_checked=total,
         ambiguous_patterns=tuple(ambiguous),
     )

@@ -137,12 +137,10 @@ def _load_config(path):
 
 def _config_options(path, cfg) -> SolverOptions:
     with _usage_errors(path):
-        tol = float(cfg.get("tol", 1e-7))
         return SolverOptions(
             rho=float(cfg.get("rho", 1.0)),
             max_iters=int(cfg.get("max_iters", 5000)),
-            tol_primal=tol,
-            tol_dual=tol,
+            tol=float(cfg.get("tol", 1e-7)),
         )
 
 

@@ -127,7 +127,7 @@ def arx_poles(a) -> np.ndarray:
 
 def add_uniform_noise(z, bound: float, seed: int) -> np.ndarray:
     """Add ``e(t) ~ U(-bound, bound)`` from the portable generator."""
-    if bound < 0:
+    if not bound >= 0:
         raise ValueError(f"noise bound must be non-negative, got {bound}")
     z = np.asarray(z, dtype=float)
     if bound == 0:

@@ -75,7 +75,7 @@ def change_points(u, gamma: float = 0.0):
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.shape[0] < 2:
         raise ValueError("change_points needs a 1-d signal of length >= 2")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     deltas = np.abs(u[:-1] - u[1:])
     return [int(i) + 1 for i in np.nonzero(deltas > gamma)[0]]

@@ -102,7 +102,7 @@ def build_problem(sequences, orders: ArxOrders, epsilon: float) -> ProblemSpec:
     ``sequences`` may be raw 1-d arrays or :class:`OutputSeries`; raw arrays
     get labels ``y1, y2, ...``.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     seqs = []
     for j, seq in enumerate(sequences):

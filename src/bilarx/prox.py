@@ -75,7 +75,7 @@ def svt(matrix: np.ndarray, tau: float) -> np.ndarray:
 
     Shrinks every singular value by ``tau``, clipping at zero.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"svt: tau must be non-negative, got {tau}")
     dec = thin_svd(matrix)
     shrunk = np.maximum(dec.singular_values - tau, 0.0)
@@ -88,7 +88,7 @@ def row_group_shrink(matrix: np.ndarray, kappa: float) -> np.ndarray:
     Each row ``m`` maps to ``m * max(1 - kappa/||m||_2, 0)``; zero rows stay
     zero.
     """
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError(f"row_group_shrink: kappa must be non-negative, got {kappa}")
     m = np.asarray(matrix, dtype=float)
     norms = np.sqrt(np.sum(m * m, axis=1))
@@ -107,7 +107,7 @@ def row_group_norm(matrix: np.ndarray) -> float:
 
 def box_clip(vector: np.ndarray, bound: float) -> np.ndarray:
     """Componentwise projection onto ``[-bound, bound]``."""
-    if bound < 0:
+    if not bound >= 0:
         raise ValueError(f"box_clip: bound must be non-negative, got {bound}")
     return np.clip(np.asarray(vector, dtype=float), -bound, bound)
 

@@ -97,8 +97,11 @@ class SlowReference:
 
     def _smoothed_value(self, v, mu, delta):
         X, _ = self._split(v)
-        p1 = _svt_np(X, mu)
-        val = _nuclear_np(p1) + np.sum((X - p1) ** 2) / (2 * mu)
+        # Envelope of the nuclear norm from one SVD: with p1 = svt(X, mu),
+        # ||p1||_* = sum max(s - mu, 0) and ||X - p1||^2 = sum min(s, mu)^2.
+        s = np.linalg.svd(X, compute_uv=False)
+        val = (float(np.sum(np.maximum(s - mu, 0.0)))
+               + np.sum(np.minimum(s, mu) ** 2) / (2 * mu))
         for d in self._diff(X):
             p2 = _row_shrink_np(d, self.lam * mu)
             val += self.lam * _group_np(p2) + np.sum((d - p2) ** 2) / (2 * mu)

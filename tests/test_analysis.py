@@ -65,9 +65,18 @@ class TestRipConstant:
     def test_matches_explicit_basis_oracle(self, n1, n2, n3):
         rng = np.random.default_rng(100 * n1 + 10 * n2 + n3)
         op = gaussian_operator(rng, n1, n2, n3)
-        for k in (1, 2):
+        for k in (1, 2, 3):
             expected = rip_constant_by_basis(op.matrix, n1, n2, k)
             assert abs(rip_constant(op, k) - expected) <= 1e-12
+
+    def test_fewer_interior_indices_than_2k(self):
+        # n1 = 6 has three interior indices, so level 2k = 4 walks the
+        # single pattern that allows a change at every one of them
+        rng = np.random.default_rng(61)
+        op = gaussian_operator(rng, 6, 2, 30)
+        expected = rip_constant_by_basis(op.matrix, 6, 2, 4)
+        assert abs(rip_constant(op, 4) - expected) <= 1e-12
+        assert rip_report(op, 2).certified_unique == (expected < 1.0)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(4)

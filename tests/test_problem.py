@@ -4,14 +4,19 @@ import pytest
 from bilarx import (
     ArxOrders,
     OutputSeries,
+    SolverOptions,
+    add_uniform_noise,
     build_lifted_operator,
     build_problem,
+    change_points,
     lifted_from_input,
     max_residual,
+    prox,
     residual,
     scenario,
 )
 from bilarx.problem import LiftedVariables, check_dimensions
+from bilarx.solver import check_sweep_grid
 
 from _oracles import arx_constraint_matrix
 
@@ -53,6 +58,28 @@ class TestBuildProblem:
             ArxOrders(n_a=-1, n_b=1)
         with pytest.raises(ValueError, match="n_k"):
             ArxOrders(n_a=0, n_b=1, n_k=-2)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), NAN), "epsilon"),
+    (lambda: change_points(np.arange(5.0), NAN), "gamma"),
+    (lambda: prox.svt(np.eye(2), NAN), "tau"),
+    (lambda: prox.row_group_shrink(np.eye(2), NAN), "kappa"),
+    (lambda: prox.box_clip(np.ones(3), NAN), "bound"),
+    (lambda: add_uniform_noise(np.zeros(4), NAN, 1), "noise bound"),
+    (lambda: SolverOptions(rho=NAN), "rho"),
+    (lambda: SolverOptions(max_iters=NAN), "max_iters"),
+    (lambda: SolverOptions(tol=NAN), "tol"),
+    (lambda: check_sweep_grid([NAN], 0.5), "positive"),
+], ids=["build_problem", "change_points", "svt", "row_group_shrink", "box_clip",
+        "add_uniform_noise", "rho", "max_iters", "tol", "sweep_grid"])
+def test_nan_setting_is_rejected(call, match):
+    # NaN fails every comparison, so a guard written as ``x < 0`` lets it by
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestLiftedOperator:

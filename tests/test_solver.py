@@ -129,11 +129,11 @@ class TestSolveBil:
 
 
 def dense_x_update_matrix(spec, lam_scale, rho):
-    """``rho3 AᵀA + rho1 I_x + rho2 (L ⊗ I)`` in the solver's normalized units.
+    """``rho2 (AᵀA + L ⊗ I) + rho1 I_x`` in the solver's normalized units.
 
     ``A`` comes from the model-equation oracle with its ``a`` columns divided
     by ``max |y|``; ``L = DᵀD`` for the row-difference matrix ``D`` of each
-    sequence; ``rho1 = rho`` and ``rho2 = rho3 = rho * lam_scale``.
+    sequence; ``rho1 = rho`` and ``rho2 = rho * lam_scale``.
     """
     orders = spec.orders
     ys = [s.samples for s in spec.sequences]
@@ -212,13 +212,10 @@ class TestSolverOptions:
         opts = SolverOptions()
         assert opts.rho == 1.0
         assert opts.max_iters == 5000
-        assert opts.tol_primal == 1e-7
-        assert opts.tol_dual == 1e-7
-        assert opts.over_relaxation == 1.6
+        assert opts.tol == 1e-7
 
     @pytest.mark.parametrize("kwargs", [
-        {"rho": 0.0}, {"max_iters": 0}, {"tol_primal": 0.0},
-        {"over_relaxation": 0.9}, {"over_relaxation": 2.0},
+        {"rho": 0.0}, {"max_iters": 0}, {"tol": 0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
