@@ -18,8 +18,8 @@ bit-exact.
 
 Exit codes: 0 success, 1 usage, configuration, file-format or file-write
 error, 2 solver non-convergence, 3 invalid or infeasible input data (a
-series too short for the model orders, non-consecutive ``t``). The
-environment variable ``BILARX_SEED`` overrides scenario seeds.
+series too short for the model orders, non-consecutive ``t``, a non-finite
+sample). The environment variable ``BILARX_SEED`` overrides scenario seeds.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .problem import ArxOrders, OutputSeries, build_problem
 from .solver import (
     BilSolution,
     SolverOptions,
+    check_lambda,
     check_non_negative,
     check_sweep_grid,
     freeze_small_differences,
@@ -70,10 +71,11 @@ class _DataError(Exception):
 
 @contextlib.contextmanager
 def _usage_errors(where):
-    """Report a ValueError or TypeError from checking a setting as a usage error."""
+    """Report a ValueError, TypeError or OverflowError (``int(inf)``) from
+    checking a setting as a usage error."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(f"{where}: {exc}") from exc
 
 
@@ -171,6 +173,8 @@ def _load_series_csv(path):
             y = float(row["y"])
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"{path}:{lineno}: bad t/y value") from exc
+        if not np.isfinite(y):
+            raise _DataError(f"{path}:{lineno}: y must be finite, got {row['y']!r}")
         rows.setdefault(label, []).append((t, y))
     if not rows:
         raise _DataError(f"{path}: no data rows")
@@ -200,7 +204,7 @@ def _build_spec(args, cfg):
 
 def _solution_payload(spec, sol: BilSolution, gamma: float):
     labels = [s.label for s in spec.sequences]
-    payload = {
+    return {
         "a": list(sol.a_est),
         "b": None if sol.b_est is None else list(sol.b_est),
         "scale_note": "input and coefficients are determined up to a shared scalar",
@@ -220,7 +224,6 @@ def _solution_payload(spec, sol: BilSolution, gamma: float):
             "converged": sol.diagnostics.converged,
         },
     }
-    return payload
 
 
 def _write_series_csv(path, columns, *series):
@@ -261,7 +264,8 @@ def _cmd_identify(args):
     cfg = _load_config(args.config)
     if "lambda" not in cfg:
         raise _UsageError("identify needs 'lambda' in the config")
-    lam = _non_negative(args.config, "lambda", cfg["lambda"])
+    with _usage_errors(args.config):
+        lam = check_lambda(float(cfg["lambda"]))
     gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
     options = _config_options(args.config, cfg)
     spec = _build_spec(args, cfg)
@@ -385,6 +389,16 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
+def _int_at_least(low):
+    """argparse type: an integer ``>= low``; anything else is a usage error."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -426,14 +440,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="naive two-step identification")
     add_io(p)
-    p.add_argument("--segments", type=int, required=True,
+    p.add_argument("--segments", type=_int_at_least(1), required=True,
                    help="segment budget for the output fit")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("ripcheck", help="restricted-isometry uniqueness check")
     add_io(p)
-    p.add_argument("--k", type=int, required=True, help="difference sparsity level")
-    p.add_argument("--budget", type=int, default=100_000,
+    p.add_argument("--k", type=_int_at_least(1), required=True,
+                   help="difference sparsity level")
+    p.add_argument("--budget", type=_int_at_least(0), default=100_000,
                    help="pattern enumeration budget")
     p.set_defaults(func=_cmd_ripcheck)
 

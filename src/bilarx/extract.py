@@ -20,16 +20,14 @@ class FactoredModel:
 
     ``u_blocks[j] @ b.T`` is the best rank-1 approximation of block ``j``.
     ``rank_gap`` is ``sigma2 / sigma1`` of the stacked matrix; values near
-    zero mean the solution is essentially rank one. ``scale_note`` records
-    that (u, b) carry an unresolvable common scale.
+    zero mean the solution is essentially rank one. ``(u, b)`` carry an
+    unresolvable common scale, pinned by the unit norm of ``b``.
     """
 
     u_blocks: tuple
     b: np.ndarray
     singular_values: np.ndarray
     rank_gap: float
-    a: np.ndarray | None = None
-    scale_note: str = "input and coefficients are determined up to a shared scalar"
 
 
 def factor_rank1(X_blocks) -> FactoredModel:

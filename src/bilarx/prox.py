@@ -31,10 +31,6 @@ class ThinSvd:
     singular_values: np.ndarray
     right_vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u, s, v = self.left_vectors, self.singular_values, self.right_vectors
-        return (u * s) @ v.T
-
 
 def thin_svd(matrix: np.ndarray) -> ThinSvd:
     """Thin SVD of a dense real matrix; all returned arrays are read-only.

@@ -57,8 +57,8 @@ class SolverOptions:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not self.tol > 0:
@@ -119,9 +119,8 @@ class _XSolve:
 
     def __init__(self, op: LiftedOperator, link: np.ndarray,
                  rho1: float, rho2: float):
-        imap = op.index_map
-        n_b = imap.n_b
-        self.n_x = imap.n_x_columns
+        n_b, n_a = op.x_index.shape[1], op.lagged.shape[1]
+        self.n_x = op.n_x
 
         # LAPACK lower band form: ab[d, c] = Kxx[c + d, c].
         bandwidth = max(n_b, (n_b - 1) ** 2)
@@ -139,8 +138,8 @@ class _XSolve:
         self._chol = (scipy.linalg.cholesky_banded(ab, lower=True), True)
 
         self._Kxa = self._W = self._S_pinv = None
-        if imap.n_a:
-            Kxa = np.zeros((self.n_x, imap.n_a))
+        if n_a:
+            Kxa = np.zeros((self.n_x, n_a))
             Kxa[op.x_index.ravel()] = rho2 * np.repeat(op.lagged, n_b, axis=0)
             self._Kxa = Kxa
             self._W = scipy.linalg.cho_solve_banded(self._chol, Kxa)
@@ -332,15 +331,23 @@ def check_non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+def check_lambda(lam: float) -> float:
+    """``lam`` itself; ValueError unless the penalty weight is finite and >= 0."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+    return lam
+
+
 def solve_bil(spec: ProblemSpec, lam: float,
               options: SolverOptions | None = None) -> BilSolution:
     """Solve the convex lifted program at one penalty weight ``lam``.
 
     Non-convergence inside ``max_iters`` is not an exception: the best
     iterate comes back with ``diagnostics.converged`` False and the final
-    residual norms filled in.
+    residual norms filled in. Raises ValueError unless ``lam`` is finite
+    and non-negative.
     """
-    check_non_negative("lambda", lam)
+    check_lambda(lam)
     options = options or SolverOptions()
     work = _Workspace(spec, lam_scale=max(1.0, lam), options=options)
     kappa = lam / work.rho2
@@ -417,12 +424,12 @@ def refine_pipeline(spec: ProblemSpec, bil_solution: BilSolution, gamma: float,
 
 def check_sweep_grid(grid, gap_target: float) -> list:
     """The penalty grid as floats; raises ValueError unless it is non-empty,
-    positive and strictly ascending and ``0 < gap_target < 1``."""
+    positive, finite and strictly ascending and ``0 < gap_target < 1``."""
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("lambda grid must be non-empty")
-    if any(not g > 0 for g in grid):
-        raise ValueError("lambda grid entries must be positive")
+    if any(not 0 < g < math.inf for g in grid):
+        raise ValueError("lambda grid entries must be positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")
     if not 0.0 < gap_target < 1.0:

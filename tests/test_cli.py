@@ -121,6 +121,20 @@ class TestIdentify:
         assert run_cli("identify", "--data", str(bad), "--config", str(cfg),
                        "--out", str(tmp / "o.json")) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sample_exits_3(self, workdir, tmp_path, capsys, value):
+        tmp, _, cfg = workdir
+        bad = tmp_path / "nonfinite.csv"
+        rows = ["t,y"] + [f"{t},{value if t == 7 else 0.1 * t}" for t in range(1, 31)]
+        bad.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        code = run_cli("identify", "--data", str(bad), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("bilarx: ") and ":8: y must be finite" in err
+        assert not (tmp / "o.json").exists()
+
     def test_unknown_subcommand_exits_1(self):
         assert run_cli("frobnicate") == 1
 
@@ -157,8 +171,13 @@ class TestBadSettings:
         ("identify", {"n_a": [1]}, []),
         ("identify", {"n_b": 0}, []),
         ("identify", {"epsilon": -1}, []),
+        ("identify", {"lambda": float("inf")}, []),
+        ("identify", {"max_iters": 1e400}, []),
+        ("identify", {"rho": float("inf")}, []),
+        ("sweep", {}, ["--lambdas", "1,inf"]),
     ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma",
-            "n_a", "n_b", "epsilon"])
+            "n_a", "n_b", "epsilon", "lambda_inf", "max_iters_overflow", "rho_inf",
+            "lambdas_inf"])
     def test_exits_1_without_traceback(self, workdir, capsys, command,
                                        cfg_overrides, flags):
         tmp, data, _ = workdir
@@ -173,6 +192,22 @@ class TestBadSettings:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("bilarx: ")
+        assert "Traceback" not in err
+        assert not (tmp / "o.json").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("ripcheck", ["--k", "0"]),
+        ("ripcheck", ["--k", "1", "--budget", "-1"]),
+        ("baseline", ["--segments", "0"]),
+    ], ids=["k", "budget", "segments"])
+    def test_bad_flag_exits_1(self, workdir, capsys, command, flags):
+        tmp, data, cfg = workdir
+        capsys.readouterr()
+        code = run_cli(command, "--data", str(data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"), *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: argument {flags[-2]}: must be >= " in err
         assert "Traceback" not in err
         assert not (tmp / "o.json").exists()
 
