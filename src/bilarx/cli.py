@@ -72,7 +72,7 @@ class _DataError(Exception):
 @contextlib.contextmanager
 def _usage_errors(where):
     """Report a ValueError, TypeError or OverflowError (``int(inf)``) from
-    checking a setting as a usage error."""
+    checking a setting, or from a solve rejecting one, as a usage error."""
     try:
         yield
     except (TypeError, ValueError, OverflowError) as exc:
@@ -269,7 +269,8 @@ def _cmd_identify(args):
     gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
     options = _config_options(args.config, cfg)
     spec = _build_spec(args, cfg)
-    sol = solve_bil(spec, lam, options)
+    with _usage_errors(args.config):
+        sol = solve_bil(spec, lam, options)
     return _finish_solution(args, spec, sol, gamma)
 
 
@@ -298,7 +299,8 @@ def _cmd_refine(args):
                 f"match data length {len(seq)}"
             )
         estimates.append(u)
-    sol = solve_refined(spec, freeze_small_differences(estimates, gamma), options)
+    with _usage_errors(args.config):
+        sol = solve_refined(spec, freeze_small_differences(estimates, gamma), options)
     return _finish_solution(args, spec, sol, gamma)
 
 
@@ -310,7 +312,8 @@ def _cmd_sweep(args):
     gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
     options = _config_options(args.config, cfg)
     spec = _build_spec(args, cfg)
-    result = sweep_lambda(spec, grid, args.gap_target, options)
+    with _usage_errors(args.config):
+        result = sweep_lambda(spec, grid, args.gap_target, options)
     return _finish_solution(args, spec, result.solution, gamma, sweep={
         "lambda_chosen": result.lambda_chosen,
         "qualified": result.qualified,

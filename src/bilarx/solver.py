@@ -9,10 +9,12 @@ where ``D`` takes consecutive row differences inside each sequence block and
 the nuclear norm acts on the row-wise stack of all blocks (which is what
 ties multiple sequences to one shared coefficient vector).
 
-Splitting: the first block holds ``(X, a)``, whose update is a single
-positive-definite solve with a matrix factored once; the second block holds
-copies ``Z1 = X`` (nuclear prox), ``Z2 = D X`` (row-group prox, or hard row
-equality in the refinement solve) and the slack ``w`` (box projection).
+Splitting: the first block holds ``(X, a)``; the second is one copy
+``z = (Z1, Z2, v)`` of ``M(X, a) = (X, D X, A(X, a))`` with one scaled
+multiplier. ``Z1`` takes the nuclear prox, ``Z2`` the row-group prox (hard row
+equality in the refinement solve), and the model output ``v`` is projected
+onto the tube ``|v - y| <= epsilon``, the slack being ``w = y - v``. The
+``(X, a)`` update solves with ``K = Mᵀ diag(rho) M``, factored once.
 
 Two deterministic normalizations keep behavior uniform across data scales
 and penalty weights spanning many orders of magnitude: outputs are divided
@@ -103,7 +105,8 @@ class SweepResult:
 
 
 class _XSolve:
-    """Solve with the x-update matrix ``K = rho2 (AᵀA + L ⊗ I) + rho1 I_x``.
+    """Solve with the x-update matrix ``K = Mᵀ diag(rho) M``, which is
+    ``rho2 (AᵀA + L ⊗ I) + rho1 I_x``.
 
     ``I_x`` and the row-difference Laplacian ``L = DᵀD`` act on the X entries
     only; ``link[i]`` is 1 when ``D`` joins row ``i`` of the stacked X to
@@ -135,7 +138,13 @@ class _XSolve:
             for lo in range(hi + 1, n_b):
                 cols = op.x_index[:, lo]
                 ab[op.x_index[:, hi] - cols, cols] += rho2
-        self._chol = (scipy.linalg.cholesky_banded(ab, lower=True), True)
+        try:
+            self._chol = (scipy.linalg.cholesky_banded(ab, lower=True), True)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                f"the x-update matrix is numerically singular at the penalty "
+                f"ratio rho*max(1, lambda)/rho = {rho2 / rho1:g}; use a smaller "
+                f"lambda") from exc
 
         self._Kxa = self._W = self._S_pinv = None
         if n_a:
@@ -159,15 +168,17 @@ class _XSolve:
 
 
 class _Workspace:
-    """Shared geometry for one ProblemSpec: operator, splits, factorization."""
+    """Shared geometry for one ProblemSpec: operator, factorization, and the
+    map ``M x = (X, D X, A(X, a))`` of the packed ``x`` (X entries, then ``a``)
+    with per-entry penalty weights ``rho``: ``rho1`` on X, ``rho2`` after."""
 
-    def __init__(self, spec: ProblemSpec, lam_scale: float, options: SolverOptions):
+    def __init__(self, spec: ProblemSpec, lam: float, options: SolverOptions):
         self.spec = spec
         self.n_b = spec.orders.n_b
-        self.n_a = spec.orders.n_a
         self.lengths = spec.lengths
         self.total_rows = sum(self.lengths)
-        self.p = self.total_rows * self.n_b + self.n_a
+        self.n_x = self.total_rows * self.n_b
+        self.p = self.n_x + spec.orders.n_a
         # First stacked row of every sequence block after the first.
         self.block_starts = np.cumsum(self.lengths)[:-1]
 
@@ -189,127 +200,93 @@ class _Workspace:
         self.rhs = self.operator.rhs
         self.eps = spec.epsilon / self.y_scale
 
-        # rho2 weights both the difference and the data constraint blocks.
+        # Ends of the X and D X blocks in a stacked vector.
+        self.cuts = (self.n_x, 2 * self.n_x - self.n_b)
         self.rho1 = options.rho
-        self.rho2 = options.rho * lam_scale
+        self.rho2 = options.rho * max(1.0, lam)
+        if not (1.0 / self.rho1 < math.inf and self.rho2 * self.rho2 < math.inf):
+            raise ValueError(
+                f"rho = {options.rho} at lambda = {lam} puts a penalty weight out "
+                f"of floating-point range: 1/rho, rho*max(1, lambda) and its "
+                f"square must be finite")
+        self.rho = np.repeat([self.rho1, self.rho2],
+                             [self.n_x, self.cuts[1] - self.n_x + self.rhs.size])
         self.solve_K = _XSolve(self.operator, self.link, self.rho1, self.rho2)
 
-    def split_x(self, xvec):
-        X = xvec[: self.total_rows * self.n_b].reshape(self.total_rows, self.n_b)
-        return X, xvec[self.total_rows * self.n_b :]
+    def blocks(self, q):
+        """Views of a stacked vector's X, D X and constraint blocks."""
+        i, j = self.cuts
+        return q[:i].reshape(-1, self.n_b), q[i:j].reshape(-1, self.n_b), q[j:]
 
-    def row_diff(self, X):
-        """``D X``: consecutive row differences of the stacked X, one row per
-        pair; a pair that straddles two sequences reads zero."""
-        d = prox.row_diff(X)
-        d[self.straddling] = 0.0
-        return d
+    def M(self, x):
+        """``M x``; a D X row of a pair that straddles two sequences reads zero."""
+        DX = prox.row_diff(x[: self.n_x].reshape(-1, self.n_b))
+        DX[self.straddling] = 0.0
+        return np.concatenate([x[: self.n_x], DX.ravel(), self.operator.matvec(x)])
 
-    def row_diff_adjoint(self, V):
-        """``Dᵀ V``, the adjoint of :meth:`row_diff`."""
-        V = np.array(V, dtype=float)
-        V[self.straddling] = 0.0
-        return prox.row_diff_adjoint(V)
+    def M_adjoint(self, q):
+        """``Mᵀ q``, the adjoint of :meth:`M`."""
+        Q1, Q2, q3 = self.blocks(q)
+        Q2 = Q2.copy()
+        Q2[self.straddling] = 0.0
+        out = self.operator.rmatvec(q3)
+        out[: self.n_x] += (Q1 + prox.row_diff_adjoint(Q2)).ravel()
+        return out
 
 
 def _admm(work: _Workspace, prox2, options: SolverOptions):
-    """Run the iteration; returns (X, a, w, diagnostics) in normalized units."""
-    T, n_b, n_a = work.total_rows, work.n_b, work.n_a
-    alpha = _OVER_RELAXATION
-    rho1, rho2 = work.rho1, work.rho2
-    rhs = work.rhs
-    op = work.operator
+    """Run the iteration; returns (x, w, diagnostics) in normalized units,
+    with ``x`` packed as X entries, then ``a``."""
+    alpha, tol = _OVER_RELAXATION, options.tol
+    rho, rhs, cut = work.rho, work.rhs, work.cuts[1]
+    tau = 1.0 / work.rho1
+    # The X and D X copies start at zero and the model output at the data,
+    # so the slack w = rhs - v starts at zero.
+    z = np.concatenate([np.zeros(cut), rhs])
+    s = np.zeros_like(z)
+    floor_pri, floor_dual = 1e-14 * math.sqrt(z.size), 1e-14 * math.sqrt(work.p)
+    c_norm = math.sqrt(rhs @ rhs)
 
-    X = np.zeros((T, n_b))
-    a = np.zeros(n_a)
-    Z1 = np.zeros_like(X)
-    Z2 = np.zeros((T - 1, n_b))     # rows of straddling pairs stay zero
-    w = np.zeros(rhs.shape[0])
-    S1 = np.zeros_like(X)
-    S2 = np.zeros_like(Z2)
-    S3 = np.zeros_like(w)
-
-    dim_primal = math.sqrt(X.size + Z2.size + w.size)
-    dim_dual = math.sqrt(work.p)
-    floor_pri = 1e-14 * dim_primal
-    floor_dual = 1e-14 * dim_dual
-
-    pri_norm = dual_norm = np.inf
-    converged = False
-    iters = 0
     for iters in range(1, options.max_iters + 1):
-        # (X, a) update: positive-definite solve against the current copies.
-        target = rho1 * (Z1 - S1).ravel()
-        target_diff = work.row_diff_adjoint(rho2 * (Z2 - S2))
-        xrhs = np.concatenate([target + target_diff.ravel(), np.zeros(n_a)])
-        xrhs += rho2 * op.rmatvec(rhs - w - S3)
-        xvec = work.solve_K(xrhs)
-        X, a = work.split_x(xvec)
+        x = work.solve_K(work.M_adjoint(rho * (z - s)))
+        Mx = work.M(x)
+        hat = alpha * Mx + (1 - alpha) * z
+        Q1, Q2, q3 = work.blocks(hat + s)
+        z_old = z
+        z = np.concatenate([prox.svt(Q1, tau).ravel(), prox2(Q2).ravel(),
+                            rhs - prox.box_clip(rhs - q3, work.eps)])
+        s += hat - z
 
-        DX = work.row_diff(X)
-        Ax = op.matvec(xvec)
-
-        hatX = alpha * X + (1 - alpha) * Z1
-        hatDX = alpha * DX + (1 - alpha) * Z2
-        hatAx = alpha * Ax + (1 - alpha) * (rhs - w)
-
-        Z1_old, Z2_old, w_old = Z1, Z2, w
-        Z1 = prox.svt(hatX + S1, 1.0 / rho1)
-        Z2 = prox2(hatDX + S2)
-        w = prox.box_clip(rhs - hatAx - S3, work.eps)
-
-        S1 = S1 + hatX - Z1
-        S2 = S2 + hatDX - Z2
-        S3 = S3 + hatAx + w - rhs
-
-        r_data = Ax + w - rhs
-        pri_sq = np.sum((X - Z1) ** 2) + np.sum(r_data**2) + np.sum((DX - Z2) ** 2)
-        pri_norm = math.sqrt(pri_sq)
-
+        r = Mx - z
+        pri_norm = math.sqrt(r @ r)
         # Dual progress measured in copy space: the smooth part of the first
         # block is zero, so the textbook x-space reference is identically
         # tiny after every exact (X, a) solve and cannot anchor a relative
-        # test. The per-block penalty weights make this scale-covariant.
-        dual_norm = math.sqrt(
-            rho1**2 * np.sum((Z1 - Z1_old) ** 2)
-            + rho2**2 * np.sum((Z2 - Z2_old) ** 2)
-            + rho2**2 * np.sum((w - w_old) ** 2)
-        )
-        dual_scale = math.sqrt(
-            rho1**2 * np.sum(S1**2)
-            + rho2**2 * np.sum(S2**2)
-            + rho2**2 * np.sum(S3**2)
-        )
-
-        mx_norm = math.sqrt(np.sum(X**2) + np.sum(DX**2) + np.sum(Ax**2))
-        bz_norm = math.sqrt(np.sum(Z1**2) + np.sum(Z2**2) + np.sum(w**2))
-        c_norm = float(np.linalg.norm(rhs))
-        eps_pri = options.tol * max(mx_norm, bz_norm, c_norm) + floor_pri
-        eps_dual = options.tol * (1.0 + dual_scale) + floor_dual
-
-        if pri_norm <= eps_pri and dual_norm <= eps_dual:
-            converged = True
+        # test. The per-entry penalty weights make this scale-covariant.
+        dz, ys = rho * (z - z_old), rho * s
+        dual_norm = math.sqrt(dz @ dz)
+        w = rhs - z[cut:]
+        bz_norm = math.sqrt(z[:cut] @ z[:cut] + w @ w)
+        eps_pri = tol * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
+        eps_dual = tol * (1.0 + math.sqrt(ys @ ys)) + floor_dual
+        converged = pri_norm <= eps_pri and dual_norm <= eps_dual
+        if converged:
             break
-
-    diag = SolverDiagnostics(
-        iterations=iters,
-        primal_residual=float(pri_norm),
-        dual_residual=float(dual_norm),
-        converged=converged,
-    )
-    return X, a, w, diag
+    return x, w, SolverDiagnostics(iters, pri_norm, dual_norm, converged)
 
 
-def _package_solution(work: _Workspace, X, a, w, lam, diag, frozen_rows=None):
-    stacked = work.y_scale * X
+def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
+    stacked = work.y_scale * x[: work.n_x].reshape(-1, work.n_b)
     X_blocks = tuple(np.split(stacked, work.block_starts))
     w_rows = np.subtract(work.lengths, work.spec.n - 1)    # one per time n..N_j
     w_blocks = tuple(np.split(work.y_scale * w, np.cumsum(w_rows)[:-1]))
-    vars = LiftedVariables(X_blocks=X_blocks, a=a.copy(), w_blocks=w_blocks)
+    vars = LiftedVariables(X_blocks=X_blocks, a=x[work.n_x :], w_blocks=w_blocks)
 
     dec = prox.thin_svd(stacked)
     sigma = dec.singular_values
-    objective = float(np.sum(sigma)) + lam * prox.row_group_norm(work.row_diff(stacked))
+    _, DX, _ = work.blocks(work.M(x))
+    objective = (float(np.sum(sigma))
+                 + lam * work.y_scale * prox.row_group_norm(DX))
     if sigma[0] == 0.0:
         u_est = tuple(np.zeros(length) for length in work.lengths)
         b_est = None
@@ -345,18 +322,19 @@ def solve_bil(spec: ProblemSpec, lam: float,
     Non-convergence inside ``max_iters`` is not an exception: the best
     iterate comes back with ``diagnostics.converged`` False and the final
     residual norms filled in. Raises ValueError unless ``lam`` is finite
-    and non-negative.
+    and non-negative, when ``1/rho``, ``rho * max(1, lam)`` or its square
+    overflows, and when the x-update matrix is numerically singular.
     """
     check_lambda(lam)
     options = options or SolverOptions()
-    work = _Workspace(spec, lam_scale=max(1.0, lam), options=options)
+    work = _Workspace(spec, lam, options)
     kappa = lam / work.rho2
 
     def prox2(V):
         return prox.row_group_shrink(V, kappa)
 
-    X, a, w, diag = _admm(work, prox2, options)
-    return _package_solution(work, X, a, w, lam, diag)
+    x, w, diag = _admm(work, prox2, options)
+    return _package_solution(work, x, w, lam, diag)
 
 
 def _normalize_freeze(spec: ProblemSpec, freeze) -> tuple:
@@ -383,11 +361,12 @@ def solve_refined(spec: ProblemSpec, freeze,
     ``freeze`` gives, per sequence, the 1-based difference indices ``i``
     where ``X(i,:) = X(i+1,:)`` is enforced exactly. This is the
     bias-removal re-solve: the sparsity pattern comes from a previous
-    estimate, the penalty weight drops to zero.
+    estimate, the penalty weight drops to zero. Raises ValueError as
+    :func:`solve_bil` does for ``rho``.
     """
     options = options or SolverOptions()
     freeze = _normalize_freeze(spec, freeze)
-    work = _Workspace(spec, lam_scale=1.0, options=options)
+    work = _Workspace(spec, 0.0, options)
     # Difference i of sequence j is stacked pair start_j + i - 1.
     frozen = np.zeros(work.total_rows - 1, dtype=bool)
     starts = np.concatenate([[0], work.block_starts])
@@ -398,8 +377,8 @@ def solve_refined(spec: ProblemSpec, freeze,
         out[frozen] = 0.0
         return out
 
-    X, a, w, diag = _admm(work, prox2, options)
-    return _package_solution(work, X, a, w, 0.0, diag, frozen_rows=freeze)
+    x, w, diag = _admm(work, prox2, options)
+    return _package_solution(work, x, w, 0.0, diag, frozen_rows=freeze)
 
 
 def freeze_small_differences(u_blocks, gamma: float) -> list:

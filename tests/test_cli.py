@@ -175,9 +175,17 @@ class TestBadSettings:
         ("identify", {"max_iters": 1e400}, []),
         ("identify", {"rho": float("inf")}, []),
         ("sweep", {}, ["--lambdas", "1,inf"]),
+        ("identify", {"lambda": 1e300}, []),
+        ("identify", {"lambda": 1e200}, []),
+        ("identify", {"rho": 1e300}, []),
+        ("identify", {"rho": 1e-320}, []),
+        ("refine", {"rho": 1e-320}, []),
+        ("identify", {"lambda": 1e16}, []),
+        ("sweep", {}, ["--lambdas", "1e300"]),
     ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma",
             "n_a", "n_b", "epsilon", "lambda_inf", "max_iters_overflow", "rho_inf",
-            "lambdas_inf"])
+            "lambdas_inf", "lambda_huge", "lambda_square_overflow", "rho_huge",
+            "rho_tiny", "rho_tiny_refine", "lambda_singular_K", "lambdas_huge"])
     def test_exits_1_without_traceback(self, workdir, capsys, command,
                                        cfg_overrides, flags):
         tmp, data, _ = workdir

@@ -15,6 +15,7 @@ from bilarx import (
     residual,
     scenario,
     solve_bil,
+    solve_refined,
 )
 from bilarx.problem import LiftedVariables, check_dimensions
 from bilarx.solver import check_sweep_grid
@@ -65,6 +66,10 @@ NAN = float("nan")
 INF = float("inf")
 
 
+def _ones_spec():
+    return build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), 0.0)
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda: build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), NAN), "epsilon"),
     (lambda: change_points(np.arange(5.0), NAN), "gamma"),
@@ -80,12 +85,20 @@ INF = float("inf")
                        INF), "lambda"),
     (lambda: check_sweep_grid([1.0, INF], 0.5), "finite"),
     (lambda: SolverOptions(rho=INF), "rho"),
+    (lambda: solve_bil(_ones_spec(), 1e300), "floating-point range"),
+    (lambda: solve_bil(_ones_spec(), 1e200), "floating-point range"),
+    (lambda: solve_bil(_ones_spec(), 1.0, SolverOptions(rho=1e300)),
+     "floating-point range"),
+    (lambda: solve_refined(_ones_spec(), [set()], SolverOptions(rho=1e-320)),
+     "floating-point range"),
 ], ids=["build_problem", "change_points", "svt", "row_group_shrink", "box_clip",
         "add_uniform_noise", "rho", "max_iters", "tol", "sweep_grid",
-        "solve_bil_inf", "sweep_grid_inf", "rho_inf"])
+        "solve_bil_inf", "sweep_grid_inf", "rho_inf", "lambda_huge",
+        "lambda_square_overflow", "rho_huge", "rho_tiny_refined"])
 def test_nan_setting_is_rejected(call, match):
     # NaN fails every comparison, so a guard written as ``x < 0`` lets it by;
-    # an infinite weight passes a sign check but breaks the factorization.
+    # an infinite weight passes a sign check but breaks the factorization,
+    # and so does a finite one whose square or reciprocal overflows.
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -9,8 +9,10 @@ from bilarx import (
     SolverOptions,
     build_problem,
     change_points,
+    extract,
     gen_piecewise_input,
     max_residual,
+    prox,
     refine_pipeline,
     scenario,
     simulate_arx,
@@ -160,7 +162,7 @@ class TestXUpdateSolve:
         rng = np.random.default_rng(1000 * n_b + 100 * n_a + 10 * n_k + n_seq)
         ys = [rng.normal(size=length) for length in (11, 8)[:n_seq]]
         spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b, n_k=n_k), 0.1)
-        work = _Workspace(spec, lam_scale=7.0, options=SolverOptions(rho=0.6))
+        work = _Workspace(spec, 7.0, SolverOptions(rho=0.6))
         K = dense_x_update_matrix(spec, 7.0, 0.6)
         rhs = rng.normal(size=K.shape[0])
         expected = np.linalg.solve(K, rhs)
@@ -176,7 +178,7 @@ class TestXUpdateSolve:
         rng = np.random.default_rng(5)
         ys = [np.full(length, level) for length, level in zip((10, 7), levels)]
         spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b), 0.1)
-        work = _Workspace(spec, lam_scale=4.0, options=SolverOptions(rho=1.3))
+        work = _Workspace(spec, 4.0, SolverOptions(rho=1.3))
         K = dense_x_update_matrix(spec, 4.0, 1.3)
         assert np.linalg.matrix_rank(K) < K.shape[0]
         # x-update right-hand sides lie in range(K): their a part is A_aᵀ r
@@ -186,25 +188,61 @@ class TestXUpdateSolve:
                            atol=1e-10 * np.max(np.abs(expected)))
 
 
-class TestStackedRowDiff:
-    """``D`` on the stacked X is the row difference inside each sequence;
-    the row pairs that straddle two sequences read zero."""
+class TestStackedMap:
+    """``M x = (X, D X, A(X, a))`` on the packed ``x``, where ``D`` is the row
+    difference inside each sequence (the row pairs that straddle two
+    sequences read zero) and ``A`` is the normalized constraint operator."""
 
     @pytest.mark.parametrize("lengths", [(7,), (5, 9), (4, 11, 6)])
-    def test_matches_dense_difference(self, lengths):
+    def test_matches_dense_oracle(self, lengths):
         rng = np.random.default_rng(sum(lengths))
         ys = [rng.normal(size=length) for length in lengths]
         spec = build_problem(ys, ArxOrders(n_a=1, n_b=2), 0.1)
-        work = _Workspace(spec, lam_scale=1.0, options=SolverOptions())
+        work = _Workspace(spec, 3.0, SolverOptions(rho=0.7))
+        A, _ = arx_constraint_matrix(ys, 1, 2, 0)
+        n_x = A.shape[1] - 1
+        A[:, n_x:] /= max(float(np.max(np.abs(y))) for y in ys)
         D = -np.diff(np.eye(sum(lengths)), axis=0)
         D[np.cumsum(lengths)[:-1] - 1] = 0.0
-        X = rng.normal(size=(sum(lengths), 2))
-        V = rng.normal(size=(D.shape[0], 2))
-        assert np.allclose(work.row_diff(X), D @ X, rtol=0, atol=1e-14)
-        assert np.allclose(work.row_diff_adjoint(V), D.T @ V, rtol=0, atol=1e-14)
-        lhs = float(np.sum(work.row_diff(X) * V))
-        rhs = float(np.sum(X * work.row_diff_adjoint(V)))
+        lift = np.hstack([np.eye(n_x), np.zeros((n_x, 1))])
+        M = np.vstack([lift, np.kron(D, np.eye(2)) @ lift, A])
+
+        columns = np.eye(A.shape[1])
+        assert np.allclose(np.column_stack([work.M(e) for e in columns]), M,
+                           rtol=0, atol=1e-14)
+        x = rng.normal(size=A.shape[1])
+        q = rng.normal(size=M.shape[0])
+        assert np.allclose(work.M_adjoint(q), M.T @ q, rtol=0, atol=1e-13)
+        lhs, rhs = float(work.M(x) @ q), float(x @ work.M_adjoint(q))
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+        K = M.T @ (work.rho[:, None] * M)
+        assert np.allclose(K, dense_x_update_matrix(spec, 3.0, 0.7),
+                           rtol=0, atol=1e-13)
+
+
+class TestKernelCallCounts:
+    """perfbench's per-layer split relies on one ``svt`` and one ``box_clip``
+    per iteration, and on one more thin SVD for the objective and one for
+    the rank-one factorization."""
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["solve_bil", "solve_refined"])
+    def test_prox_calls_per_iteration(self, monkeypatch, refine):
+        counts = dict.fromkeys(("svt", "box_clip", "thin_svd"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((prox, "svt"), (prox, "box_clip"),
+                             (prox, "thin_svd"), (extract, "thin_svd")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        spec = scenario("scenario_fir_noisefree").spec
+        sol = (solve_refined(spec, [{5, 6, 7}]) if refine
+               else solve_bil(spec, 1e2))
+        iters = sol.diagnostics.iterations
+        assert counts == {"svt": iters, "box_clip": iters, "thin_svd": iters + 2}
 
 
 class TestSolverOptions:
