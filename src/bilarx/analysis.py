@@ -362,14 +362,11 @@ def brute_force_solve(problem, k_max: int, rhs=None, budget: int = 20_000,
                 q = null.shape[1]
                 if q == 0:
                     candidates.append(coef0)
-                elif q == 1 and require_rank_one and n2 <= 2:
+                elif q == 1 and require_rank_one and n2 == 2:
                     direction = null[:, 0]
                     C1 = direction[:d_x].reshape(-1, n2)
                     if np.max(np.abs(C1)) <= tol:
                         # Family moves only the autoregressive part.
-                        ambiguous.append(tuple(pattern))
-                        continue
-                    if n2 == 1:
                         ambiguous.append(tuple(pattern))
                         continue
                     C0 = coef0[:d_x].reshape(-1, n2)

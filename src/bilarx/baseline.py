@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import ArxOrders, ProblemSpec
+from .problem import ArxOrders, ProblemSpec, build_lifted_operator, build_problem
 
 
 def fit_piecewise_constant(y, max_segments: int):
@@ -79,36 +79,23 @@ def least_squares_arx(y, u, orders: ArxOrders):
     u = np.asarray(u, dtype=float)
     if y.shape != u.shape:
         raise ValueError(f"y and u must have equal length, got {y.shape} vs {u.shape}")
-    phi, target = _regressors(y, u, orders)
-    return _solve_ls(phi, target, orders)
+    return _fit_arx(build_problem([y], orders, 0.0), [u])
 
 
-def _regressors(y, u, orders: ArxOrders):
-    n = orders.n
-    N = y.shape[0]
-    if N < n:
-        raise ValueError(f"need at least n = {n} samples, got {N}")
-    rows = N - n + 1
-    phi = np.empty((rows, orders.n_b + orders.n_a))
-    for idx, t in enumerate(range(n, N + 1)):
-        for k1 in range(1, orders.n_b + 1):
-            phi[idx, k1 - 1] = u[t - orders.n_k - k1 - 1]
-        for k2 in range(1, orders.n_a + 1):
-            phi[idx, orders.n_b + k2 - 1] = y[t - k2 - 1]
-    return phi, y[n - 1 :]
-
-
-def _solve_ls(phi, target, orders: ArxOrders):
-    ncols = phi.shape[1]
-    coef, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
-    if rank < ncols:
+def _fit_arx(spec: ProblemSpec, u_blocks):
+    """Least-squares ``(a, b)`` on the rows of the lifted operator: tap ``k1``
+    of a row is X entry ``(t - n_k - k1, k1)``, so ``x_index // n_b`` is the
+    stacked input row each tap reads, beside the row's lagged outputs."""
+    op = build_lifted_operator(spec)
+    n_b = spec.orders.n_b
+    phi = np.hstack([np.concatenate(u_blocks)[op.x_index // n_b], op.lagged])
+    coef, _, rank, _ = np.linalg.lstsq(phi, op.rhs, rcond=None)
+    if rank < phi.shape[1]:
         raise ValueError(
-            f"regressor matrix is rank deficient ({rank} < {ncols}); "
+            f"regressor matrix is rank deficient ({rank} < {phi.shape[1]}); "
             "the input does not excite all coefficients"
         )
-    b_est = coef[: orders.n_b]
-    a_est = coef[orders.n_b :]
-    return a_est, b_est
+    return coef[n_b:], coef[:n_b]
 
 
 def naive_identify(spec: ProblemSpec, max_segments: int):
@@ -124,13 +111,7 @@ def naive_identify(spec: ProblemSpec, max_segments: int):
     """
     shift = spec.orders.n_k + 1
     u_hats = []
-    phis, targets = [], []
     for seq in spec.sequences:
         u_fit, _ = fit_piecewise_constant(seq.samples, max_segments)
-        u_hat = np.concatenate([u_fit[shift:], np.full(shift, u_fit[-1])])
-        u_hats.append(u_hat)
-        phi, target = _regressors(seq.samples, u_hat, spec.orders)
-        phis.append(phi)
-        targets.append(target)
-    a_est, b_est = _solve_ls(np.vstack(phis), np.concatenate(targets), spec.orders)
-    return a_est, b_est, tuple(u_hats)
+        u_hats.append(np.concatenate([u_fit[shift:], np.full(shift, u_fit[-1])]))
+    return (*_fit_arx(spec, u_hats), tuple(u_hats))

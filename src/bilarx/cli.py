@@ -12,14 +12,18 @@ simulate   generate a named synthetic scenario as CSV
 Data files are CSV with header ``t,y`` (single sequence) or ``t,y,series``;
 extra columns are ignored, time indices are 1-based and consecutive per
 series. Configuration is flat JSON with keys ``n_a, n_b, n_k, epsilon,
-lambda, gamma, rho, max_iters, tol``. Results are JSON; every float is
+lambda, gamma, rho, max_iters, tol``, the fields of ``ArxOrders`` and
+``SolverOptions`` (their defaults fill absent keys) and three reals.
+``n_a, n_b, n_k, max_iters`` take integers or integral floats such as
+``1e4``, the others any number. Results are JSON and CSV; every float is
 written in its shortest round-trip representation, so it parses back
 bit-exact.
 
 Exit codes: 0 success, 1 usage, configuration, file-format or file-write
 error, 2 solver non-convergence, 3 invalid or infeasible input data (a
 series too short for the model orders, non-consecutive ``t``, a non-finite
-sample). The environment variable ``BILARX_SEED`` overrides scenario seeds.
+sample or refine estimate). The environment variable ``BILARX_SEED``
+overrides scenario seeds.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +62,11 @@ EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BAD_DATA = 3
 
-_CONFIG_KEYS = {
-    "n_a", "n_b", "n_k", "epsilon", "lambda", "gamma", "rho", "max_iters", "tol",
+# Every config key and the type of its value.
+_CONFIG_TYPES = {
+    **typing.get_type_hints(ArxOrders),
+    **typing.get_type_hints(SolverOptions),
+    "epsilon": float, "lambda": float, "gamma": float,
 }
 
 
@@ -71,8 +80,8 @@ class _DataError(Exception):
 
 @contextlib.contextmanager
 def _usage_errors(where):
-    """Report a ValueError, TypeError or OverflowError (``int(inf)``) from
-    checking a setting, or from a solve rejecting one, as a usage error."""
+    """Report a ValueError, TypeError or OverflowError from checking a
+    setting, or from a solve rejecting one, as a usage error."""
     try:
         yield
     except (TypeError, ValueError, OverflowError) as exc:
@@ -89,11 +98,8 @@ def _write_errors(path):
 
 
 def _fmt(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    """Shortest round-trip text of a float, as in the JSON output."""
+    return repr(float(x))
 
 
 def _numpy_to_python(obj):
@@ -124,32 +130,42 @@ def _load_json(path):
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _typed(path, key, value):
+    """``value`` as the type of config key ``key``: an int key takes an integer
+    or an integral float, a float key any number; else a usage error."""
+    if key not in _CONFIG_TYPES:
+        raise _UsageError(f"{path}: unknown config key {key!r}")
+    kind = _CONFIG_TYPES[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        what = "an integer" if kind is int else "a number"
+        raise _UsageError(f"{path}: {key} must be {what}, got {value!r}")
+    with _usage_errors(path):
+        return kind(value)
+
+
 def _load_config(path):
+    """The config object with every value converted to its key's type."""
     cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise _UsageError(f"{path}: config must be a JSON object")
-    for key in cfg:
-        if key not in _CONFIG_KEYS:
-            raise _UsageError(f"{path}: unknown config key {key!r}")
+    cfg = {key: _typed(path, key, value) for key, value in cfg.items()}
     for key in ("n_a", "n_b"):
         if key not in cfg:
             raise _UsageError(f"{path}: missing required config key {key!r}")
     return cfg
 
 
-def _config_options(path, cfg) -> SolverOptions:
+def _from_config(cls, path, cfg):
+    """``cls`` from the config keys naming its fields; rejections are usage errors."""
     with _usage_errors(path):
-        return SolverOptions(
-            rho=float(cfg.get("rho", 1.0)),
-            max_iters=int(cfg.get("max_iters", 5000)),
-            tol=float(cfg.get("tol", 1e-7)),
-        )
+        return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)
+                      if f.name in cfg})
 
 
 def _non_negative(where, name, value) -> float:
-    """``float(value)`` checked to be >= 0; a bad value is a usage error."""
+    """``value`` checked to be >= 0; a bad value is a usage error."""
     with _usage_errors(where):
-        value = float(value)
         check_non_negative(name, value)
     return value
 
@@ -191,9 +207,7 @@ def _load_series_csv(path):
 
 
 def _build_spec(args, cfg):
-    with _usage_errors(args.config):
-        orders = ArxOrders(n_a=int(cfg["n_a"]), n_b=int(cfg["n_b"]),
-                           n_k=int(cfg.get("n_k", 0)))
+    orders = _from_config(ArxOrders, args.config, cfg)
     epsilon = _non_negative(args.config, "epsilon", cfg.get("epsilon", 0.0))
     series = _load_series_csv(args.data)
     try:
@@ -217,12 +231,7 @@ def _solution_payload(spec, sol: BilSolution, gamma: float):
         "lambda": sol.lam,
         "objective": sol.objective,
         "epsilon": spec.epsilon,
-        "diagnostics": {
-            "iterations": sol.diagnostics.iterations,
-            "primal_residual": sol.diagnostics.primal_residual,
-            "dual_residual": sol.diagnostics.dual_residual,
-            "converged": sol.diagnostics.converged,
-        },
+        "diagnostics": dataclasses.asdict(sol.diagnostics),
     }
 
 
@@ -265,9 +274,9 @@ def _cmd_identify(args):
     if "lambda" not in cfg:
         raise _UsageError("identify needs 'lambda' in the config")
     with _usage_errors(args.config):
-        lam = check_lambda(float(cfg["lambda"]))
+        lam = check_lambda(cfg["lambda"])
     gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
-    options = _config_options(args.config, cfg)
+    options = _from_config(SolverOptions, args.config, cfg)
     spec = _build_spec(args, cfg)
     with _usage_errors(args.config):
         sol = solve_bil(spec, lam, options)
@@ -281,7 +290,7 @@ def _cmd_refine(args):
         raise _UsageError("refine needs --gamma or 'gamma' in the config")
     gamma = _non_negative(args.config if args.gamma is None else "--gamma",
                           "gamma", gamma)
-    options = _config_options(args.config, cfg)
+    options = _from_config(SolverOptions, args.config, cfg)
     spec = _build_spec(args, cfg)
     prior = _load_json(args.result)
     prior_u = prior.get("u") if isinstance(prior, dict) else None
@@ -298,6 +307,8 @@ def _cmd_refine(args):
                 f"series {seq.label!r}: estimate shape {u.shape} does not "
                 f"match data length {len(seq)}"
             )
+        if not np.all(np.isfinite(u)):
+            raise _DataError(f"series {seq.label!r}: estimate must be finite")
         estimates.append(u)
     with _usage_errors(args.config):
         sol = solve_refined(spec, freeze_small_differences(estimates, gamma), options)
@@ -310,7 +321,7 @@ def _cmd_sweep(args):
         grid = check_sweep_grid(
             [v for v in args.lambdas.split(",") if v.strip()], args.gap_target)
     gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
-    options = _config_options(args.config, cfg)
+    options = _from_config(SolverOptions, args.config, cfg)
     spec = _build_spec(args, cfg)
     with _usage_errors(args.config):
         result = sweep_lambda(spec, grid, args.gap_target, options)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ArxOrders, OutputSeries, ProblemSpec, build_problem
+from .problem import ArxOrders, ProblemSpec, build_problem
 
 _MASK64 = (1 << 64) - 1
 
@@ -77,12 +77,11 @@ def gen_piecewise_input(N: int, change_points, levels) -> np.ndarray:
     return u
 
 
-def simulate_arx(a, b, orders: ArxOrders, u, y_init=None) -> np.ndarray:
+def simulate_arx(a, b, orders: ArxOrders, u) -> np.ndarray:
     """Noise-free ARX response to input ``u``.
 
-    Outputs recurse from ``t = n`` on; earlier samples are presample values:
-    the last ``n_a`` of them come from ``y_init`` (zeros by default) and any
-    rows before those are zero.
+    Outputs recurse from ``t = n`` on; the earlier samples are presample
+    values, all zero.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -96,17 +95,10 @@ def simulate_arx(a, b, orders: ArxOrders, u, y_init=None) -> np.ndarray:
     if N < n:
         raise ValueError(f"input length {N} shorter than first simulated index {n}")
     z = np.zeros(N)
-    if y_init is None:
-        y_init = np.zeros(orders.n_a)
-    y_init = np.asarray(y_init, dtype=float)
-    if y_init.shape != (orders.n_a,):
-        raise ValueError(f"y_init must have length {orders.n_a}, got {y_init.shape}")
     poles = arx_poles(a)
     if poles.size and np.max(np.abs(poles)) >= 1.0:
         warnings.warn("autoregressive polynomial has a pole with |pole| >= 1; "
                       "simulated output may grow without bound", stacklevel=2)
-    if orders.n_a:
-        z[n - 1 - orders.n_a : n - 1] = y_init
     for t in range(n, N + 1):
         acc = 0.0
         for k2 in range(1, orders.n_a + 1):
@@ -156,31 +148,41 @@ class Scenario:
     seed: int
 
 
-SCENARIO_NAMES = (
-    "scenario_fir_noisefree",
-    "scenario_arx_noisy",
-    "scenario_two_sequences",
-)
-
-# Shared planted input for the single-sequence scenarios. The separation
-# between levels is large against the noise bound of 2 used downstream.
-_INPUT_N = 30
-_INPUT_CHANGES = (8, 15, 23)
-_INPUT_LEVELS = (0.0, 10.0, 4.0, 12.0)
+# Planted inputs as (N, change points, levels), one per sequence. The single
+# sequence's levels are far apart against the noise bound of 2 used downstream.
+# The two near-zero-mean inputs keep the identification sharp, as working on
+# mean-subtracted measurements (usual for logged power data) does.
+_SINGLE_INPUT = ((30, (8, 15, 23), (0.0, 10.0, 4.0, 12.0)),)
+_TWO_INPUTS = ((40, (12, 26), (-3.0, 5.0, -2.0)),
+               (35, (9, 18, 27), (4.0, -2.0, 3.0, -4.0)))
 
 _FIR_B = (-7.4111, -5.0782, -3.2058)
 _ARX_A = (0.2,)
 _ARX_B = (-4.9594, 6.1774, 3.3930)
 
+# Name -> (orders, a, b, planted inputs, noise bound, default seed).
+_PRESETS = {
+    "scenario_fir_noisefree": (ArxOrders(n_a=0, n_b=3, n_k=0), (), _FIR_B,
+                               _SINGLE_INPUT, 0.0, 0),
+    "scenario_arx_noisy": (ArxOrders(n_a=1, n_b=3, n_k=0), _ARX_A, _ARX_B,
+                           _SINGLE_INPUT, 2.0, 5),
+    "scenario_two_sequences": (ArxOrders(n_a=1, n_b=3, n_k=0), _ARX_A, _ARX_B,
+                               _TWO_INPUTS, 0.5, 11),
+}
+SCENARIO_NAMES = tuple(_PRESETS)
 
-def _single_sequence_scenario(name, orders, a, b, noise_bound, epsilon, seed):
-    u = gen_piecewise_input(_INPUT_N, _INPUT_CHANGES, _INPUT_LEVELS)
-    z = simulate_arx(a, b, orders, u)
-    y = add_uniform_noise(z, noise_bound, seed)
-    spec = build_problem([OutputSeries(y, label="y1")], orders, epsilon)
+
+def _build_scenario(name, orders, a, b, inputs, noise_bound, seed):
+    """Drive one shared ``(a, b)`` with each planted input; sequence ``j``
+    (labelled ``y{j+1}``) gets noise seed ``seed + j``, and the noise bound
+    is also the spec's epsilon."""
+    u_blocks = tuple(gen_piecewise_input(*planted) for planted in inputs)
+    z_blocks = tuple(simulate_arx(a, b, orders, u) for u in u_blocks)
+    spec = build_problem([add_uniform_noise(z, noise_bound, seed + j)
+                          for j, z in enumerate(z_blocks)], orders, noise_bound)
     truth = PlantedTruth(
-        u_blocks=(u,), a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float),
-        change_points=(_INPUT_CHANGES,), z_blocks=(z,),
+        u_blocks=u_blocks, a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float),
+        change_points=tuple(cps for _, cps, _ in inputs), z_blocks=z_blocks,
     )
     return Scenario(name=name, spec=spec, truth=truth,
                     noise_bound=noise_bound, seed=seed)
@@ -198,38 +200,7 @@ def scenario(name: str, seed: int | None = None) -> Scenario:
         Two sequences driven by different inputs through one shared (a, b),
         lightly noisy.
     """
-    if name == "scenario_fir_noisefree":
-        return _single_sequence_scenario(
-            name, ArxOrders(n_a=0, n_b=3, n_k=0), (), _FIR_B,
-            noise_bound=0.0, epsilon=0.0, seed=0 if seed is None else seed,
-        )
-    if name == "scenario_arx_noisy":
-        return _single_sequence_scenario(
-            name, ArxOrders(n_a=1, n_b=3, n_k=0), _ARX_A, _ARX_B,
-            noise_bound=2.0, epsilon=2.0, seed=5 if seed is None else seed,
-        )
-    if name == "scenario_two_sequences":
-        orders = ArxOrders(n_a=1, n_b=3, n_k=0)
-        seed = 11 if seed is None else seed
-        # Near-zero-mean inputs keep the identification sharp: this mimics
-        # working on mean-subtracted measurements, the usual preprocessing
-        # for logged power data.
-        u1 = gen_piecewise_input(40, (12, 26), (-3.0, 5.0, -2.0))
-        u2 = gen_piecewise_input(35, (9, 18, 27), (4.0, -2.0, 3.0, -4.0))
-        z1 = simulate_arx(_ARX_A, _ARX_B, orders, u1)
-        z2 = simulate_arx(_ARX_A, _ARX_B, orders, u2)
-        bound = 0.5
-        y1 = add_uniform_noise(z1, bound, seed)
-        y2 = add_uniform_noise(z2, bound, seed + 1)
-        spec = build_problem(
-            [OutputSeries(y1, label="y1"), OutputSeries(y2, label="y2")],
-            orders, epsilon=bound,
-        )
-        truth = PlantedTruth(
-            u_blocks=(u1, u2), a=np.asarray(_ARX_A, dtype=float),
-            b=np.asarray(_ARX_B, dtype=float),
-            change_points=((12, 26), (9, 18, 27)), z_blocks=(z1, z2),
-        )
-        return Scenario(name=name, spec=spec, truth=truth,
-                        noise_bound=bound, seed=seed)
-    raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    *preset, default_seed = _PRESETS[name]
+    return _build_scenario(name, *preset, default_seed if seed is None else seed)

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from . import prox
-from .extract import factor_rank1
+from .extract import change_points, factor_rank1
 from .problem import (
     LiftedOperator,
     LiftedVariables,
@@ -382,11 +382,10 @@ def solve_refined(spec: ProblemSpec, freeze,
 
 
 def freeze_small_differences(u_blocks, gamma: float) -> list:
-    """Per input estimate, the 1-based indices ``i`` with ``|u(i) - u(i+1)| <= gamma``,
-    which the refinement re-solve freezes; ValueError unless ``gamma >= 0``."""
-    check_non_negative("gamma", gamma)
-    return [{int(i) + 1 for i in np.nonzero(np.abs(np.diff(u)) <= gamma)[0]}
-            for u in map(np.asarray, u_blocks)]
+    """Per input estimate, the 1-based indices ``i`` with ``|u(i) - u(i+1)| <= gamma``
+    (those :func:`change_points` leaves out), which the refinement re-solve
+    freezes; ValueError unless ``gamma >= 0``."""
+    return [set(range(1, len(u))) - set(change_points(u, gamma)) for u in u_blocks]
 
 
 def refine_pipeline(spec: ProblemSpec, bil_solution: BilSolution, gamma: float,

@@ -11,11 +11,21 @@ from bilarx import (
     simulate_arx,
 )
 
-from _oracles import exhaustive_segmentation_cost
+from _oracles import arx_constraint_matrix, exhaustive_segmentation_cost
 
 
 def segmentation_cost(y, u_hat):
     return float(np.sum((np.asarray(y) - np.asarray(u_hat)) ** 2))
+
+
+def oracle_regressors(ys, us, orders):
+    """ARX regressors ``[u taps, lagged y]`` and targets of the stacked
+    sequences, read off the dense oracle constraint matrix: the b column of
+    tap ``k1`` is the X part applied to ``X_j = outer(u_j, e_k1)``."""
+    A, target = arx_constraint_matrix(ys, orders.n_a, orders.n_b, orders.n_k)
+    n_x = A.shape[1] - orders.n_a
+    lifted_u = np.kron(np.concatenate(us)[:, None], np.eye(orders.n_b))
+    return np.hstack([A[:, :n_x] @ lifted_u, A[:, n_x:]]), target
 
 
 class TestFitPiecewiseConstant:
@@ -97,9 +107,7 @@ class TestLeastSquaresArx:
         u = rng.normal(size=40)
         y = simulate_arx((0.3,), (1.0, -0.5), orders, u) + rng.normal(size=40) * 0.1
         a_est, b_est = least_squares_arx(y, u, orders)
-        from bilarx.baseline import _regressors
-
-        phi, target = _regressors(y, u, orders)
+        phi, target = oracle_regressors([y], [u], orders)
         resid = target - phi @ np.concatenate([b_est, a_est])
         assert np.max(np.abs(phi.T @ resid)) <= 1e-9 * max(np.max(np.abs(phi)), 1.0)
 
@@ -136,3 +144,12 @@ class TestNaiveIdentify:
         assert len(u_hats) == 2
         assert b_est.shape == (3,)
         assert a_est.shape == (1,)
+
+    def test_two_sequences_match_stacked_oracle_least_squares(self):
+        sc = scenario("scenario_two_sequences")
+        a_est, b_est, u_hats = naive_identify(sc.spec, 4)
+        ys = [s.samples for s in sc.spec.sequences]
+        phi, target = oracle_regressors(ys, u_hats, sc.spec.orders)
+        coef = np.linalg.lstsq(phi, target, rcond=None)[0]
+        assert np.max(np.abs(b_est - coef[:3])) <= 1e-12
+        assert np.max(np.abs(a_est - coef[3:])) <= 1e-12

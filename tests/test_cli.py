@@ -203,6 +203,36 @@ class TestBadSettings:
         assert "Traceback" not in err
         assert not (tmp / "o.json").exists()
 
+    @pytest.mark.parametrize("cfg_overrides, message", [
+        ({"n_b": 2.9}, "n_b must be an integer, got 2.9"),
+        ({"max_iters": 50.9}, "max_iters must be an integer, got 50.9"),
+        ({"n_a": True}, "n_a must be an integer, got True"),
+        ({"lambda": True}, "lambda must be a number, got True"),
+        ({"epsilon": "2"}, "epsilon must be a number, got '2'"),
+        ({"n_k": "0"}, "n_k must be an integer, got '0'"),
+        ({"tol": None}, "tol must be a number, got None"),
+    ], ids=["n_b_fraction", "max_iters_fraction", "n_a_bool", "lambda_bool",
+            "epsilon_string", "n_k_string", "tol_null"])
+    def test_wrong_type_exits_1(self, workdir, capsys, cfg_overrides, message):
+        tmp, data, _ = workdir
+        cfg = write_config(tmp / "bad.json", **cfg_overrides)
+        capsys.readouterr()
+        code = run_cli("identify", "--data", str(data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"))
+        assert code == 1
+        assert capsys.readouterr().err == f"bilarx: {cfg}: {message}\n"
+        assert not (tmp / "o.json").exists()
+
+    def test_integral_float_accepted_as_integer(self, workdir):
+        tmp, data, cfg = workdir
+        as_int, as_float = tmp / "int.json", tmp / "float.json"
+        assert run_cli("identify", "--data", str(data), "--config", str(cfg),
+                       "--out", str(as_int)) == 0
+        cfg = write_config(tmp / "float_cfg.json", max_iters=6e3)
+        assert run_cli("identify", "--data", str(data), "--config", str(cfg),
+                       "--out", str(as_float)) == 0
+        assert as_float.read_text() == as_int.read_text()
+
     @pytest.mark.parametrize("command, flags", [
         ("ripcheck", ["--k", "0"]),
         ("ripcheck", ["--k", "1", "--budget", "-1"]),
@@ -270,6 +300,17 @@ class TestRefine:
         assert run_cli("refine", "--data", str(data), "--config", str(cfg),
                        "--result", str(prior), "--gamma", "0.5",
                        "--out", str(tmp / "o.json")) == 1
+
+    def test_refine_non_finite_estimate_exits_3(self, workdir, capsys):
+        tmp, data, cfg = workdir
+        prior = tmp / "prior.json"
+        prior.write_text(json.dumps({"u": {"y1": [0.0] * 5 + [float("nan")] * 25}}))
+        capsys.readouterr()
+        assert run_cli("refine", "--data", str(data), "--config", str(cfg),
+                       "--result", str(prior), "--gamma", "0.5",
+                       "--out", str(tmp / "o.json")) == 3
+        assert "estimate must be finite" in capsys.readouterr().err
+        assert not (tmp / "o.json").exists()
 
     @pytest.mark.parametrize("prior_text", ["5", '{"u": [0.0, 1.0]}'])
     def test_refine_prior_without_estimates_exits_1(self, workdir, prior_text):

@@ -68,12 +68,6 @@ class TestSimulateArx:
         assert z[4] == pytest.approx(0.2 * s + s)
         assert z[5] == pytest.approx(0.2 * (0.2 * s + s) + s)
 
-    def test_y_init_used_for_presample(self):
-        orders = ArxOrders(n_a=1, n_b=1, n_k=0)
-        z = simulate_arx((0.5,), (1.0,), orders, np.zeros(5), y_init=np.array([8.0]))
-        assert z[0] == 8.0  # n = 2, so t = 1 is the presample slot
-        assert z[1] == pytest.approx(4.0)
-
     def test_unstable_pole_warns(self):
         orders = ArxOrders(n_a=1, n_b=1, n_k=0)
         with pytest.warns(UserWarning, match="pole"):
