@@ -19,7 +19,15 @@ onto the tube ``|v - y| <= epsilon``, the slack being ``w = y - v``. The
 Two deterministic normalizations keep behavior uniform across data scales
 and penalty weights spanning many orders of magnitude: outputs are divided
 by ``max |y|``, and the two constraint blocks whose multipliers grow with
-``lambda`` carry an extra penalty factor ``max(1, lambda)``.
+``lambda`` carry an extra penalty factor ``min(max(1, lambda), 1e8)``.
+
+The penalty is residual-balanced (Boyd et al. 2011, section 3.4.1, on
+relative residuals as in Wohlberg 2017): every few iterations both blocks'
+weights are doubled or halved together when the primal and dual residuals,
+each over its own tolerance, are far apart, and the adaptation stops after a
+fixed number of changes. Scaling every weight by ``c`` scales ``K`` and the
+x-update's right-hand side alike, so the factorization made at the starting
+penalty serves the whole solve.
 """
 
 from __future__ import annotations
@@ -45,13 +53,31 @@ from .problem import (
 # section 3.4.3); 1.6 is fixed because no answer should hinge on tuning it.
 _OVER_RELAXATION = 1.6
 
+# Residual balancing: every _RHO_CHECK_EVERY iterations, when one of the
+# relative residuals pri/eps_pri and dual/eps_dual exceeds the other by
+# _RHO_IMBALANCE, the penalty is multiplied (pri ahead) or divided (dual
+# ahead) by _RHO_STEP. After _RHO_MAX_CHANGES changes it stays fixed, as the
+# ADMM convergence proof requires.
+_RHO_CHECK_EVERY = 25
+_RHO_IMBALANCE = 5.0
+_RHO_STEP = 2.0
+_RHO_MAX_CHANGES = 50
+
+# Cap on the ratio rho2/rho1 = max(1, lambda) of the two blocks' weights.
+# K's conditioning follows that ratio; past ~1e15 rho1 drowns in the rounding
+# of K, and well before that the balanced penalty can walk into a blown-up
+# iterate that the relative stopping test accepts.
+_MAX_BLOCK_RATIO = 1e8
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Tuning knobs for the ADMM iteration.
 
-    ``tol`` is relative and serves both stopping tests: residual norms are
-    compared against the scale of the matched iterates.
+    ``rho`` is the starting penalty: residual balancing doubles or halves it
+    during the solve (at most 50 times), so the iteration count depends on
+    it only weakly. ``tol`` is relative and serves both stopping tests:
+    residual norms are compared against the scale of the matched iterates.
     """
 
     rho: float = 1.0
@@ -69,10 +95,16 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """How a solve ended. ``rho`` is the penalty in force at exit (the
+    ``SolverOptions.rho`` scale) and ``rho_changes`` the number of times
+    residual balancing doubled or halved it."""
+
     iterations: int
     primal_residual: float
     dual_residual: float
     converged: bool
+    rho: float
+    rho_changes: int
 
 
 @dataclass(frozen=True)
@@ -138,13 +170,7 @@ class _XSolve:
             for lo in range(hi + 1, n_b):
                 cols = op.x_index[:, lo]
                 ab[op.x_index[:, hi] - cols, cols] += rho2
-        try:
-            self._chol = (scipy.linalg.cholesky_banded(ab, lower=True), True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                f"the x-update matrix is numerically singular at the penalty "
-                f"ratio rho*max(1, lambda)/rho = {rho2 / rho1:g}; use a smaller "
-                f"lambda") from exc
+        self._chol = (scipy.linalg.cholesky_banded(ab, lower=True), True)
 
         self._Kxa = self._W = self._S_pinv = None
         if n_a:
@@ -202,9 +228,11 @@ class _Workspace:
 
         # Ends of the X and D X blocks in a stacked vector.
         self.cuts = (self.n_x, 2 * self.n_x - self.n_b)
+        # Starting weights; _admm scales both together and keeps K's factor.
         self.rho1 = options.rho
-        self.rho2 = options.rho * max(1.0, lam)
-        if not (1.0 / self.rho1 < math.inf and self.rho2 * self.rho2 < math.inf):
+        self.rho2 = options.rho * min(max(1.0, lam), _MAX_BLOCK_RATIO)
+        uncapped = options.rho * max(1.0, lam)
+        if not (1.0 / self.rho1 < math.inf and uncapped * uncapped < math.inf):
             raise ValueError(
                 f"rho = {options.rho} at lambda = {lam} puts a penalty weight out "
                 f"of floating-point range: 1/rho, rho*max(1, lambda) and its "
@@ -236,10 +264,16 @@ class _Workspace:
 
 def _admm(work: _Workspace, prox2, options: SolverOptions):
     """Run the iteration; returns (x, w, diagnostics) in normalized units,
-    with ``x`` packed as X entries, then ``a``."""
+    with ``x`` packed as X entries, then ``a``.
+
+    ``prox2(V, rho2)`` is the prox of the D X block at the current weight.
+    The weights in force are ``scale * work.rho``; the x-update uses
+    ``work.rho`` itself, since scaling ``K`` and its right-hand side by the
+    same ``scale`` leaves the solution unchanged.
+    """
     alpha, tol = _OVER_RELAXATION, options.tol
     rho, rhs, cut = work.rho, work.rhs, work.cuts[1]
-    tau = 1.0 / work.rho1
+    scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
     # so the slack w = rhs - v starts at zero.
     z = np.concatenate([np.zeros(cut), rhs])
@@ -253,7 +287,8 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
         hat = alpha * Mx + (1 - alpha) * z
         Q1, Q2, q3 = work.blocks(hat + s)
         z_old = z
-        z = np.concatenate([prox.svt(Q1, tau).ravel(), prox2(Q2).ravel(),
+        z = np.concatenate([prox.svt(Q1, 1.0 / (scale * work.rho1)).ravel(),
+                            prox2(Q2, scale * work.rho2).ravel(),
                             rhs - prox.box_clip(rhs - q3, work.eps)])
         s += hat - z
 
@@ -264,15 +299,28 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
         # tiny after every exact (X, a) solve and cannot anchor a relative
         # test. The per-entry penalty weights make this scale-covariant.
         dz, ys = rho * (z - z_old), rho * s
-        dual_norm = math.sqrt(dz @ dz)
+        dual_norm = scale * math.sqrt(dz @ dz)
         w = rhs - z[cut:]
         bz_norm = math.sqrt(z[:cut] @ z[:cut] + w @ w)
         eps_pri = tol * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
-        eps_dual = tol * (1.0 + math.sqrt(ys @ ys)) + floor_dual
+        eps_dual = tol * (1.0 + scale * math.sqrt(ys @ ys)) + floor_dual
         converged = pri_norm <= eps_pri and dual_norm <= eps_dual
         if converged:
             break
-    return x, w, SolverDiagnostics(iters, pri_norm, dual_norm, converged)
+        if iters % _RHO_CHECK_EVERY == 0 and rho_changes < _RHO_MAX_CHANGES:
+            # pri/eps_pri against dual/eps_dual, cross-multiplied because the
+            # dual residual can be exactly zero.
+            pri_rel, dual_rel = pri_norm * eps_dual, dual_norm * eps_pri
+            step = (_RHO_STEP if pri_rel > _RHO_IMBALANCE * dual_rel
+                    else 1.0 / _RHO_STEP if dual_rel > _RHO_IMBALANCE * pri_rel
+                    else 1.0)
+            if step != 1.0:
+                # The scaled multiplier s follows 1/rho, so y = rho * s stays.
+                scale *= step
+                s /= step
+                rho_changes += 1
+    return x, w, SolverDiagnostics(iters, pri_norm, dual_norm, converged,
+                                   scale * options.rho, rho_changes)
 
 
 def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
@@ -322,16 +370,15 @@ def solve_bil(spec: ProblemSpec, lam: float,
     Non-convergence inside ``max_iters`` is not an exception: the best
     iterate comes back with ``diagnostics.converged`` False and the final
     residual norms filled in. Raises ValueError unless ``lam`` is finite
-    and non-negative, when ``1/rho``, ``rho * max(1, lam)`` or its square
-    overflows, and when the x-update matrix is numerically singular.
+    and non-negative, and when ``1/rho``, ``rho * max(1, lam)`` or its square
+    overflows.
     """
     check_lambda(lam)
     options = options or SolverOptions()
     work = _Workspace(spec, lam, options)
-    kappa = lam / work.rho2
 
-    def prox2(V):
-        return prox.row_group_shrink(V, kappa)
+    def prox2(V, rho2):
+        return prox.row_group_shrink(V, lam / rho2)
 
     x, w, diag = _admm(work, prox2, options)
     return _package_solution(work, x, w, lam, diag)
@@ -372,7 +419,7 @@ def solve_refined(spec: ProblemSpec, freeze,
     starts = np.concatenate([[0], work.block_starts])
     frozen[[start + i - 1 for start, idx in zip(starts, freeze) for i in idx]] = True
 
-    def prox2(V):
+    def prox2(V, rho2):
         out = V.copy()
         out[frozen] = 0.0
         return out

@@ -1,0 +1,32 @@
+"""Seeded random problem instances shared by the solver tests."""
+
+import numpy as np
+
+from bilarx import ArxOrders, build_problem, gen_piecewise_input, simulate_arx
+
+
+def random_tiny_instance(seed):
+    """Criterion 3's random tiny instance for ``seed``: ``(spec, lam)``."""
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(10, 16))
+    n_a = int(rng.integers(0, 2))
+    n_b = int(rng.integers(1, 3))
+    orders = ArxOrders(n_a=n_a, n_b=n_b, n_k=0)
+    n_changes = int(rng.integers(1, 3))
+    cps = sorted(rng.choice(np.arange(2, N - 1), size=n_changes,
+                            replace=False).tolist())
+    levels = []
+    prev = None
+    while len(levels) < n_changes + 1:
+        lv = float(np.round(rng.uniform(-3, 3), 2))
+        if prev is None or abs(lv - prev) > 0.3:
+            levels.append(lv)
+            prev = lv
+    u = gen_piecewise_input(N, cps, levels)
+    a = (float(rng.uniform(-0.5, 0.5)),) if n_a else ()
+    b = rng.uniform(-2, 2, size=n_b)
+    z = simulate_arx(a, b, orders, u)
+    bound = float(rng.choice([0.0, 0.2]))
+    y = z + rng.uniform(-bound, bound, size=N) if bound else z
+    lam = float(rng.choice([1.0, 10.0, 50.0]))
+    return build_problem([y], orders, bound), lam

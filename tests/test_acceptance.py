@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from bilarx import (
-    ArxOrders,
     SolverOptions,
-    build_problem,
     change_points,
     fit_piecewise_constant,
-    gen_piecewise_input,
     max_residual,
     naive_identify,
     prox,
@@ -36,6 +33,7 @@ from _oracles import (
     prox_objective_min,
     row_21_norm,
 )
+from _instances import random_tiny_instance
 from _slowref import SlowReference
 
 
@@ -91,37 +89,11 @@ def test_criterion_2_noisy_arx_with_refinement():
         assert time.monotonic() - start <= 120.0
 
 
-def _random_tiny_instance(seed):
-    rng = np.random.default_rng(seed)
-    N = int(rng.integers(10, 16))
-    n_a = int(rng.integers(0, 2))
-    n_b = int(rng.integers(1, 3))
-    orders = ArxOrders(n_a=n_a, n_b=n_b, n_k=0)
-    n_changes = int(rng.integers(1, 3))
-    cps = sorted(rng.choice(np.arange(2, N - 1), size=n_changes,
-                            replace=False).tolist())
-    levels = []
-    prev = None
-    while len(levels) < n_changes + 1:
-        lv = float(np.round(rng.uniform(-3, 3), 2))
-        if prev is None or abs(lv - prev) > 0.3:
-            levels.append(lv)
-            prev = lv
-    u = gen_piecewise_input(N, cps, levels)
-    a = (float(rng.uniform(-0.5, 0.5)),) if n_a else ()
-    b = rng.uniform(-2, 2, size=n_b)
-    z = simulate_arx(a, b, orders, u)
-    bound = float(rng.choice([0.0, 0.2]))
-    y = z + rng.uniform(-bound, bound, size=N) if bound else z
-    lam = float(rng.choice([1.0, 10.0, 50.0]))
-    return build_problem([y], orders, bound), lam
-
-
 def test_criterion_3_solver_matches_slow_reference():
     with criterion(3, "convex solver matches the slow smoothed reference"):
         start = time.monotonic()
         for seed in range(1, 11):
-            spec, lam = _random_tiny_instance(seed)
+            spec, lam = random_tiny_instance(seed)
             sol = solve_bil(spec, lam, SolverOptions(max_iters=40000))
             ref = SlowReference(spec, lam)
             obj_ref, _ = ref.solve(total_iters=50_000)

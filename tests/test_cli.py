@@ -80,11 +80,20 @@ class TestIdentify:
             assert key in result
         diag = result["diagnostics"]
         assert set(diag) == {"iterations", "primal_residual", "dual_residual",
-                             "converged"}
+                             "converged", "rho", "rho_changes"}
         sol = solve_bil(scenario("scenario_arx_noisy").spec, 1e7,
                         SolverOptions(max_iters=6000))
         assert result["u"]["y1"] == [float(v) for v in sol.u_est[0]]
         assert result["rank_gap"] == sol.rank_gap
+
+    def test_huge_lambda_converges(self, workdir):
+        # the block-ratio cap keeps K factorable far past the useful lambda range
+        tmp, data, _ = workdir
+        cfg = write_config(tmp / "huge.json", **{"lambda": 1e16})
+        out = tmp / "o.json"
+        assert run_cli("identify", "--data", str(data), "--config", str(cfg),
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["diagnostics"]["converged"] is True
 
     def test_missing_config_exits_1(self, workdir):
         tmp, data, _ = workdir
@@ -180,12 +189,11 @@ class TestBadSettings:
         ("identify", {"rho": 1e300}, []),
         ("identify", {"rho": 1e-320}, []),
         ("refine", {"rho": 1e-320}, []),
-        ("identify", {"lambda": 1e16}, []),
         ("sweep", {}, ["--lambdas", "1e300"]),
     ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma",
             "n_a", "n_b", "epsilon", "lambda_inf", "max_iters_overflow", "rho_inf",
             "lambdas_inf", "lambda_huge", "lambda_square_overflow", "rho_huge",
-            "rho_tiny", "rho_tiny_refine", "lambda_singular_K", "lambdas_huge"])
+            "rho_tiny", "rho_tiny_refine", "lambdas_huge"])
     def test_exits_1_without_traceback(self, workdir, capsys, command,
                                        cfg_overrides, flags):
         tmp, data, _ = workdir

@@ -1,8 +1,5 @@
-"""Smoke test: the demo scripts run to completion.
-
-Demos 03 and 05 take the longest and are left out to keep the suite short;
-04 calls every analysis entry point.
-"""
+"""Smoke test: every demo script runs to completion; 04 calls every
+analysis entry point."""
 
 import os
 import subprocess
@@ -17,7 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("name", [
     "01_fir_noise_free_recovery.py",
     "02_noisy_arx_refinement.py",
+    "03_two_sequences_shared_model.py",
     "04_uniqueness_certificates.py",
+    "05_naive_baseline_comparison.py",
     "06_cli_workflow.py",
 ])
 def test_demo_exits_cleanly(name, tmp_path):

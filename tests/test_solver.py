@@ -23,6 +23,7 @@ from bilarx import (
 
 from bilarx.solver import _Workspace
 
+from _instances import random_tiny_instance
 from _oracles import arx_constraint_matrix
 from _slowref import SlowReference
 
@@ -223,11 +224,12 @@ class TestStackedMap:
 class TestKernelCallCounts:
     """perfbench's per-layer split relies on one ``svt`` and one ``box_clip``
     per iteration, and on one more thin SVD for the objective and one for
-    the rank-one factorization."""
+    the rank-one factorization. A penalty change rescales ``K`` without
+    refactoring it, so each solve factors once."""
 
     @pytest.mark.parametrize("refine", [False, True], ids=["solve_bil", "solve_refined"])
     def test_prox_calls_per_iteration(self, monkeypatch, refine):
-        counts = dict.fromkeys(("svt", "box_clip", "thin_svd"), 0)
+        counts = dict.fromkeys(("svt", "box_clip", "thin_svd", "cholesky_banded"), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -236,13 +238,85 @@ class TestKernelCallCounts:
             return wrapper
 
         for module, name in ((prox, "svt"), (prox, "box_clip"),
-                             (prox, "thin_svd"), (extract, "thin_svd")):
+                             (prox, "thin_svd"), (extract, "thin_svd"),
+                             (scipy.linalg, "cholesky_banded")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         spec = scenario("scenario_fir_noisefree").spec
-        sol = (solve_refined(spec, [{5, 6, 7}]) if refine
-               else solve_bil(spec, 1e2))
+        opts = SolverOptions(rho=10.0)
+        sol = (solve_refined(spec, [{5, 6, 7}], opts) if refine
+               else solve_bil(spec, 1e2, opts))
+        assert sol.diagnostics.rho_changes >= 1
         iters = sol.diagnostics.iterations
-        assert counts == {"svt": iters, "box_clip": iters, "thin_svd": iters + 2}
+        assert counts == {"svt": iters, "box_clip": iters, "thin_svd": iters + 2,
+                          "cholesky_banded": 1}
+
+
+class TestResidualBalancing:
+    """``rho`` is only the starting penalty: it is doubled or halved until the
+    relative primal and dual residuals balance, so the iteration count
+    barely depends on it."""
+
+    STARTS = (0.1, 1.0, 10.0)
+
+    @staticmethod
+    def iterations(spec, lam, max_iters):
+        diags = [solve_bil(spec, lam, SolverOptions(rho=rho, max_iters=max_iters)).diagnostics
+                 for rho in TestResidualBalancing.STARTS]
+        assert all(d.converged for d in diags)
+        return [d.iterations for d in diags]
+
+    def test_no_change_before_first_check(self):
+        spec = scenario("scenario_arx_noisy").spec
+        opts = SolverOptions(rho=0.7, max_iters=20)
+        diag = solve_bil(spec, 1e7, opts).diagnostics
+        assert diag.iterations == 20
+        assert diag.rho == opts.rho
+        assert diag.rho_changes == 0
+
+    def test_changes_are_bounded_powers_of_two(self):
+        spec, lam = random_tiny_instance(4)
+        diag = solve_bil(spec, lam, SolverOptions(rho=0.1, max_iters=40000)).diagnostics
+        assert diag.converged
+        k = round(np.log2(diag.rho / 0.1))
+        assert diag.rho == 0.1 * 2.0 ** k
+        assert 1 <= diag.rho_changes <= 50
+        assert abs(k) <= diag.rho_changes
+
+    def test_grows_while_dual_residual_is_zero(self):
+        # at a tiny penalty the nuclear prox zeroes every iterate, so z stops
+        # moving and the dual residual is exactly zero: rho must still grow
+        y = np.array([1.0, -2.0, 3.0, 0.5, 1.5, -1.0, 2.0, 0.1])
+        spec = build_problem([y], ArxOrders(n_a=0, n_b=2), epsilon=0.0)
+        diag = solve_bil(spec, 1e6, SolverOptions(rho=1e-6, max_iters=200)).diagnostics
+        assert diag.dual_residual == 0.0
+        assert diag.rho_changes == 8
+        assert diag.rho == 1e-6 * 2.0 ** 8
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_iterations_independent_of_start_tiny(self, seed):
+        spec, lam = random_tiny_instance(seed)
+        its = self.iterations(spec, lam, 40000)
+        assert max(its) <= 1.5 * min(its)
+
+    def test_iterations_independent_of_start_two_sequences(self):
+        its = self.iterations(scenario("scenario_two_sequences").spec, 1e4, 10000)
+        assert max(its) <= 1.5 * min(its)
+
+    def test_iteration_spread_bounded_on_tiny_seeds(self):
+        for seed in range(1, 11):
+            spec, lam = random_tiny_instance(seed)
+            its = self.iterations(spec, lam, 40000)
+            assert max(its) <= 4.0 * min(its), (seed, its)
+
+    @pytest.mark.parametrize("lam", [1e12, 1e15, 1e16], ids=["1e12", "1e15", "1e16"])
+    def test_huge_lambda_converges_feasibly(self, lam):
+        # past the block-ratio cap K keeps its conditioning, so the solve
+        # neither fails to factor nor reports a blown-up iterate as converged
+        spec = scenario("scenario_arx_noisy").spec
+        sol = solve_bil(spec, lam)
+        assert sol.diagnostics.converged
+        peak = np.max(np.abs(spec.sequences[0].samples))
+        assert max_residual(spec, sol.vars) <= spec.epsilon + 1e-4 * peak
 
 
 class TestSolverOptions:
