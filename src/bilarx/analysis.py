@@ -7,8 +7,11 @@ difference structure form a linear subspace, so the isometry constant is
 computed exactly: restrict the operator to an orthonormal basis of the
 subspace and read off the extreme singular values. No sampling is involved,
 and no basis matrix is formed: in that basis the restriction is a column sum
-per segment. Subspaces grow with their patterns, so only the patterns with
-the most changes are walked.
+per segment, a difference of two prefix sums over the rows. Subspaces grow
+with their patterns, so only the patterns with the most changes are walked,
+in chunks of stacked restrictions: the eigenvalues of their Gram matrices
+screen out the patterns that cannot hold the maximum, and one stacked SVD
+per chunk gives the extreme singular values of the rest.
 
 The brute-force solver enumerates the same difference-support patterns and
 solves the data constraints exactly on each one, which makes it an
@@ -47,6 +50,10 @@ class MatrixOperator:
                 f"operator matrix must have {self.n1 * self.n2} columns, "
                 f"got shape {m.shape}"
             )
+        if m.shape[0] == 0:
+            raise ValueError("operator matrix must have at least one row")
+        if not np.isfinite(m).all():
+            raise ValueError("operator matrix has non-finite entries")
         object.__setattr__(self, "matrix", m)
 
     def apply(self, Z: np.ndarray) -> np.ndarray:
@@ -106,22 +113,50 @@ def _patterns(n1: int, k: int, interior_only: bool, budget) -> tuple:
     return indices, sizes, total
 
 
-def _segments(n1: int, pattern):
-    """First row and length of each run of equal rows between allowed changes."""
-    bounds = np.array([0, *pattern, n1])
-    return bounds[:-1], bounds[1:] - bounds[:-1]
+# Entries of one chunk's stacked restrictions: this bounds the memory of the
+# walk whatever the pattern size, and keeps chunks large enough that the
+# per-chunk numpy calls cost little next to the work they batch.
+_CHUNK_ELEMENTS = 1 << 14
 
 
-def _restrict(matrix: np.ndarray, n1: int, n2: int, starts, lengths) -> np.ndarray:
-    """``matrix`` restricted to {Z : rows equal within each segment}.
+def _prefix_sums(matrix: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Running sums of ``matrix``'s columns over the rows of its argument.
 
-    The subspace has the orthonormal basis (segment indicator / sqrt(length))
-    x (unit column), segment-major, of dimension ``len(starts) * n2``; in it
-    the restriction sums each segment's columns of the row-major ``matrix``.
+    Entry ``[i]`` of the ``(n1 + 1, rows, n2)`` result sums the columns that
+    act on rows ``0..i-1`` of the ``n1 x n2`` argument, so the column sum of
+    the rows ``start..end-1`` is ``[end] - [start]``.
     """
     rows = matrix.shape[0]
-    sums = np.add.reduceat(matrix.reshape(rows, n1, n2), starts, axis=1)
-    return (sums * (1.0 / np.sqrt(lengths))[:, None]).reshape(rows, -1)
+    prefix = np.zeros((n1 + 1, rows, n2))
+    prefix[1:] = np.cumsum(matrix.reshape(rows, n1, n2), axis=1).transpose(1, 0, 2)
+    return prefix
+
+
+def _restrict(prefix: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The operator restricted to {Z : rows equal within each segment}.
+
+    ``bounds`` holds the segment boundaries ``0 < ... < n1`` of one pattern,
+    or of a stack of patterns along leading axes. The subspace has the
+    orthonormal basis (segment indicator / sqrt(length)) x (unit column),
+    segment-major, of dimension ``nseg * n2``; in it the restriction is each
+    segment's column sum, a difference of two prefix sums, scaled by
+    ``1 / sqrt(length)``. Returns shape ``(..., rows, nseg * n2)``.
+    """
+    sums = np.diff(prefix[bounds], axis=-3)
+    sums *= (1.0 / np.sqrt(np.diff(bounds, axis=-1)))[..., None, None]
+    return np.moveaxis(sums, -3, -2).reshape(*bounds.shape[:-1], prefix.shape[1], -1)
+
+
+def _pattern_chunks(n1: int, indices, size: int, chunk: int):
+    """Segment boundaries of every ``size``-change pattern, in lexicographic
+    order, as ``(patterns, size + 2)`` arrays of at most ``chunk`` patterns."""
+    combos = itertools.combinations(indices, size)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, chunk))
+        patterns = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+        if not patterns.size:
+            return
+        yield np.pad(patterns, ((0, 0), (1, 1)), constant_values=((0, 0), (0, n1)))
 
 
 def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> float:
@@ -134,6 +169,14 @@ def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> flo
     smaller pattern lies inside one of them, whose subspace contains its
     subspace, so there ``sigma_max`` is no smaller and ``sigma_min`` no
     larger. ``budget`` bounds the count of all 1..k patterns.
+
+    The walk takes the patterns in chunks of one shape. The eigenvalues of
+    each chunk's Gram matrices screen it: only the patterns whose screened
+    deviation lies within a margin of the worst so far, or of the chunk's
+    worst, reach one stacked SVD, and that SVD gives every number returned.
+    The margin, ``1e-9 * (1 + lambda_max)``, is many orders above the
+    roundoff of a Gram eigenvalue, so a skipped pattern never holds the
+    maximum. A wide restriction has ``sigma_min = 0``.
     """
     if k <= 0:
         raise ValueError(f"sparsity level k must be positive, got {k}")
@@ -141,16 +184,33 @@ def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> flo
     if n1 < 4:
         raise ValueError(f"need n1 >= 4 to pin the boundary differences, got {n1}")
     indices, sizes, _ = _patterns(n1, k, True, budget)
+    size = sizes[-1]
+    prefix = _prefix_sums(operator.matrix, n1, operator.n2)
+    rows, dim = prefix.shape[1], (size + 1) * operator.n2
+    tall = rows >= dim
+    chunk = max(1, _CHUNK_ELEMENTS // (rows * dim))
 
     worst = 0.0
-    for pattern in itertools.combinations(indices, sizes[-1]):
-        restricted = _restrict(operator.matrix, n1, operator.n2,
-                               *_segments(n1, pattern))
-        sigma = np.linalg.svd(restricted, compute_uv=False)
-        smax = float(sigma[0])
-        tall = restricted.shape[0] >= restricted.shape[1]
-        smin = float(sigma[-1]) if tall else 0.0
-        worst = max(worst, smax * smax - 1.0, 1.0 - smin * smin)
+    # entries near the float range overflow the squares to inf, the answer
+    with np.errstate(over="ignore"):
+        for bounds in _pattern_chunks(n1, indices, size, chunk):
+            restricted = _restrict(prefix, bounds)
+            transposed = restricted.transpose(0, 2, 1)
+            gram = transposed @ restricted if tall else restricted @ transposed
+            if np.isfinite(gram).all():
+                lam = np.linalg.eigvalsh(gram)
+                screen = np.maximum(lam[:, -1] - 1.0, 1.0 - lam[:, 0] if tall else 1.0)
+                margin = 1e-9 * (1.0 + lam[:, -1].max())
+                # a NaN threshold compares False and keeps every pattern
+                keep = ~(screen < max(worst, screen.max()) - margin)
+                if not keep.any():
+                    continue
+                restricted = restricted[keep]
+            sigma = np.linalg.svd(restricted, compute_uv=False)
+            smax = sigma[:, 0]
+            smin = sigma[:, -1] if tall else 0.0
+            worst = max(worst, float(np.max(np.maximum(smax * smax - 1.0,
+                                                       1.0 - smin * smin))))
     return worst
 
 
@@ -345,14 +405,16 @@ def brute_force_solve(problem, k_max: int, rhs=None, budget: int = 20_000,
     scale = 1.0 + float(np.max(np.abs(rhs_vec))) if rhs_vec.size else 1.0
     tol = 1e-9 * scale
     n_a = a_cols.shape[1]
+    prefix = _prefix_sums(x_matrix, n1, n2)
 
     found = []
     ambiguous = []
     for size in sizes:
         for pattern in itertools.combinations(indices, size):
-            starts, lengths = _segments(n1, pattern)
-            A = np.hstack([_restrict(x_matrix, n1, n2, starts, lengths), a_cols])
-            d_x = starts.size * n2
+            bounds = np.array([0, *pattern, n1])
+            lengths = np.diff(bounds)
+            A = np.hstack([_restrict(prefix, bounds), a_cols])
+            d_x = lengths.size * n2
 
             candidates = []
             if eps == 0.0:

@@ -1,11 +1,18 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilarx import (
     ArxOrders,
     SolverOptions,
+    analysis,
     build_problem,
     gen_piecewise_input,
+    scenario,
     simulate_arx,
     solve_bil,
 )
@@ -19,7 +26,11 @@ from bilarx.analysis import (
     rip_report,
 )
 
-from _oracles import rip_constant_by_basis
+from _oracles import rip_constant_by_basis, segment_basis
+
+
+def fir_operator():
+    return operator_from_problem(scenario("scenario_fir_noisefree").spec)
 
 
 def gaussian_operator(rng, n1, n2, n3):
@@ -104,6 +115,120 @@ class TestRipConstant:
         small = gaussian_operator(rng, 3, 1, 10)
         with pytest.raises(ValueError, match="n1 >= 4"):
             rip_constant(small, 1)
+
+
+    def test_huge_entries_overflow_to_infinity(self):
+        # the Gram matrices overflow, so every pattern goes to the SVD
+        op = MatrixOperator(1e200 * np.eye(12), 6, 2)
+        assert rip_constant(op, 1) == np.inf
+        assert not certify_uniqueness(op, 1)
+
+
+class TestRipWalk:
+    """The walk screens chunks of patterns by Gram eigenvalues and confirms
+    the survivors with one stacked SVD per chunk."""
+
+    @pytest.mark.parametrize("k,epsilon,patterns", [
+        (1, 1.8613321007542312, 27),
+        (2, 1.954200567447971, 378),
+    ])
+    def test_fir_report_is_pinned(self, k, epsilon, patterns):
+        report = rip_report(fir_operator(), k)
+        assert report.rip_epsilon == epsilon
+        assert report.patterns_checked == patterns
+        assert report.certified_unique is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(4, 8),
+        n2=st.integers(1, 3),
+        rows=st.integers(1, 30),
+        k=st.integers(1, 5),
+        scale=st.one_of(st.none(), st.floats(0.1, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_basis_oracle(self, n1, n2, rows, k, scale, seed):
+        # rows from 1 to 30 give wide and tall restrictions; a scale gives a
+        # scaled identity operator; n1 < k + 3 leaves fewer interior indices
+        # than k
+        if scale is None:
+            op = gaussian_operator(np.random.default_rng(seed), n1, n2, rows)
+        else:
+            op = MatrixOperator(scale * np.eye(n1 * n2), n1, n2)
+        expected = rip_constant_by_basis(op.matrix, n1, n2, k)
+        assert abs(rip_constant(op, k) - expected) <= 1e-12
+
+    def test_worst_pattern_last_in_a_partial_chunk(self, monkeypatch):
+        # I + (c - 1) v v^T stretches only v, whose difference support is the
+        # last combination, so that pattern alone reaches c^2 - 1
+        n1, n2, k, c = 10, 2, 3, 1.5
+        last = tuple(range(n1 - 1 - k, n1 - 1))
+        rng = np.random.default_rng(12)
+        v = segment_basis(n1, n2, last) @ rng.normal(size=(k + 1) * n2)
+        v /= np.linalg.norm(v)
+        A = np.eye(n1 * n2) + (c - 1.0) * np.outer(v, v)
+        op = MatrixOperator(A, n1, n2)
+
+        per_pattern = n1 * n2 * (k + 1) * n2
+        monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 8 * per_pattern)
+        patterns = list(itertools.combinations(range(2, n1 - 1), k))
+        assert patterns[-1] == last and len(patterns) % 8 != 0
+
+        runner_up = 0.0
+        for pattern in patterns[:-1]:
+            sigma = np.linalg.svd(A @ segment_basis(n1, n2, pattern),
+                                  compute_uv=False)
+            runner_up = max(runner_up, sigma[0] ** 2 - 1.0)
+        assert runner_up < c * c - 1.0 - 1e-3
+        assert abs(rip_constant(op, k) - (c * c - 1.0)) <= 1e-12
+        assert abs(rip_constant(op, k)
+                   - rip_constant_by_basis(A, n1, n2, k)) <= 1e-12
+
+    def test_one_decomposition_per_chunk_not_per_pattern(self, monkeypatch):
+        # rip_report(fir, 2) walks 17 901 patterns: 351 at k = 2, 17 550 at 4.
+        # Each chunk takes one eigvalsh; few chunks need the SVD at all.
+        counts = dict.fromkeys(("svd", "eigvalsh"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        rip_report(fir_operator(), 2)
+        assert 1 <= counts["svd"] <= 17_901 // 100
+        assert counts["eigvalsh"] <= 17_901 // 32
+
+    def test_chunked_walk_memory_is_bounded(self):
+        # level 4 walks 17 550 patterns; chunks of 4 096 of them peak near
+        # 51 MB, the chunks that _CHUNK_ELEMENTS sets below 1 MB
+        op = fir_operator()
+        tracemalloc.start()
+        try:
+            rip_constant(op, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
+class TestMatrixOperator:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        matrix = np.ones((10, 12))
+        matrix[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            MatrixOperator(matrix, 6, 2)
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            MatrixOperator(np.zeros((0, 12)), 6, 2)
+
+    def test_rejects_wrong_column_count(self):
+        with pytest.raises(ValueError, match="12 columns"):
+            MatrixOperator(np.ones((10, 10)), 6, 2)
 
 
 class TestCertifyUniqueness:
