@@ -208,14 +208,6 @@ class LiftedOperator:
         """``A @ vector`` for a packed vector (X entries, then a)."""
         return vector[self.x_index].sum(axis=1) + self.lagged @ vector[self.n_x:]
 
-    def rmatvec(self, z: np.ndarray) -> np.ndarray:
-        """``A.T @ z`` as a packed vector."""
-        z = np.asarray(z, dtype=float)
-        x_part = np.bincount(self.x_index.ravel(),
-                             weights=np.repeat(z, self.x_index.shape[1]),
-                             minlength=self.n_x)
-        return np.concatenate([x_part, self.lagged.T @ z])
-
     def apply(self, vars: LiftedVariables) -> np.ndarray:
         return self.matvec(np.concatenate([x.ravel() for x in vars.X_blocks]
                                           + [vars.a]))

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
 
 @dataclass(frozen=True)
 class ThinSvd:
@@ -43,18 +45,18 @@ def thin_svd(matrix: np.ndarray) -> ThinSvd:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"thin_svd expects a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("thin_svd: input has non-finite entries")
 
     u, sigma, vt = np.linalg.svd(m, full_matrices=False)
-    v = vt.T
     # Deterministic sign: largest-magnitude entry of each right vector > 0
-    # (the first such entry on ties). A matrix without columns has none.
-    if v.size:
-        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-        flip = np.where(lead < 0, -1.0, 1.0)
-        u = u * flip
-        v = v * flip
+    # (the first such entry on ties; it is nonzero in a unit vector). A matrix
+    # without columns has none.
+    if vt.size:
+        flip = np.copysign(1.0, vt[np.arange(len(vt)), np.abs(vt).argmax(axis=1)])
+        u *= flip
+        vt *= flip[:, None]
+    v = vt.T
 
     for arr in (u, sigma, v):
         arr.setflags(write=False)
@@ -87,11 +89,11 @@ def row_group_shrink(matrix: np.ndarray, kappa: float) -> np.ndarray:
     if not kappa >= 0:
         raise ValueError(f"row_group_shrink: kappa must be non-negative, got {kappa}")
     m = np.asarray(matrix, dtype=float)
-    norms = np.sqrt(np.sum(m * m, axis=1))
-    scale = np.zeros_like(norms)
-    np.divide(kappa, norms, out=scale, where=norms > 0)
-    factor = np.maximum(1.0 - scale, 0.0)
-    factor[norms == 0] = 0.0
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    # kappa / max(||m||, kappa) is in [0, 1]: rows at or below kappa get 0, a row whose
+    # squared norm overflows gets 1; the floor (kappa = 0) and clamp avoid 0/0 and inf/inf.
+    kappa = min(kappa, _HUGE)
+    factor = 1.0 - kappa / np.maximum(norms, kappa or _TINY)
     return m * factor[:, None]
 
 

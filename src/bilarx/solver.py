@@ -37,6 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.linalg.lapack import dpbtrs
 
 from . import prox
 from .extract import change_points, factor_rank1
@@ -148,6 +150,7 @@ class _XSolve:
     through ``rho1``; it is factored once by a banded Cholesky. The ``a``
     unknowns are eliminated through the ``n_a x n_a`` Schur complement
     ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by eigendecomposition.
+    Each x-update solves with ``Kxx`` by one LAPACK ``dpbtrs`` on the factor.
     ``null(K) = {(0, v) : A_a v = 0}`` matches ``null(S)``, so a
     rank-deficient ``a`` block gets the minimum-norm solution.
     """
@@ -170,14 +173,14 @@ class _XSolve:
             for lo in range(hi + 1, n_b):
                 cols = op.x_index[:, lo]
                 ab[op.x_index[:, hi] - cols, cols] += rho2
-        self._chol = (scipy.linalg.cholesky_banded(ab, lower=True), True)
+        self._factor = scipy.linalg.cholesky_banded(ab, lower=True)
 
         self._Kxa = self._W = self._S_pinv = None
         if n_a:
             Kxa = np.zeros((self.n_x, n_a))
             Kxa[op.x_index.ravel()] = rho2 * np.repeat(op.lagged, n_b, axis=0)
             self._Kxa = Kxa
-            self._W = scipy.linalg.cho_solve_banded(self._chol, Kxa)
+            self._W = scipy.linalg.cho_solve_banded((self._factor, True), Kxa)
             S = rho2 * (op.lagged.T @ op.lagged) - Kxa.T @ self._W
             vals, vecs = scipy.linalg.eigh(S)
             cutoff = np.max(np.abs(vals)) * S.shape[0] * np.finfo(float).eps
@@ -185,8 +188,9 @@ class _XSolve:
             self._S_pinv = (vecs * inv) @ vecs.T
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        x = scipy.linalg.cho_solve_banded(self._chol, rhs[: self.n_x],
-                                          check_finite=False)
+        x, info = dpbtrs(self._factor, rhs[: self.n_x], lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpbtrs failed with info = {info}")
         if self._W is None:
             return np.concatenate([x, rhs[self.n_x :]])
         a = self._S_pinv @ (rhs[self.n_x :] - self._Kxa.T @ x)
@@ -196,7 +200,8 @@ class _XSolve:
 class _Workspace:
     """Shared geometry for one ProblemSpec: operator, factorization, and the
     map ``M x = (X, D X, A(X, a))`` of the packed ``x`` (X entries, then ``a``)
-    with per-entry penalty weights ``rho``: ``rho1`` on X, ``rho2`` after."""
+    with per-entry penalty weights ``rho``: ``rho1`` on X, ``rho2`` after.
+    ``M`` and ``MT = Mᵀ`` are CSR; a pair straddling two sequences is an empty row."""
 
     def __init__(self, spec: ProblemSpec, lam: float, options: SolverOptions):
         self.spec = spec
@@ -208,26 +213,23 @@ class _Workspace:
         # First stacked row of every sequence block after the first.
         self.block_starts = np.cumsum(self.lengths)[:-1]
 
-        # D acts on the stacked X but zeroes the row pairs that straddle two
-        # sequences: row i is linked to row i + 1 unless it ends a block.
+        # Row i of the stacked X is linked to row i + 1 unless it ends a block.
         self.link = np.ones(self.total_rows)
         self.link[np.cumsum(self.lengths) - 1] = 0.0
-        self.straddling = np.flatnonzero(self.link[:-1] == 0.0)
 
-        self.y_scale = max(max(np.max(np.abs(s.samples)) for s in spec.sequences), 0.0)
-        if self.y_scale == 0.0:
-            self.y_scale = 1.0
+        self.y_scale = max(float(np.max(np.abs(s.samples))) for s in spec.sequences) or 1.0
         # Normalized units divide every output by y_scale, so the targets and
         # the lagged outputs multiplying ``a`` shrink by the same factor; the
         # X columns are ones either way.
         op = build_lifted_operator(spec)
         self.operator = replace(
             op, rhs=op.rhs / self.y_scale, lagged=op.lagged / self.y_scale)
-        self.rhs = self.operator.rhs
         self.eps = spec.epsilon / self.y_scale
 
         # Ends of the X and D X blocks in a stacked vector.
         self.cuts = (self.n_x, 2 * self.n_x - self.n_b)
+        self.M = self._stacked_map()
+        self.MT = self.M.T.tocsr()
         # Starting weights; _admm scales both together and keeps K's factor.
         self.rho1 = options.rho
         self.rho2 = options.rho * min(max(1.0, lam), _MAX_BLOCK_RATIO)
@@ -237,29 +239,28 @@ class _Workspace:
                 f"rho = {options.rho} at lambda = {lam} puts a penalty weight out "
                 f"of floating-point range: 1/rho, rho*max(1, lambda) and its "
                 f"square must be finite")
-        self.rho = np.repeat([self.rho1, self.rho2],
-                             [self.n_x, self.cuts[1] - self.n_x + self.rhs.size])
+        self.rho = np.repeat([self.rho1, self.rho2], [self.n_x, self.M.shape[0] - self.n_x])
         self.solve_K = _XSolve(self.operator, self.link, self.rho1, self.rho2)
+
+    def _stacked_map(self):
+        """``M`` in CSR form: the identity on X, D X row ``(i, k)`` = X entry
+        ``(i, k)`` - X entry ``(i + 1, k)`` on linked pairs, then A's rows."""
+        n_x, n_b, op = self.n_x, self.n_b, self.operator
+        linked = np.repeat(self.link[:-1].astype(np.intp), n_b)   # 1 on linked D X rows
+        pairs = np.flatnonzero(linked)
+        taps = np.hstack([op.x_index[:, ::-1],
+                          np.broadcast_to(n_x + np.arange(op.lagged.shape[1]), op.lagged.shape)])
+        indptr = np.cumsum(np.concatenate([[0], np.ones(n_x, np.intp), 2 * linked,
+                                           np.full(len(taps), taps.shape[1])]))
+        cols = np.concatenate([np.arange(n_x), np.add.outer(pairs, [0, n_b]).ravel(), taps.ravel()])
+        vals = np.concatenate([np.ones(n_x), np.tile([1.0, -1.0], pairs.size),
+                               np.hstack([np.ones(op.x_index.shape), op.lagged]).ravel()])
+        return scipy.sparse.csr_array((vals, cols, indptr), shape=(len(indptr) - 1, self.p))
 
     def blocks(self, q):
         """Views of a stacked vector's X, D X and constraint blocks."""
         i, j = self.cuts
         return q[:i].reshape(-1, self.n_b), q[i:j].reshape(-1, self.n_b), q[j:]
-
-    def M(self, x):
-        """``M x``; a D X row of a pair that straddles two sequences reads zero."""
-        DX = prox.row_diff(x[: self.n_x].reshape(-1, self.n_b))
-        DX[self.straddling] = 0.0
-        return np.concatenate([x[: self.n_x], DX.ravel(), self.operator.matvec(x)])
-
-    def M_adjoint(self, q):
-        """``Mᵀ q``, the adjoint of :meth:`M`."""
-        Q1, Q2, q3 = self.blocks(q)
-        Q2 = Q2.copy()
-        Q2[self.straddling] = 0.0
-        out = self.operator.rmatvec(q3)
-        out[: self.n_x] += (Q1 + prox.row_diff_adjoint(Q2)).ravel()
-        return out
 
 
 def _admm(work: _Workspace, prox2, options: SolverOptions):
@@ -272,38 +273,43 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
     same ``scale`` leaves the solution unchanged.
     """
     alpha, tol = _OVER_RELAXATION, options.tol
-    rho, rhs, cut = work.rho, work.rhs, work.cuts[1]
+    rho, rhs, cut, n_x = work.rho, work.operator.rhs, work.cuts[1], work.n_x
     scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
     # so the slack w = rhs - v starts at zero.
     z = np.concatenate([np.zeros(cut), rhs])
     s = np.zeros_like(z)
+    q = np.empty_like(z)
     floor_pri, floor_dual = 1e-14 * math.sqrt(z.size), 1e-14 * math.sqrt(work.p)
     c_norm = math.sqrt(rhs @ rhs)
 
-    for iters in range(1, options.max_iters + 1):
-        x = work.solve_K(work.M_adjoint(rho * (z - s)))
-        Mx = work.M(x)
-        hat = alpha * Mx + (1 - alpha) * z
-        Q1, Q2, q3 = work.blocks(hat + s)
-        z_old = z
-        z = np.concatenate([prox.svt(Q1, 1.0 / (scale * work.rho1)).ravel(),
-                            prox2(Q2, scale * work.rho2).ravel(),
-                            rhs - prox.box_clip(rhs - q3, work.eps)])
-        s += hat - z
+    def rho_norm(v):    # ||rho * v||, from one dot product per weight
+        h, t = v[:n_x], v[n_x:]
+        return math.hypot(work.rho1 * math.sqrt(h @ h), work.rho2 * math.sqrt(t @ t))
 
-        r = Mx - z
+    for iters in range(1, options.max_iters + 1):
+        x = work.solve_K(work.MT @ (rho * (z - s)))
+        Mx = work.M @ x
+        # The relaxed point plus the multiplier: q = z + alpha (Mx - z) + s.
+        np.add(z, alpha * (Mx - z), out=q)
+        q += s
+        Q1, Q2, q3 = work.blocks(q)
+        w = prox.box_clip(rhs - q3, work.eps)
+        z_new = np.concatenate([prox.svt(Q1, 1.0 / (scale * work.rho1)).ravel(),
+                                prox2(Q2, scale * work.rho2).ravel(),
+                                rhs - w])
+        np.subtract(q, z_new, out=s)
+        r = Mx - z_new
         pri_norm = math.sqrt(r @ r)
         # Dual progress measured in copy space: the smooth part of the first
         # block is zero, so the textbook x-space reference is identically
         # tiny after every exact (X, a) solve and cannot anchor a relative
         # test. The per-entry penalty weights make this scale-covariant.
-        dz, ys = rho * (z - z_old), rho * s
-        dual_norm = scale * math.sqrt(dz @ dz)
-        w = rhs - z[cut:]
+        dual_norm = scale * rho_norm(z_new - z)
+        z = z_new
         bz_norm = math.sqrt(z[:cut] @ z[:cut] + w @ w)
         eps_pri = tol * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
-        eps_dual = tol * (1.0 + scale * math.sqrt(ys @ ys)) + floor_dual
+        eps_dual = tol * (1.0 + scale * rho_norm(s)) + floor_dual
         converged = pri_norm <= eps_pri and dual_norm <= eps_dual
         if converged:
             break
@@ -332,7 +338,7 @@ def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
 
     dec = prox.thin_svd(stacked)
     sigma = dec.singular_values
-    _, DX, _ = work.blocks(work.M(x))
+    _, DX, _ = work.blocks(work.M @ x)
     objective = (float(np.sum(sigma))
                  + lam * work.y_scale * prox.row_group_norm(DX))
     if sigma[0] == 0.0:

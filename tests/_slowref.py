@@ -11,9 +11,14 @@ on the tube so the true objective can be evaluated there.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from bilarx.problem import ProblemSpec, build_lifted_operator
+
+
+_TINY = np.finfo(float).tiny
 
 
 def _svt_np(M, tau):
@@ -21,19 +26,21 @@ def _svt_np(M, tau):
     return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
+def _row_norms(M):
+    return np.sqrt(np.add.reduce(M * M, axis=1))
+
+
 def _row_shrink_np(M, kappa):
-    norms = np.sqrt(np.sum(M * M, axis=1, keepdims=True))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        factor = np.where(norms > 0, np.maximum(1.0 - kappa / norms, 0.0), 0.0)
-    return M * factor
+    norms = _row_norms(M)[:, None]
+    return M * (np.maximum(norms - kappa, 0.0) / np.maximum(norms, _TINY))
 
 
 def _nuclear_np(M):
-    return float(np.sum(np.linalg.svd(M, compute_uv=False)))
+    return float(np.add.reduce(np.linalg.svd(M, compute_uv=False)))
 
 
 def _group_np(M):
-    return float(np.sum(np.sqrt(np.sum(M * M, axis=1))))
+    return float(np.add.reduce(_row_norms(M)))
 
 
 class SlowReference:
@@ -50,11 +57,10 @@ class SlowReference:
         self.lengths = spec.lengths
         self.total_rows = sum(self.lengths)
         self.eps = spec.epsilon
-        self.block_slices = []
-        start = 0
-        for length in self.lengths:
-            self.block_slices.append(slice(start, start + length))
-            start += length
+        # Row differences of the stacked X; a pair that straddles two
+        # sequences is masked to zero.
+        self.pair_mask = np.ones((self.total_rows - 1, 1))
+        self.pair_mask[np.cumsum(self.lengths)[:-1] - 1] = 0.0
         self.A_norm2 = float(np.linalg.norm(self.A, 2)) ** 2
 
     def _split(self, v):
@@ -62,37 +68,35 @@ class SlowReference:
         return X, v[self.total_rows * self.n_b :]
 
     def _diff(self, X):
-        return [X[sl][:-1] - X[sl][1:] for sl in self.block_slices]
+        return (X[:-1] - X[1:]) * self.pair_mask
 
-    def _diff_adjoint(self, blocks):
+    def _diff_adjoint(self, d):
+        d = d * self.pair_mask
         out = np.zeros((self.total_rows, self.n_b))
-        for sl, d in zip(self.block_slices, blocks):
-            seg = out[sl]
-            seg[:-1] += d
-            seg[1:] -= d
+        out[:-1] += d
+        out[1:] -= d
         return out
 
     def objective(self, v) -> float:
         X, _ = self._split(v)
-        val = _nuclear_np(X)
-        for d in self._diff(X):
-            val += self.lam * _group_np(d)
-        return val
+        return _nuclear_np(X) + self.lam * _group_np(self._diff(X))
 
     def tube_violation(self, v) -> float:
         r = self.A @ v - self.rhs
         return float(np.max(np.maximum(np.abs(r) - self.eps, 0.0))) if r.size else 0.0
 
+    def _excess(self, v):
+        """``r - clip(r, -eps, eps)`` for the residual ``r = A v - y``."""
+        r = self.A @ v - self.rhs
+        return np.maximum(r - self.eps, 0.0) + np.minimum(r + self.eps, 0.0)
+
     def _grad(self, v, mu, delta):
         X, _ = self._split(v)
         g_x = (X - _svt_np(X, mu)) / mu
-        diffs = self._diff(X)
-        g_diffs = [(d - _row_shrink_np(d, self.lam * mu)) / mu for d in diffs]
-        g_x = g_x + self._diff_adjoint(g_diffs)
-        grad = np.concatenate([g_x.ravel(), np.zeros(self.n_a)])
-        r = self.A @ v - self.rhs
-        excess = r - np.clip(r, -self.eps, self.eps)
-        grad += self.A.T @ (excess / delta)
+        d = self._diff(X)
+        g_x += self._diff_adjoint((d - _row_shrink_np(d, self.lam * mu)) / mu)
+        grad = self.A.T @ (self._excess(v) / delta)
+        grad[: g_x.size] += g_x.ravel()
         return grad
 
     def _smoothed_value(self, v, mu, delta):
@@ -100,15 +104,15 @@ class SlowReference:
         # Envelope of the nuclear norm from one SVD: with p1 = svt(X, mu),
         # ||p1||_* = sum max(s - mu, 0) and ||X - p1||^2 = sum min(s, mu)^2.
         s = np.linalg.svd(X, compute_uv=False)
-        val = (float(np.sum(np.maximum(s - mu, 0.0)))
-               + np.sum(np.minimum(s, mu) ** 2) / (2 * mu))
-        for d in self._diff(X):
-            p2 = _row_shrink_np(d, self.lam * mu)
-            val += self.lam * _group_np(p2) + np.sum((d - p2) ** 2) / (2 * mu)
-        r = self.A @ v - self.rhs
-        excess = r - np.clip(r, -self.eps, self.eps)
-        val += np.sum(excess**2) / (2 * delta)
-        return float(val)
+        small = np.minimum(s, mu)
+        d = self._diff(X)
+        p2 = _row_shrink_np(d, self.lam * mu)
+        gap = (d - p2).ravel()
+        excess = self._excess(v)
+        return (float(np.add.reduce(np.maximum(s - mu, 0.0)))
+                + float(small @ small) / (2 * mu)
+                + self.lam * _group_np(p2) + float(gap @ gap) / (2 * mu)
+                + float(excess @ excess) / (2 * delta))
 
     def solve(self, total_iters: int = 50_000, stages: int = 8,
               mu_start: float = 1e-1, mu_end: float = 1e-6):
@@ -131,7 +135,7 @@ class SlowReference:
             for _ in range(iters):
                 grad = self._grad(z, mu, delta)
                 v_next = z - step * grad
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
                 z = v_next + ((t_acc - 1.0) / t_next) * (v_next - v)
                 v, t_acc = v_next, t_next
                 f_cur = self._smoothed_value(v, mu, delta)
@@ -148,8 +152,7 @@ class SlowReference:
         The constraint rows are linearly independent (each touches a lifted
         entry no other row touches), so the correction is exact.
         """
-        r = self.A @ v - self.rhs
-        excess = r - np.clip(r, -self.eps, self.eps)
+        excess = self._excess(v)
         if np.max(np.abs(excess)) == 0.0:
             return v
         delta, *_ = np.linalg.lstsq(self.A, excess, rcond=None)

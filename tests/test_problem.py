@@ -175,21 +175,6 @@ class TestLiftedOperator:
         rhs = c1 * op.apply(v1) + c2 * op.apply(v2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(rhs)), 1.0)
 
-    def test_adjoint_consistency(self):
-        rng = np.random.default_rng(11)
-        spec = build_problem([rng.normal(size=12)], ArxOrders(n_a=2, n_b=3, n_k=1), 0.0)
-        op = build_lifted_operator(spec)
-        vars = LiftedVariables(
-            X_blocks=(rng.normal(size=(12, 3)),),
-            a=rng.normal(size=2),
-            w_blocks=(np.zeros(12 - spec.n + 1),),
-        )
-        z = rng.normal(size=op.matrix.shape[0])
-        lhs = float(op.apply(vars) @ z)
-        packed = np.concatenate([vars.X_blocks[0].ravel(), vars.a])
-        rhs = float(packed @ op.rmatvec(z))
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
-
 
 @pytest.mark.parametrize("n_seq", [1, 2])
 @pytest.mark.parametrize("n_k", [0, 1])
@@ -219,9 +204,6 @@ def test_operator_matches_model_equation(n_b, n_a, n_k, n_seq):
     assert [r.shape for r in per_seq] == [(len(y) - spec.n + 1,) for y in ys]
     assert np.allclose(np.concatenate(per_seq), targets - A @ packed,
                        rtol=1e-13, atol=1e-13)
-
-    z = rng.normal(size=A.shape[0])
-    assert np.allclose(op.rmatvec(z), A.T @ z, rtol=1e-13, atol=1e-13)
 
 
 class TestResidual:

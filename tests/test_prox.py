@@ -162,6 +162,18 @@ class TestRowGroupShrink:
         out = prox.row_group_shrink(M, 0.5)
         assert np.all(out[0] == 0.0) and np.all(out[2] == 0.0)
 
+    def test_overflowing_row_norm_unchanged(self):
+        # ||m||^2 overflows to inf, while 1 - kappa/||m|| rounds to exactly 1
+        M = np.array([[1e200, 1e200], [3.0, 4.0]])
+        with np.errstate(over="ignore"):
+            out = prox.row_group_shrink(M, 1.0)
+        assert np.array_equal(out[0], M[0])
+        assert np.allclose(out[1], [2.4, 3.2])
+
+    def test_infinite_kappa_zeroes_every_row(self):
+        M = np.array([[3.0, 4.0], [0.0, 0.0], [1e-310, 0.0]])
+        assert np.all(prox.row_group_shrink(M, np.inf) == 0.0)
+
     def test_right_orthogonal_equivariance(self):
         rng = np.random.default_rng(6)
         M = random_matrix(rng, (6, 3))

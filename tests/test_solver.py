@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -190,35 +191,53 @@ class TestXUpdateSolve:
 
 
 class TestStackedMap:
-    """``M x = (X, D X, A(X, a))`` on the packed ``x``, where ``D`` is the row
-    difference inside each sequence (the row pairs that straddle two
-    sequences read zero) and ``A`` is the normalized constraint operator."""
+    """``M x = (X, D X, A(X, a))`` on the packed ``x``, held as the CSR
+    matrix ``work.M`` with its CSR transpose ``work.MT``: ``D`` is the row
+    difference inside each sequence (a row pair that straddles two sequences
+    is an empty row) and ``A`` is the normalized constraint operator."""
 
+    @staticmethod
+    def dense_oracle(ys, n_a, n_b, n_k):
+        A, _ = arx_constraint_matrix(ys, n_a, n_b, n_k)
+        n_x = A.shape[1] - n_a
+        A[:, n_x:] /= max(float(np.max(np.abs(y))) for y in ys)
+        lengths = [len(y) for y in ys]
+        D = -np.diff(np.eye(sum(lengths)), axis=0)
+        D[np.cumsum(lengths)[:-1] - 1] = 0.0
+        lift = np.hstack([np.eye(n_x), np.zeros((n_x, n_a))])
+        return np.vstack([lift, np.kron(D, np.eye(n_b)) @ lift, A])
+
+    # Every order combination runs inside one test per length set, so each
+    # failure message names its orders.
     @pytest.mark.parametrize("lengths", [(7,), (5, 9), (4, 11, 6)])
     def test_matches_dense_oracle(self, lengths):
         rng = np.random.default_rng(sum(lengths))
         ys = [rng.normal(size=length) for length in lengths]
-        spec = build_problem(ys, ArxOrders(n_a=1, n_b=2), 0.1)
-        work = _Workspace(spec, 3.0, SolverOptions(rho=0.7))
-        A, _ = arx_constraint_matrix(ys, 1, 2, 0)
-        n_x = A.shape[1] - 1
-        A[:, n_x:] /= max(float(np.max(np.abs(y))) for y in ys)
-        D = -np.diff(np.eye(sum(lengths)), axis=0)
-        D[np.cumsum(lengths)[:-1] - 1] = 0.0
-        lift = np.hstack([np.eye(n_x), np.zeros((n_x, 1))])
-        M = np.vstack([lift, np.kron(D, np.eye(2)) @ lift, A])
+        checked = 0
+        for n_a, n_b, n_k in itertools.product((0, 1, 2), (1, 3), (0, 1)):
+            orders = ArxOrders(n_a=n_a, n_b=n_b, n_k=n_k)
+            if min(lengths) < orders.n:
+                continue            # build_problem rejects so short a sequence
+            case = f"n_a={n_a} n_b={n_b} n_k={n_k}"
+            spec = build_problem(ys, orders, 0.1)
+            work = _Workspace(spec, 3.0, SolverOptions(rho=0.7))
+            M = self.dense_oracle(ys, n_a, n_b, n_k)
+            assert work.M.format == work.MT.format == "csr", case
 
-        columns = np.eye(A.shape[1])
-        assert np.allclose(np.column_stack([work.M(e) for e in columns]), M,
-                           rtol=0, atol=1e-14)
-        x = rng.normal(size=A.shape[1])
-        q = rng.normal(size=M.shape[0])
-        assert np.allclose(work.M_adjoint(q), M.T @ q, rtol=0, atol=1e-13)
-        lhs, rhs = float(work.M(x) @ q), float(x @ work.M_adjoint(q))
-        assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
-        K = M.T @ (work.rho[:, None] * M)
-        assert np.allclose(K, dense_x_update_matrix(spec, 3.0, 0.7),
-                           rtol=0, atol=1e-13)
+            columns = np.eye(M.shape[1])
+            assert np.allclose(np.column_stack([work.M @ e for e in columns]), M,
+                               rtol=0, atol=1e-14), case
+            assert np.allclose(work.MT.toarray(), M.T, rtol=0, atol=1e-14), case
+            x = rng.normal(size=M.shape[1])
+            q = rng.normal(size=M.shape[0])
+            assert np.allclose(work.MT @ q, M.T @ q, rtol=0, atol=1e-13), case
+            lhs, rhs = float((work.M @ x) @ q), float(x @ (work.MT @ q))
+            assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs)), case
+            K = work.MT @ (work.rho[:, None] * work.M.toarray())
+            assert np.allclose(K, dense_x_update_matrix(spec, 3.0, 0.7),
+                               rtol=0, atol=1e-13), case
+            checked += 1
+        assert checked >= 9      # n_b = 3, n_k = 1 needs 5 samples
 
 
 class TestKernelCallCounts:
