@@ -11,7 +11,8 @@ per segment, a difference of two prefix sums over the rows. Subspaces grow
 with their patterns, so only the patterns with the most changes are walked,
 in chunks of stacked restrictions: the eigenvalues of their Gram matrices
 screen out the patterns that cannot hold the maximum, and one stacked SVD
-per chunk gives the extreme singular values of the rest.
+per chunk gives the extreme singular values of the rest. The uniqueness
+verdict's walk stops at the first chunk whose worst deviation reaches one.
 
 The brute-force solver enumerates the same difference-support patterns and
 solves the data constraints exactly on each one, which makes it an
@@ -159,25 +160,8 @@ def _pattern_chunks(n1: int, indices, size: int, chunk: int):
         yield np.pad(patterns, ((0, 0), (1, 1)), constant_values=((0, 0), (0, n1)))
 
 
-def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> float:
-    """Smallest constant for the restricted isometry at sparsity ``k``.
-
-    The constant is the worst deviation ``max(sigma_max^2 - 1,
-    1 - sigma_min^2)`` of the operator restricted to the subspace of each
-    difference-support pattern of 1..k interior indices. Only the patterns
-    with exactly ``min(k, #interior indices)`` changes are walked: every
-    smaller pattern lies inside one of them, whose subspace contains its
-    subspace, so there ``sigma_max`` is no smaller and ``sigma_min`` no
-    larger. ``budget`` bounds the count of all 1..k patterns.
-
-    The walk takes the patterns in chunks of one shape. The eigenvalues of
-    each chunk's Gram matrices screen it: only the patterns whose screened
-    deviation lies within a margin of the worst so far, or of the chunk's
-    worst, reach one stacked SVD, and that SVD gives every number returned.
-    The margin, ``1e-9 * (1 + lambda_max)``, is many orders above the
-    roundoff of a Gram eigenvalue, so a skipped pattern never holds the
-    maximum. A wide restriction has ``sigma_min = 0``.
-    """
+def _walk(operator: MatrixOperator, k: int, budget: int, stop: float) -> float:
+    """The constant at ``k``, or the worst deviation so far once it reaches ``stop``."""
     if k <= 0:
         raise ValueError(f"sparsity level k must be positive, got {k}")
     n1 = operator.n1
@@ -211,7 +195,31 @@ def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> flo
             smin = sigma[:, -1] if tall else 0.0
             worst = max(worst, float(np.max(np.maximum(smax * smax - 1.0,
                                                        1.0 - smin * smin))))
+            if worst >= stop:
+                break
     return worst
+
+
+def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> float:
+    """Smallest constant for the restricted isometry at sparsity ``k``.
+
+    The constant is the worst deviation ``max(sigma_max^2 - 1,
+    1 - sigma_min^2)`` of the operator restricted to the subspace of each
+    difference-support pattern of 1..k interior indices. Only the patterns
+    with exactly ``min(k, #interior indices)`` changes are walked: every
+    smaller pattern lies inside one of them, whose subspace contains its
+    subspace, so there ``sigma_max`` is no smaller and ``sigma_min`` no
+    larger. ``budget`` bounds the count of all 1..k patterns.
+
+    The walk takes the patterns in chunks of one shape. The eigenvalues of
+    each chunk's Gram matrices screen it: only the patterns whose screened
+    deviation lies within a margin of the worst so far, or of the chunk's
+    worst, reach one stacked SVD, and that SVD gives every number returned.
+    The margin, ``1e-9 * (1 + lambda_max)``, is many orders above the
+    roundoff of a Gram eigenvalue, so a skipped pattern never holds the
+    maximum. A wide restriction has ``sigma_min = 0``.
+    """
+    return _walk(operator, k, budget, math.inf)
 
 
 def rip_patterns_checked(operator: MatrixOperator, k: int) -> int:
@@ -228,13 +236,15 @@ def certify_uniqueness(operator: MatrixOperator, k: int,
     pinned boundary differences) is the only one: two distinct solutions
     would differ by a matrix the operator annihilates, yet that difference
     has at most ``2k`` changes and the isometry bound keeps its image away
-    from zero.
+    from zero. The walk stops at the first chunk whose worst deviation reaches
+    one. With ``n2 >= 2`` an identification operator stops there: it maps the
+    null direction ``1 v^T`` with ``sum(v) = 0``, in every subspace, to zero.
     """
-    return rip_constant(operator, 2 * k, budget=budget) < 1.0
+    return _walk(operator, 2 * k, budget, 1.0) < 1.0
 
 
 def rip_report(operator: MatrixOperator, k: int, budget: int = 100_000) -> RipReport:
-    """Bundle the constant at ``k`` with the uniqueness verdict at ``2k``."""
+    """Bundle the constant at ``k`` (every pattern) with the verdict at ``2k`` (early exit)."""
     eps = rip_constant(operator, k, budget=budget)
     certified = certify_uniqueness(operator, k, budget=budget)
     return RipReport(

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ def fir_operator():
 
 def gaussian_operator(rng, n1, n2, n3):
     return MatrixOperator(rng.normal(size=(n3, n1 * n2)) / np.sqrt(n3), n1, n2)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the ``np.linalg`` decompositions the isometry walk makes."""
+    counts = dict.fromkeys(("svd", "eigvalsh"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
 
 
 def planted_rank1(rng, n1, n2, change_at, ratio=2.5):
@@ -146,28 +163,37 @@ class TestRipWalk:
         k=st.integers(1, 5),
         scale=st.one_of(st.none(), st.floats(0.1, 3.0)),
         seed=st.integers(0, 2**32 - 1),
+        one_per_chunk=st.booleans(),
     )
-    def test_matches_basis_oracle(self, n1, n2, rows, k, scale, seed):
+    def test_matches_basis_oracle(self, n1, n2, rows, k, scale, seed,
+                                  one_per_chunk):
         # rows from 1 to 30 give wide and tall restrictions; a scale gives a
-        # scaled identity operator; n1 < k + 3 leaves fewer interior indices
-        # than k
+        # scaled identity operator, which certifies exactly when
+        # |scale^2 - 1| < 1; n1 < k + 3 leaves fewer interior indices than k.
+        # These walks fit in one chunk unless each pattern is made a chunk of
+        # its own, which lets the verdict's early exit show
         if scale is None:
             op = gaussian_operator(np.random.default_rng(seed), n1, n2, rows)
         else:
             op = MatrixOperator(scale * np.eye(n1 * n2), n1, n2)
         expected = rip_constant_by_basis(op.matrix, n1, n2, k)
-        assert abs(rip_constant(op, k) - expected) <= 1e-12
+        certified = rip_constant_by_basis(op.matrix, n1, n2, 2 * k) < 1.0
+        with mock.patch.object(analysis, "_CHUNK_ELEMENTS",
+                               1 if one_per_chunk else analysis._CHUNK_ELEMENTS):
+            assert abs(rip_constant(op, k) - expected) <= 1e-12
+            assert certify_uniqueness(op, k) == certified
 
-    def test_worst_pattern_last_in_a_partial_chunk(self, monkeypatch):
-        # I + (c - 1) v v^T stretches only v, whose difference support is the
-        # last combination, so that pattern alone reaches c^2 - 1
-        n1, n2, k, c = 10, 2, 3, 1.5
+    @staticmethod
+    def stretch_last_pattern(monkeypatch, n1, n2, k, c):
+        """I + (c - 1) v v^T stretches only v, whose difference support is the
+        last combination of ``k`` changes, so that pattern alone reaches
+        c^2 - 1; chunks of 8 patterns leave it last in a partial chunk.
+        Returns the matrix and the worst deviation of every other pattern."""
         last = tuple(range(n1 - 1 - k, n1 - 1))
         rng = np.random.default_rng(12)
         v = segment_basis(n1, n2, last) @ rng.normal(size=(k + 1) * n2)
         v /= np.linalg.norm(v)
         A = np.eye(n1 * n2) + (c - 1.0) * np.outer(v, v)
-        op = MatrixOperator(A, n1, n2)
 
         per_pattern = n1 * n2 * (k + 1) * n2
         monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 8 * per_pattern)
@@ -179,27 +205,46 @@ class TestRipWalk:
             sigma = np.linalg.svd(A @ segment_basis(n1, n2, pattern),
                                   compute_uv=False)
             runner_up = max(runner_up, sigma[0] ** 2 - 1.0)
+        return A, runner_up
+
+    def test_worst_pattern_last_in_a_partial_chunk(self, monkeypatch):
+        n1, n2, k, c = 10, 2, 3, 1.5
+        A, runner_up = self.stretch_last_pattern(monkeypatch, n1, n2, k, c)
+        op = MatrixOperator(A, n1, n2)
         assert runner_up < c * c - 1.0 - 1e-3
         assert abs(rip_constant(op, k) - (c * c - 1.0)) <= 1e-12
         assert abs(rip_constant(op, k)
                    - rip_constant_by_basis(A, n1, n2, k)) <= 1e-12
 
-    def test_one_decomposition_per_chunk_not_per_pattern(self, monkeypatch):
-        # rip_report(fir, 2) walks 17 901 patterns: 351 at k = 2, 17 550 at 4.
-        # Each chunk takes one eigvalsh; few chunks need the SVD at all.
-        counts = dict.fromkeys(("svd", "eigvalsh"), 0)
+    def test_verdict_walks_past_chunks_below_one(self, monkeypatch):
+        # only the last pattern at level 2k = 4 reaches one (c^2 - 1 = 1.0164,
+        # the runner-up 0.98), so the verdict walk may not stop before it
+        n1, n2, c = 10, 2, 1.42
+        A, runner_up = self.stretch_last_pattern(monkeypatch, n1, n2, 4, c)
+        assert runner_up < 1.0 <= c * c - 1.0
+        assert not certify_uniqueness(MatrixOperator(A, n1, n2), 2)
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in counts:
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    def test_one_decomposition_per_chunk_not_per_pattern(self, linalg_calls):
+        # rip_report(fir, 2) walks all 351 patterns at k = 2 and the first
+        # chunk of the 17 550 at 4, where the verdict is decided. Each chunk
+        # takes one eigvalsh; few chunks need the SVD at all.
         rip_report(fir_operator(), 2)
-        assert 1 <= counts["svd"] <= 17_901 // 100
-        assert counts["eigvalsh"] <= 17_901 // 32
+        assert 1 <= linalg_calls["svd"] <= 17_901 // 100
+        assert linalg_calls["eigvalsh"] <= 17_901 // 32
+
+    def test_verdict_stops_at_the_first_chunk_that_decides_it(self, linalg_calls):
+        # 1 v^T with sum(v) = 0 lies in every pattern's subspace and the FIR
+        # operator maps it to zero, so the first chunk already reaches one
+        assert not certify_uniqueness(fir_operator(), 2)
+        assert linalg_calls == {"svd": 1, "eigvalsh": 1}
+
+    def test_certified_verdict_walks_every_chunk(self, linalg_calls):
+        op = MatrixOperator(np.eye(40), 20, 2)
+        assert certify_uniqueness(op, 3)
+        verdict = dict(linalg_calls)
+        linalg_calls.update(svd=0, eigvalsh=0)
+        rip_constant(op, 6)
+        assert verdict == linalg_calls == {"svd": 427, "eigvalsh": 427}
 
     def test_chunked_walk_memory_is_bounded(self):
         # level 4 walks 17 550 patterns; chunks of 4 096 of them peak near

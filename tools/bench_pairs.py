@@ -1,0 +1,95 @@
+"""Alternating benchmark pairs of two checkouts, written as one BENCH file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --seed N \\
+        --pairs P --out BENCH_<n>.json [--parent-rev REV]
+
+``--parent`` and ``--change`` are source checkouts, for example the parent
+commit unpacked with ``git archive`` beside the working tree. The command,
+its run length and the workloads come from ``BENCHMARK.json``. For every
+workload and pair, the command runs once in each checkout, each in a fresh
+interpreter; even pairs run the parent first and odd pairs the change first,
+so both sides see the same drift in machine speed. The file keeps every
+run's gated metrics and, per metric, both medians and quartiles, the
+relative change of the medians and how many pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+
+
+def command(workload: str, seed: int) -> list:
+    return [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(BENCHMARK["run_seconds"])]
+
+
+def run(checkout: Path, workload: str, seed: int) -> tuple:
+    """One untraced run; returns its result and the environment it reports."""
+    argv = command(workload, seed)
+    out = subprocess.run([sys.executable, *argv[1:]], cwd=checkout,
+                         capture_output=True, text=True, check=True).stdout
+    report, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    return ({"correct": result["correct"], "failed": result["failed"],
+             "metrics": {k: v["value"] for k, v in result["metrics"].items()}},
+            report["report"]["environment"])
+
+
+def compare(parent: list, change: list) -> dict:
+    """Medians, quartiles and pair wins of every metric (all lower-is-better)."""
+    out = {}
+    for name in parent[0]["metrics"]:
+        p = [r["metrics"][name] for r in parent]
+        c = [r["metrics"][name] for r in change]
+        out[name] = {
+            "parent_median": statistics.median(p),
+            "parent_quartiles": statistics.quantiles(p, n=4)[::2],
+            "change_median": statistics.median(c),
+            "change_quartiles": statistics.quantiles(c, n=4)[::2],
+            "relative_change": statistics.median(c) / statistics.median(p) - 1.0,
+            "change_lower_pairs": sum(b < a for a, b in zip(p, c)),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--parent-rev", default=None, help="parent commit, recorded")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("quartiles need at least two pairs")
+
+    bench = {"command": command("<name>", args.seed),
+             "parent_rev": args.parent_rev, "seed": args.seed,
+             "seconds": BENCHMARK["run_seconds"], "pairs": args.pairs,
+             "order": "parent first in even pairs, change first in odd",
+             "workloads": {}}
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
+        runs = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            for side in ("parent", "change")[::1 if pair % 2 == 0 else -1]:
+                result, bench["environment"] = run(getattr(args, side), workload,
+                                                   args.seed)
+                runs[side].append(result)
+                print(f"{workload} pair {pair} {side}: "
+                      f"{runs[side][-1]['metrics']}", file=sys.stderr)
+        bench["workloads"][workload] = dict(
+            runs, summary=compare(runs["parent"], runs["change"]))
+    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
