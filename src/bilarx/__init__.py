@@ -39,16 +39,10 @@ from .problem import (
     ProblemSpec,
     build_lifted_operator,
     build_problem,
-    lifted_from_input,
-    max_residual,
-    residual,
 )
 from .prox import (
     ThinSvd,
     box_clip,
-    nuclear_norm,
-    row_diff,
-    row_diff_adjoint,
     row_group_norm,
     row_group_shrink,
     svt,
@@ -96,17 +90,11 @@ __all__ = [
     "fit_piecewise_constant",
     "gen_piecewise_input",
     "least_squares_arx",
-    "lifted_from_input",
-    "max_residual",
     "naive_identify",
-    "nuclear_norm",
     "operator_from_problem",
     "refine_pipeline",
-    "residual",
     "rip_constant",
     "rip_report",
-    "row_diff",
-    "row_diff_adjoint",
     "row_group_norm",
     "row_group_shrink",
     "scenario",

@@ -49,7 +49,6 @@ from .solver import (
     BilSolution,
     SolverOptions,
     check_lambda,
-    check_non_negative,
     check_sweep_grid,
     freeze_small_differences,
     solve_bil,
@@ -164,9 +163,9 @@ def _from_config(cls, path, cfg):
 
 
 def _non_negative(where, name, value) -> float:
-    """``value`` checked to be >= 0; a bad value is a usage error."""
-    with _usage_errors(where):
-        check_non_negative(name, value)
+    """``value`` checked to be >= 0 (so not NaN); a bad value is a usage error."""
+    if not value >= 0:
+        raise _UsageError(f"{where}: {name} must be non-negative, got {value}")
     return value
 
 

@@ -144,8 +144,6 @@ class Scenario:
     name: str
     spec: ProblemSpec
     truth: PlantedTruth
-    noise_bound: float
-    seed: int
 
 
 # Planted inputs as (N, change points, levels), one per sequence. The single
@@ -172,20 +170,19 @@ _PRESETS = {
 SCENARIO_NAMES = tuple(_PRESETS)
 
 
-def _build_scenario(name, orders, a, b, inputs, noise_bound, seed):
+def _build_scenario(name, orders, a, b, inputs, epsilon, seed):
     """Drive one shared ``(a, b)`` with each planted input; sequence ``j``
-    (labelled ``y{j+1}``) gets noise seed ``seed + j``, and the noise bound
-    is also the spec's epsilon."""
+    (labelled ``y{j+1}``) gets uniform noise in ``[-epsilon, epsilon]`` from
+    seed ``seed + j``, and the spec's noise bound is that same ``epsilon``."""
     u_blocks = tuple(gen_piecewise_input(*planted) for planted in inputs)
     z_blocks = tuple(simulate_arx(a, b, orders, u) for u in u_blocks)
-    spec = build_problem([add_uniform_noise(z, noise_bound, seed + j)
-                          for j, z in enumerate(z_blocks)], orders, noise_bound)
+    spec = build_problem([add_uniform_noise(z, epsilon, seed + j)
+                          for j, z in enumerate(z_blocks)], orders, epsilon)
     truth = PlantedTruth(
         u_blocks=u_blocks, a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float),
         change_points=tuple(cps for _, cps, _ in inputs), z_blocks=z_blocks,
     )
-    return Scenario(name=name, spec=spec, truth=truth,
-                    noise_bound=noise_bound, seed=seed)
+    return Scenario(name=name, spec=spec, truth=truth)
 
 
 def scenario(name: str, seed: int | None = None) -> Scenario:

@@ -4,9 +4,12 @@ An identification instance is a set of output sequences, the model orders,
 and a noise bound. Lifting replaces the bilinear product ``u @ b.T`` with a
 single matrix variable ``X`` per sequence, which turns the measurement
 equations into linear constraints on ``(X, a)`` plus a box-bounded slack
-``w``. This module owns the bookkeeping: validation and the structural
-constraint operator (tap indices and lagged outputs, with a dense view),
-whose docstring gives the row and column layout.
+``w``. This module owns the bookkeeping: validation, the container of the
+lifted variables, and the structural constraint operator (tap indices and
+lagged outputs, with a dense view), whose docstring gives the row and column
+layout. It applies nothing itself: the solver assembles the one sparse
+product of the constraints from these arrays, the baseline reads them, and
+the isometry analysis reads the dense view.
 
 Public contracts use 1-based time and matrix indices; sequences are
 addressed by their 0-based position in the problem's sequence list.
@@ -140,38 +143,6 @@ class LiftedVariables:
         )
 
 
-def check_dimensions(spec: ProblemSpec, vars: LiftedVariables) -> None:
-    """Raise if ``vars`` does not match ``spec`` shape-for-shape."""
-    n_b = spec.orders.n_b
-    for name, blocks in (("X", vars.X_blocks), ("w", vars.w_blocks)):
-        if len(blocks) != len(spec.sequences):
-            raise ValueError(
-                f"expected {len(spec.sequences)} {name} blocks, got {len(blocks)}")
-    if vars.a.shape != (spec.orders.n_a,):
-        raise ValueError(f"a must have length {spec.orders.n_a}, got {vars.a.shape}")
-    for j, (x, w, seq) in enumerate(zip(vars.X_blocks, vars.w_blocks, spec.sequences)):
-        if x.shape != (len(seq), n_b):
-            raise ValueError(
-                f"X block {j} must be {len(seq)} x {n_b}, got {x.shape}"
-            )
-        if w.shape != (len(seq) - spec.n + 1,):
-            raise ValueError(
-                f"w block {j} must have length {len(seq) - spec.n + 1}, got {w.shape}"
-            )
-
-
-def lifted_from_input(spec, u_blocks, b, a) -> LiftedVariables:
-    """Build planted variables ``X_j = outer(u_j, b)``, zero slack, from model
-    factors."""
-    xs = [np.outer(np.asarray(u, dtype=float), np.asarray(b, dtype=float))
-          for u in u_blocks]
-    w_blocks = [np.zeros(len(s) - spec.n + 1) for s in spec.sequences]
-    out = LiftedVariables(X_blocks=tuple(xs), a=np.asarray(a, dtype=float),
-                          w_blocks=tuple(w_blocks))
-    check_dimensions(spec, out)
-    return out
-
-
 @dataclass(frozen=True)
 class LiftedOperator:
     """The equality constraints ``A(X, a) + w = y`` in structural form.
@@ -204,14 +175,6 @@ class LiftedOperator:
         dense.setflags(write=False)
         return dense
 
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        """``A @ vector`` for a packed vector (X entries, then a)."""
-        return vector[self.x_index].sum(axis=1) + self.lagged @ vector[self.n_x:]
-
-    def apply(self, vars: LiftedVariables) -> np.ndarray:
-        return self.matvec(np.concatenate([x.ravel() for x in vars.X_blocks]
-                                          + [vars.a]))
-
 
 def build_lifted_operator(spec: ProblemSpec) -> LiftedOperator:
     """Assemble the tap indices, lagged outputs and rhs."""
@@ -233,21 +196,3 @@ def build_lifted_operator(spec: ProblemSpec) -> LiftedOperator:
         rhs=_frozen_array(np.concatenate(rhs)),
         n_x=offset,
     )
-
-
-def residual(spec: ProblemSpec, vars: LiftedVariables):
-    """Per-constraint residuals ``y_j(t) - sum(X terms) - sum(a terms)``.
-
-    Returns one array per sequence, covering ``t = n..N_j``. The residual is
-    exactly what the slack ``w`` must absorb: the variables are feasible at
-    noise bound ``eps`` iff every ``|r_j(t)| <= eps``.
-    """
-    check_dimensions(spec, vars)
-    op = build_lifted_operator(spec)
-    rows = np.cumsum([length - spec.n + 1 for length in spec.lengths])
-    return np.split(op.rhs - op.apply(vars), rows[:-1])
-
-
-def max_residual(spec: ProblemSpec, vars: LiftedVariables) -> float:
-    """Largest absolute residual over all sequences and constrained rows."""
-    return max(float(np.max(np.abs(r))) for r in residual(spec, vars))

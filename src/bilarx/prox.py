@@ -63,11 +63,6 @@ def thin_svd(matrix: np.ndarray) -> ThinSvd:
     return ThinSvd(left_vectors=u, singular_values=sigma, right_vectors=v)
 
 
-def nuclear_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.sum(thin_svd(matrix).singular_values))
-
-
 def svt(matrix: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding: prox of ``tau * ||.||_*``.
 
@@ -108,20 +103,3 @@ def box_clip(vector: np.ndarray, bound: float) -> np.ndarray:
     if not bound >= 0:
         raise ValueError(f"box_clip: bound must be non-negative, got {bound}")
     return np.clip(np.asarray(vector, dtype=float), -bound, bound)
-
-
-def row_diff(matrix: np.ndarray) -> np.ndarray:
-    """Consecutive row differences: ``D(M)[i] = M[i] - M[i+1]``."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape[0] < 2:
-        raise ValueError(f"row_diff needs at least 2 rows, got {m.shape[0]}")
-    return m[:-1] - m[1:]
-
-
-def row_diff_adjoint(diffs: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`row_diff`: satisfies ``<D(M), W> == <M, D.T(W)>``."""
-    d = np.asarray(diffs, dtype=float)
-    out = np.zeros((d.shape[0] + 1, d.shape[1]))
-    out[:-1] += d
-    out[1:] -= d
-    return out

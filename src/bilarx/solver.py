@@ -356,12 +356,6 @@ def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
     )
 
 
-def check_non_negative(name: str, value: float) -> None:
-    """Raise ValueError unless ``value`` is >= 0 (so also for NaN)."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-
-
 def check_lambda(lam: float) -> float:
     """``lam`` itself; ValueError unless the penalty weight is finite and >= 0."""
     if not 0 <= lam < math.inf:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own kernels: singular
 values come from numpy's LAPACK eigensolver on the Gram matrix, proximal
 minimizers from direct search over the small dense parameter space,
 segmentations from explicit enumeration, the lifted constraint matrix
-from the model equation entry by entry, and isometry constants from an
-explicit basis of each pattern's subspace.
+from the model equation entry by entry (and feasibility residuals from that
+matrix), and isometry constants from an explicit basis of each pattern's
+subspace.
 """
 
 from __future__ import annotations
@@ -120,6 +121,17 @@ def arx_constraint_matrix(sequences, n_a: int, n_b: int, n_k: int):
             targets.append(y[t - 1])
         offset += len(y) * n_b
     return np.array(rows), np.array(targets)
+
+
+def max_constraint_residual(spec, X_blocks, a) -> float:
+    """Largest ``|y_j(t) - A_j(X, a)|`` over every constraint row of ``spec``,
+    with ``A`` and ``y`` from :func:`arx_constraint_matrix`. The variables are
+    feasible at noise bound ``eps`` iff the result is at most ``eps``."""
+    orders = spec.orders
+    A, targets = arx_constraint_matrix([s.samples for s in spec.sequences],
+                                       orders.n_a, orders.n_b, orders.n_k)
+    packed = np.concatenate([np.ravel(x) for x in X_blocks] + [np.ravel(a)])
+    return float(np.max(np.abs(targets - A @ packed)))
 
 
 def segment_basis(n1: int, n2: int, pattern) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Slow reference solver for cross-checking the ADMM path.
 
-Independent route on purpose: the two nonsmooth penalties are replaced by
-their Moreau envelopes (gradients via numpy's SVD, not the package kernels),
-the slack is eliminated so the data constraint becomes an infinity-norm tube
-around ``y``, handled as a smooth squared-distance penalty, and the whole
-thing is minimized by accelerated gradient descent with continuation on the
-smoothing widths. A final least-squares correction lands the iterate exactly
+Independent route on purpose: the constraint matrix is the one written
+from the model equation in ``_oracles``, not the package's operator; the two
+nonsmooth penalties are replaced by their Moreau envelopes (gradients via
+numpy's SVD, not the package kernels), the slack is eliminated so the data
+constraint becomes an infinity-norm tube around ``y``, handled as a smooth
+squared-distance penalty, and the whole thing is minimized by accelerated
+gradient descent with continuation on the smoothing widths. A final least-squares correction lands the iterate exactly
 on the tube so the true objective can be evaluated there.
 """
 
@@ -15,7 +16,9 @@ import math
 
 import numpy as np
 
-from bilarx.problem import ProblemSpec, build_lifted_operator
+from bilarx.problem import ProblemSpec
+
+from _oracles import arx_constraint_matrix
 
 
 _TINY = np.finfo(float).tiny
@@ -49,11 +52,11 @@ class SlowReference:
     def __init__(self, spec: ProblemSpec, lam: float):
         self.spec = spec
         self.lam = lam
-        op = build_lifted_operator(spec)
-        self.A = np.asarray(op.matrix)
-        self.rhs = np.asarray(op.rhs)
-        self.n_b = spec.orders.n_b
-        self.n_a = spec.orders.n_a
+        orders = spec.orders
+        self.A, self.rhs = arx_constraint_matrix(
+            [s.samples for s in spec.sequences], orders.n_a, orders.n_b, orders.n_k)
+        self.n_b = orders.n_b
+        self.n_a = orders.n_a
         self.lengths = spec.lengths
         self.total_rows = sum(self.lengths)
         self.eps = spec.epsilon

@@ -6,12 +6,12 @@ from bilarx import (
     add_uniform_noise,
     change_points,
     gen_piecewise_input,
-    lifted_from_input,
-    max_residual,
     scenario,
     simulate_arx,
 )
 from bilarx.datagen import SCENARIO_NAMES, UniformNoise, arx_poles
+
+from _oracles import max_constraint_residual
 
 
 class TestGenPiecewiseInput:
@@ -121,7 +121,6 @@ class TestScenarios:
     def test_arx_noisy_preset(self):
         sc = scenario("scenario_arx_noisy")
         assert sc.spec.epsilon == 2.0
-        assert sc.noise_bound == 2.0
         assert np.allclose(sc.truth.a, [0.2])
         assert np.allclose(sc.truth.b, [-4.9594, 6.1774, 3.3930])
         deviation = sc.spec.sequences[0].samples - sc.truth.z_blocks[0]
@@ -145,12 +144,11 @@ class TestScenarios:
         assert np.array_equal(a.spec.sequences[0].samples, b.spec.sequences[0].samples)
 
     def test_round_trip_residuals(self):
-        fir = scenario("scenario_fir_noisefree")
-        vars = lifted_from_input(fir.spec, fir.truth.u_blocks, fir.truth.b, fir.truth.a)
-        assert max_residual(fir.spec, vars) <= 1e-10
+        def planted_residual(sc):
+            X_blocks = [np.outer(u, sc.truth.b) for u in sc.truth.u_blocks]
+            return max_constraint_residual(sc.spec, X_blocks, sc.truth.a)
 
+        assert planted_residual(scenario("scenario_fir_noisefree")) <= 1e-10
         noisy = scenario("scenario_arx_noisy")
-        vars = lifted_from_input(noisy.spec, noisy.truth.u_blocks, noisy.truth.b,
-                                 noisy.truth.a)
         # equation error: e(t) - a e(t-1), within the bound for this preset
-        assert max_residual(noisy.spec, vars) <= noisy.spec.epsilon
+        assert planted_residual(noisy) <= noisy.spec.epsilon

@@ -9,18 +9,19 @@ from bilarx import (
     build_lifted_operator,
     build_problem,
     change_points,
-    lifted_from_input,
-    max_residual,
     prox,
-    residual,
     scenario,
     solve_bil,
     solve_refined,
 )
-from bilarx.problem import LiftedVariables, check_dimensions
 from bilarx.solver import check_sweep_grid
 
-from _oracles import arx_constraint_matrix
+from _oracles import arx_constraint_matrix, max_constraint_residual
+
+
+def planted_lifted(sc):
+    """The planted ``X_j = outer(u_j, b)`` blocks of a scenario."""
+    return [np.outer(u, sc.truth.b) for u in sc.truth.u_blocks]
 
 
 class TestBuildProblem:
@@ -129,8 +130,8 @@ class TestLiftedOperator:
     def test_planted_fir_scenario_exact(self):
         sc = scenario("scenario_fir_noisefree")
         op = build_lifted_operator(sc.spec)
-        vars = lifted_from_input(sc.spec, sc.truth.u_blocks, sc.truth.b, sc.truth.a)
-        assert np.max(np.abs(op.apply(vars) - op.rhs)) <= 1e-12 * max(
+        packed = np.concatenate([x.ravel() for x in planted_lifted(sc)] + [sc.truth.a])
+        assert np.max(np.abs(op.matrix @ packed - op.rhs)) <= 1e-12 * max(
             1.0, np.max(np.abs(op.rhs))
         )
 
@@ -152,29 +153,6 @@ class TestLiftedOperator:
             touched = np.any(op.matrix[:, cols] != 0)
             assert touched == (lo <= i <= hi)
 
-    def test_operator_linearity(self):
-        rng = np.random.default_rng(10)
-        spec = build_problem([rng.normal(size=10)], ArxOrders(n_a=1, n_b=2, n_k=0), 0.0)
-        op = build_lifted_operator(spec)
-
-        def rand_vars():
-            return LiftedVariables(
-                X_blocks=(rng.normal(size=(10, 2)),),
-                a=rng.normal(size=1),
-                w_blocks=(np.zeros(10 - spec.n + 1),),
-            )
-
-        v1, v2 = rand_vars(), rand_vars()
-        c1, c2 = 0.7, -1.3
-        combo = LiftedVariables(
-            X_blocks=(c1 * v1.X_blocks[0] + c2 * v2.X_blocks[0],),
-            a=c1 * v1.a + c2 * v2.a,
-            w_blocks=v1.w_blocks,
-        )
-        lhs = op.apply(combo)
-        rhs = c1 * op.apply(v1) + c2 * op.apply(v2)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(rhs)), 1.0)
-
 
 @pytest.mark.parametrize("n_seq", [1, 2])
 @pytest.mark.parametrize("n_k", [0, 1])
@@ -192,59 +170,40 @@ def test_operator_matches_model_equation(n_b, n_a, n_k, n_seq):
     assert np.array_equal(op.rhs, targets)
     assert op.n_x == sum(len(y) for y in ys) * n_b
 
-    vars = LiftedVariables(
-        X_blocks=tuple(rng.normal(size=(len(y), n_b)) for y in ys),
-        a=rng.normal(size=n_a),
-        w_blocks=tuple(np.zeros(len(y) - spec.n + 1) for y in ys),
-    )
-    packed = np.concatenate([x.ravel() for x in vars.X_blocks] + [vars.a])
-    assert np.allclose(op.matvec(packed), A @ packed, rtol=1e-13, atol=1e-13)
-    assert np.allclose(op.apply(vars), A @ packed, rtol=1e-13, atol=1e-13)
-    per_seq = residual(spec, vars)
-    assert [r.shape for r in per_seq] == [(len(y) - spec.n + 1,) for y in ys]
-    assert np.allclose(np.concatenate(per_seq), targets - A @ packed,
-                       rtol=1e-13, atol=1e-13)
-
 
 class TestResidual:
     def test_planted_exact_zero(self):
         sc = scenario("scenario_fir_noisefree")
-        vars = lifted_from_input(sc.spec, sc.truth.u_blocks, sc.truth.b, sc.truth.a)
-        for r in residual(sc.spec, vars):
-            assert np.max(np.abs(r)) <= 1e-10
+        assert max_constraint_residual(sc.spec, planted_lifted(sc), sc.truth.a) <= 1e-10
 
     def test_perturbation_linearity(self):
+        # One output sample is its own row's target and a lagged output in the
+        # next n_a rows of the operator, so the residual y - A(X, a) moves there.
         base = scenario("scenario_arx_noisy")
-        spec = base.spec
-        vars = lifted_from_input(spec, base.truth.u_blocks, base.truth.b, base.truth.a)
-        r0 = residual(spec, vars)[0]
+        spec, a = base.spec, base.truth.a
+        packed = np.concatenate([x.ravel() for x in planted_lifted(base)] + [a])
+
+        def residual(spec):
+            op = build_lifted_operator(spec)
+            return op.rhs - op.matrix @ packed
+
         delta = 0.37
         t_star = 10
         y = spec.sequences[0].samples.copy()
         y[t_star - 1] += delta
-        spec2 = build_problem([y], spec.orders, spec.epsilon)
-        r1 = residual(spec2, vars)[0]
-        diff = r1 - r0
+        diff = residual(build_problem([y], spec.orders, spec.epsilon)) - residual(spec)
         n = spec.n
         expected = np.zeros_like(diff)
         expected[t_star - n] = delta
         for k2 in range(1, spec.orders.n_a + 1):
             t_later = t_star + k2
             if n <= t_later <= len(y):
-                expected[t_later - n] = -vars.a[k2 - 1] * delta
+                expected[t_later - n] = -a[k2 - 1] * delta
         assert np.allclose(diff, expected, atol=1e-12)
 
     def test_noisy_scenario_planted_within_bound(self):
         sc = scenario("scenario_arx_noisy")
-        vars = lifted_from_input(sc.spec, sc.truth.u_blocks, sc.truth.b, sc.truth.a)
-        assert max_residual(sc.spec, vars) <= 2.0
-
-    def test_dimension_mismatch_rejected(self):
-        spec = build_problem([np.ones(8)], ArxOrders(n_a=0, n_b=2), 0.0)
-        bad = LiftedVariables(X_blocks=(np.zeros((7, 2)),), a=np.zeros(0),
-                              w_blocks=(np.zeros(6),))
-        with pytest.raises(ValueError, match="X block"):
-            check_dimensions(spec, bad)
+        assert max_constraint_residual(sc.spec, planted_lifted(sc), sc.truth.a) <= 2.0
 
 
 class TestImmutability:

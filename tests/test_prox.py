@@ -117,7 +117,8 @@ class TestSvt:
         tau = 1.3
         sigma = prox.thin_svd(M).singular_values
         expected = np.sum(np.maximum(sigma - tau, 0.0))
-        assert abs(prox.nuclear_norm(prox.svt(M, tau)) - expected) <= 1e-9
+        nuclear = np.sum(gram_eigen_singular_values(prox.svt(M, tau)))
+        assert abs(nuclear - expected) <= 1e-9
 
     def test_prox_definition_oracle_2x2(self):
         # svt must solve min 0.5||Z - M||_F^2 + tau ||Z||_* on dense 2x2
@@ -216,28 +217,6 @@ class TestBoxClip:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError, match="non-negative"):
             prox.box_clip(np.zeros(2), -1.0)
-
-
-class TestRowDiff:
-    def test_constant_rows(self):
-        M = np.ones((5, 3)) * 2.5
-        assert np.all(prox.row_diff(M) == 0.0)
-
-    def test_single_column_arithmetic(self):
-        M = np.array([[1.0], [3.0], [0.0]])
-        assert np.allclose(prox.row_diff(M), [[-2.0], [3.0]])
-
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(8)
-        M = random_matrix(rng, (9, 4))
-        D = random_matrix(rng, (8, 4))
-        lhs = float(np.sum(prox.row_diff(M) * D))
-        rhs = float(np.sum(M * prox.row_diff_adjoint(D)))
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-
-    def test_rejects_single_row(self):
-        with pytest.raises(ValueError, match="2 rows"):
-            prox.row_diff(np.ones((1, 3)))
 
 
 finite_rows = st.lists(

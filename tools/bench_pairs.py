@@ -10,7 +10,10 @@ workload and pair, the command runs once in each checkout, each in a fresh
 interpreter; even pairs run the parent first and odd pairs the change first,
 so both sides see the same drift in machine speed. The file keeps every
 run's gated metrics and, per metric, both medians and quartiles, the
-relative change of the medians and how many pairs the change won.
+relative change of the medians and how many pairs the change won; each
+workload's summary also counts, per side, the runs that report
+``correct: false``. A run that exits non-zero stops the command with the
+workload, side, pair and the tail of that run's stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from pathlib import Path
 
 BENCHMARK = json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+STDERR_TAIL = 20    # lines of a failed run's stderr shown when it stops the command
 
 
 def command(workload: str, seed: int) -> list:
@@ -31,12 +35,19 @@ def command(workload: str, seed: int) -> list:
             "--seconds", str(BENCHMARK["run_seconds"])]
 
 
-def run(checkout: Path, workload: str, seed: int) -> tuple:
-    """One untraced run; returns its result and the environment it reports."""
+def run(checkout: Path, workload: str, seed: int, where: str) -> tuple:
+    """One untraced run; returns its result and the environment it reports.
+
+    ``where`` names the run in the message that stops the command when the
+    run exits non-zero."""
     argv = command(workload, seed)
-    out = subprocess.run([sys.executable, *argv[1:]], cwd=checkout,
-                         capture_output=True, text=True, check=True).stdout
-    report, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    proc = subprocess.run([sys.executable, *argv[1:]], cwd=checkout,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL:])
+        raise SystemExit(f"{where}: exit status {proc.returncode}; "
+                         f"last lines of its stderr:\n{tail}")
+    report, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return ({"correct": result["correct"], "failed": result["failed"],
              "metrics": {k: v["value"] for k, v in result["metrics"].items()}},
             report["report"]["environment"])
@@ -80,13 +91,17 @@ def main(argv=None) -> int:
         runs = {"parent": [], "change": []}
         for pair in range(args.pairs):
             for side in ("parent", "change")[::1 if pair % 2 == 0 else -1]:
+                where = f"{workload} pair {pair} {side}"
                 result, bench["environment"] = run(getattr(args, side), workload,
-                                                   args.seed)
+                                                   args.seed, where)
                 runs[side].append(result)
-                print(f"{workload} pair {pair} {side}: "
-                      f"{runs[side][-1]['metrics']}", file=sys.stderr)
+                print(f"{where}: {result['metrics']}", file=sys.stderr)
+        incorrect = {side: sum(not r["correct"] for r in results)
+                     for side, results in runs.items()}
+        print(f"{workload} runs with correct: false: {incorrect}", file=sys.stderr)
         bench["workloads"][workload] = dict(
-            runs, summary=compare(runs["parent"], runs["change"]))
+            runs, summary=dict(compare(runs["parent"], runs["change"]),
+                               incorrect_runs=incorrect))
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
