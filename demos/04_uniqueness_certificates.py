@@ -42,7 +42,7 @@ row = rng.normal(size=n2)
 u = np.ones(n1)
 u[4:] = 2.2
 Z = np.outer(u, row)
-res = brute_force_solve(op, 1, rhs=op.apply(Z), require_rank_one=False)
+res = brute_force_solve(op, 1, rhs=op.apply(Z))
 print(f"brute force over {res.patterns_checked} patterns found "
       f"{res.num_solutions} solution(s)")
 print("planted matrix recovered exactly:",

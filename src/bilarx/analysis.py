@@ -284,30 +284,10 @@ class BruteForceResult:
 def _lstsq_with_null(A, rhs):
     """Min-norm least-squares solution and an orthonormal null-space basis."""
     u, sigma, vt = np.linalg.svd(A, full_matrices=True)
-    if sigma.size:
-        cutoff = sigma[0] * max(A.shape) * np.finfo(float).eps
-    else:
-        cutoff = 0.0
-    rank = int(np.sum(sigma > cutoff))
+    rank = int(np.sum(sigma > sigma[0] * max(A.shape) * np.finfo(float).eps))
     coef = vt[:rank].T @ ((u[:, :rank].T @ rhs) / sigma[:rank])
     null = vt[rank:].T
     return coef, null
-
-
-def _chebyshev_point(A, rhs, eps, tol):
-    """A point of {c : ||A c - rhs||_inf <= eps} or None (linear program)."""
-    from scipy.optimize import linprog
-
-    nrows, ncols = A.shape
-    c = np.zeros(ncols + 1)
-    c[-1] = 1.0
-    A_ub = np.block([[A, -np.ones((nrows, 1))], [-A, -np.ones((nrows, 1))]])
-    b_ub = np.concatenate([rhs, -rhs])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * (ncols + 1),
-                  method="highs")
-    if res.success and res.x[-1] <= eps + tol:
-        return res.x[:-1]
-    return None
 
 
 def _rank_one_in_line(C0, C1, tol):
@@ -352,22 +332,23 @@ def _actual_changes(X, tol):
     return [int(i) + 1 for i in np.nonzero(norms > tol)[0]]
 
 
-def brute_force_solve(problem, k_max: int, rhs=None, budget: int = 20_000,
-                      require_rank_one: bool = True) -> BruteForceResult:
-    """Enumerate all piecewise-row-constant solutions with few changes.
+def brute_force_solve(problem, k_max: int, rhs=None,
+                      budget: int = 20_000) -> BruteForceResult:
+    """Every piecewise-row-constant solution of exact data with few changes.
 
-    ``problem`` is either a :class:`ProblemSpec` (single sequence; the
-    autoregressive coefficients are solved jointly and the noise bound comes
-    from the spec) or a :class:`MatrixOperator` together with exact data
-    ``rhs``.
+    ``problem`` is either a :class:`ProblemSpec` (single sequence, exact
+    data: ``epsilon = 0``; the autoregressive coefficients are solved
+    jointly) or a :class:`MatrixOperator` together with exact data ``rhs``.
 
     For a spec, patterns range over all difference indices including the
-    empty pattern (a constant input is admissible); for an operator the
-    boundary differences are pinned and at least one change is required,
-    matching the uniqueness analysis. Every pattern of up to ``k_max``
-    changes is walked, and ``budget`` bounds their count.
+    empty pattern (a constant input is admissible), and only rank-one
+    solutions, the ones an ARX model can produce, are kept. For an operator
+    the boundary differences are pinned and at least one change is
+    required, matching the uniqueness analysis, and solutions of every rank
+    are kept. Every pattern of up to ``k_max`` changes is walked, and
+    ``budget`` bounds their count.
 
-    Exact data: each pattern system is solved exactly. A one-dimensional
+    Each pattern system is solved exactly. For a spec, a one-dimensional
     solution family (the generic case for these operators, whose null space
     contains constant-row matrices with zero-sum rows) is resolved
     analytically: the parameters where the family crosses the rank-one
@@ -375,30 +356,21 @@ def brute_force_solve(problem, k_max: int, rhs=None, budget: int = 20_000,
     rank-deficient for every parameter, or of dimension two and higher, are
     reported in ``ambiguous_patterns`` instead of enumerated.
 
-    Slack data (a spec with eps > 0): the solution set is a polyhedron, so
-    the search degrades to a feasibility probe returning one distinguished
-    witness per pattern (the zero point if feasible, else the min-norm
-    least-squares point, else a Chebyshev point from a linear program),
-    rank-filtered.
-
-    Returns every distinct solution with the minimal change count found;
-    ``require_rank_one`` filters out higher-rank candidates first (with
-    exact data and a solution family it must stay on: an affine family is
-    only finite after intersecting the rank-one variety).
+    Returns every distinct solution with the minimal change count found.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
     if isinstance(problem, ProblemSpec):
         if len(problem.sequences) != 1:
             raise ValueError("brute force handles single-sequence instances")
+        if problem.epsilon != 0.0:
+            raise ValueError("brute force needs exact data (epsilon = 0)")
         op = build_lifted_operator(problem)
         n1 = len(problem.sequences[0])
         n2 = problem.orders.n_b
         a_cols = op.matrix[:, n1 * n2 :]
         x_matrix = op.matrix[:, : n1 * n2]
         rhs_vec = op.rhs
-        eps = problem.epsilon
-        interior_only = False
     elif isinstance(problem, MatrixOperator):
         if rhs is None:
             raise ValueError("rhs is required with a MatrixOperator")
@@ -406,11 +378,10 @@ def brute_force_solve(problem, k_max: int, rhs=None, budget: int = 20_000,
         x_matrix = problem.matrix
         a_cols = np.zeros((x_matrix.shape[0], 0))
         rhs_vec = np.asarray(rhs, dtype=float)
-        eps = 0.0
-        interior_only = True
     else:
         raise TypeError(f"unsupported problem type {type(problem)!r}")
-    indices, sizes, total = _patterns(n1, k_max, interior_only, budget)
+    rank_one = isinstance(problem, ProblemSpec)
+    indices, sizes, total = _patterns(n1, k_max, not rank_one, budget)
 
     scale = 1.0 + float(np.max(np.abs(rhs_vec))) if rhs_vec.size else 1.0
     tol = 1e-9 * scale
@@ -426,48 +397,35 @@ def brute_force_solve(problem, k_max: int, rhs=None, budget: int = 20_000,
             A = np.hstack([_restrict(prefix, bounds), a_cols])
             d_x = lengths.size * n2
 
-            candidates = []
-            if eps == 0.0:
-                coef0, null = _lstsq_with_null(A, rhs_vec)
-                if np.max(np.abs(A @ coef0 - rhs_vec)) > tol:
-                    continue
-                q = null.shape[1]
-                if q == 0:
-                    candidates.append(coef0)
-                elif q == 1 and require_rank_one and n2 == 2:
-                    direction = null[:, 0]
-                    C1 = direction[:d_x].reshape(-1, n2)
-                    if np.max(np.abs(C1)) <= tol:
-                        # Family moves only the autoregressive part.
-                        ambiguous.append(tuple(pattern))
-                        continue
-                    C0 = coef0[:d_x].reshape(-1, n2)
-                    ts = _rank_one_in_line(C0, C1, tol)
-                    if ts is None:
-                        ambiguous.append(tuple(pattern))
-                        continue
-                    candidates.extend(coef0 + t * direction for t in ts)
-                else:
+            coef0, null = _lstsq_with_null(A, rhs_vec)
+            if np.max(np.abs(A @ coef0 - rhs_vec)) > tol:
+                continue
+            q = null.shape[1]
+            if q == 0:
+                candidates = [coef0]
+            elif q == 1 and rank_one and n2 == 2:
+                direction = null[:, 0]
+                C1 = direction[:d_x].reshape(-1, n2)
+                if np.max(np.abs(C1)) <= tol:
+                    # Family moves only the autoregressive part.
                     ambiguous.append(tuple(pattern))
                     continue
+                C0 = coef0[:d_x].reshape(-1, n2)
+                ts = _rank_one_in_line(C0, C1, tol)
+                if ts is None:
+                    ambiguous.append(tuple(pattern))
+                    continue
+                candidates = [coef0 + t * direction for t in ts]
             else:
-                if np.max(np.abs(rhs_vec)) <= eps + tol:
-                    candidates.append(np.zeros(A.shape[1]))
-                else:
-                    coef0, _ = _lstsq_with_null(A, rhs_vec)
-                    if np.max(np.abs(A @ coef0 - rhs_vec)) <= eps + tol:
-                        candidates.append(coef0)
-                    else:
-                        point = _chebyshev_point(A, rhs_vec, eps, tol)
-                        if point is not None:
-                            candidates.append(point)
+                ambiguous.append(tuple(pattern))
+                continue
 
             for coef in candidates:
                 levels = coef[:d_x].reshape(-1, n2) * (1.0 / np.sqrt(lengths))[:, None]
                 X = np.repeat(levels, lengths, axis=0)
                 a = coef[d_x:]
                 sigma = np.linalg.svd(X, compute_uv=False)
-                if require_rank_one and sigma.size > 1:
+                if rank_one and sigma.size > 1:
                     if sigma[1] > 1e-6 * max(sigma[0], 1.0):
                         continue
                 x_scale = 1.0 + float(np.max(np.abs(X)))

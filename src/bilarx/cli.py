@@ -46,9 +46,7 @@ from .datagen import SCENARIO_NAMES, scenario, simulate_arx
 from .extract import change_points
 from .problem import ArxOrders, OutputSeries, build_problem
 from .solver import (
-    BilSolution,
     SolverOptions,
-    check_lambda,
     check_sweep_grid,
     freeze_small_differences,
     solve_bil,
@@ -101,19 +99,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _numpy_to_python(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _dumps(obj) -> str:
-    """JSON text; floats use Python's shortest round-trip ``repr``."""
-    return json.dumps(obj, indent=2, default=_numpy_to_python)
-
-
 def _write_json(path, obj):
-    text = _dumps(obj) + "\n"
+    """``obj`` as JSON text; floats use Python's shortest round-trip ``repr``."""
+    text = json.dumps(obj, indent=2) + "\n"
     with _write_errors(path):
         Path(path).write_text(text)
 
@@ -215,23 +203,11 @@ def _build_spec(args, cfg):
         raise _DataError(str(exc)) from exc
 
 
-def _solution_payload(spec, sol: BilSolution, gamma: float):
+def _inputs(spec, u_blocks, gamma):
+    """Per-series input estimates and their change points, keyed by label."""
     labels = [s.label for s in spec.sequences]
-    return {
-        "a": list(sol.a_est),
-        "b": None if sol.b_est is None else list(sol.b_est),
-        "scale_note": "input and coefficients are determined up to a shared scalar",
-        "u": {lab: list(u) for lab, u in zip(labels, sol.u_est)},
-        "singular_values": list(sol.singular_values),
-        "rank_gap": sol.rank_gap,
-        "change_points": {
-            lab: change_points(u, gamma) for lab, u in zip(labels, sol.u_est)
-        },
-        "lambda": sol.lam,
-        "objective": sol.objective,
-        "epsilon": spec.epsilon,
-        "diagnostics": dataclasses.asdict(sol.diagnostics),
-    }
+    return ({lab: list(u) for lab, u in zip(labels, u_blocks)},
+            {lab: change_points(u, gamma) for lab, u in zip(labels, u_blocks)})
 
 
 def _write_series_csv(path, columns, *series):
@@ -245,26 +221,41 @@ def _write_series_csv(path, columns, *series):
                 writer.writerow([t, *map(_fmt, values)])
 
 
-def _write_plots(plot_dir, spec, sol: BilSolution):
-    """Per-figure CSVs: measured vs model output, and the input estimate."""
-    out = Path(plot_dir)
-    for seq, u in zip(spec.sequences, sol.u_est):
-        if sol.b_est is None:
-            continue
-        y_model = simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
-        _write_series_csv(out / f"fit_{seq.label}.csv", ["y_measured", "y_model"],
-                          seq.samples, y_model)
-        _write_series_csv(out / f"input_{seq.label}.csv", ["u_estimate"], u)
+def _run_solve(args, cfg, gamma, solve):
+    """Build the problem, run ``solve(spec, options)`` and write its results.
 
-
-def _finish_solution(args, spec, sol, gamma, **extra):
-    """Write the result JSON (plus ``extra`` top-level blocks) and the plots;
-    the exit code reports convergence."""
-    payload = _solution_payload(spec, sol, gamma)
-    payload.update(extra)
-    _write_json(args.out, payload)
-    if getattr(args, "plot_dir", None):
-        _write_plots(args.plot_dir, spec, sol)
+    ``solve`` returns the solution and a dict of extra top-level result
+    blocks; a ValueError from it is a usage error of the config. Writes the
+    result JSON and, with ``--plot-dir``, per-series CSVs of measured against
+    model output and of the input estimate. The exit code reports
+    convergence.
+    """
+    options = _from_config(SolverOptions, args.config, cfg)
+    spec = _build_spec(args, cfg)
+    with _usage_errors(args.config):
+        sol, extra = solve(spec, options)
+    inputs, cps = _inputs(spec, sol.u_est, gamma)
+    _write_json(args.out, {
+        "a": list(sol.a_est),
+        "b": None if sol.b_est is None else list(sol.b_est),
+        "scale_note": "input and coefficients are determined up to a shared scalar",
+        "u": inputs,
+        "singular_values": list(sol.singular_values),
+        "rank_gap": sol.rank_gap,
+        "change_points": cps,
+        "lambda": sol.lam,
+        "objective": sol.objective,
+        "epsilon": spec.epsilon,
+        "diagnostics": dataclasses.asdict(sol.diagnostics),
+        **extra,
+    })
+    if args.plot_dir and sol.b_est is not None:
+        out = Path(args.plot_dir)
+        for seq, u in zip(spec.sequences, sol.u_est):
+            y_model = simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
+            _write_series_csv(out / f"fit_{seq.label}.csv", ["y_measured", "y_model"],
+                              seq.samples, y_model)
+            _write_series_csv(out / f"input_{seq.label}.csv", ["u_estimate"], u)
     return EXIT_OK if sol.diagnostics.converged else EXIT_NOT_CONVERGED
 
 
@@ -272,14 +263,9 @@ def _cmd_identify(args):
     cfg = _load_config(args.config)
     if "lambda" not in cfg:
         raise _UsageError("identify needs 'lambda' in the config")
-    with _usage_errors(args.config):
-        lam = check_lambda(cfg["lambda"])
     gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
-    options = _from_config(SolverOptions, args.config, cfg)
-    spec = _build_spec(args, cfg)
-    with _usage_errors(args.config):
-        sol = solve_bil(spec, lam, options)
-    return _finish_solution(args, spec, sol, gamma)
+    return _run_solve(args, cfg, gamma, lambda spec, options: (
+        solve_bil(spec, cfg["lambda"], options), {}))
 
 
 def _cmd_refine(args):
@@ -289,29 +275,29 @@ def _cmd_refine(args):
         raise _UsageError("refine needs --gamma or 'gamma' in the config")
     gamma = _non_negative(args.config if args.gamma is None else "--gamma",
                           "gamma", gamma)
-    options = _from_config(SolverOptions, args.config, cfg)
-    spec = _build_spec(args, cfg)
-    prior = _load_json(args.result)
-    prior_u = prior.get("u") if isinstance(prior, dict) else None
-    if not isinstance(prior_u, dict):
-        raise _UsageError(f"{args.result}: missing 'u' estimates")
-    estimates = []
-    for seq in spec.sequences:
-        if seq.label not in prior_u:
-            raise _UsageError(f"{args.result}: no input estimate for {seq.label!r}")
-        with _usage_errors(args.result):
-            u = np.asarray(prior_u[seq.label], dtype=float)
-        if u.shape != (len(seq),):
-            raise _DataError(
-                f"series {seq.label!r}: estimate shape {u.shape} does not "
-                f"match data length {len(seq)}"
-            )
-        if not np.all(np.isfinite(u)):
-            raise _DataError(f"series {seq.label!r}: estimate must be finite")
-        estimates.append(u)
-    with _usage_errors(args.config):
-        sol = solve_refined(spec, freeze_small_differences(estimates, gamma), options)
-    return _finish_solution(args, spec, sol, gamma)
+
+    def solve(spec, options):
+        prior = _load_json(args.result)
+        prior_u = prior.get("u") if isinstance(prior, dict) else None
+        if not isinstance(prior_u, dict):
+            raise _UsageError(f"{args.result}: missing 'u' estimates")
+        estimates = []
+        for seq in spec.sequences:
+            if seq.label not in prior_u:
+                raise _UsageError(f"{args.result}: no input estimate for {seq.label!r}")
+            with _usage_errors(args.result):
+                u = np.asarray(prior_u[seq.label], dtype=float)
+            if u.shape != (len(seq),):
+                raise _DataError(
+                    f"series {seq.label!r}: estimate shape {u.shape} does not "
+                    f"match data length {len(seq)}"
+                )
+            if not np.all(np.isfinite(u)):
+                raise _DataError(f"series {seq.label!r}: estimate must be finite")
+            estimates.append(u)
+        freeze = freeze_small_differences(estimates, gamma)
+        return solve_refined(spec, freeze, options), {}
+    return _run_solve(args, cfg, gamma, solve)
 
 
 def _cmd_sweep(args):
@@ -320,15 +306,15 @@ def _cmd_sweep(args):
         grid = check_sweep_grid(
             [v for v in args.lambdas.split(",") if v.strip()], args.gap_target)
     gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
-    options = _from_config(SolverOptions, args.config, cfg)
-    spec = _build_spec(args, cfg)
-    with _usage_errors(args.config):
+
+    def solve(spec, options):
         result = sweep_lambda(spec, grid, args.gap_target, options)
-    return _finish_solution(args, spec, result.solution, gamma, sweep={
-        "lambda_chosen": result.lambda_chosen,
-        "qualified": result.qualified,
-        "trace": [{"lambda": lam, "rank_gap": gap} for lam, gap in result.trace],
-    })
+        return result.solution, {"sweep": {
+            "lambda_chosen": result.lambda_chosen,
+            "qualified": result.qualified,
+            "trace": [{"lambda": lam, "rank_gap": gap} for lam, gap in result.trace],
+        }}
+    return _run_solve(args, cfg, gamma, solve)
 
 
 def _cmd_baseline(args):
@@ -338,18 +324,10 @@ def _cmd_baseline(args):
         a_est, b_est, u_hats = naive_identify(spec, args.segments)
     except ValueError as exc:
         raise _DataError(str(exc)) from exc
-    labels = [s.label for s in spec.sequences]
-    payload = {
-        "a": list(a_est),
-        "b": list(b_est),
-        "u": {lab: list(u) for lab, u in zip(labels, u_hats)},
-        "change_points": {
-            lab: change_points(u, 0.0) for lab, u in zip(labels, u_hats)
-        },
-        "segments": args.segments,
-    }
-    _write_json(args.out, payload)
-    if getattr(args, "plot_dir", None):
+    inputs, cps = _inputs(spec, u_hats, 0.0)
+    _write_json(args.out, {"a": list(a_est), "b": list(b_est), "u": inputs,
+                           "change_points": cps, "segments": args.segments})
+    if args.plot_dir:
         for seq, u in zip(spec.sequences, u_hats):
             _write_series_csv(Path(args.plot_dir) / f"baseline_{seq.label}.csv",
                               ["y_measured", "u_fit"], seq.samples, u)
@@ -424,9 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Blind ARX identification via convex lifting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, data=True):
-        if data:
-            p.add_argument("--data", required=True, help="input CSV (t,y[,series])")
+    def add_io(p):
+        p.add_argument("--data", required=True, help="input CSV (t,y[,series])")
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output JSON path")
         p.add_argument("--plot-dir", default=None,

@@ -356,13 +356,6 @@ def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
     )
 
 
-def check_lambda(lam: float) -> float:
-    """``lam`` itself; ValueError unless the penalty weight is finite and >= 0."""
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
-    return lam
-
-
 def solve_bil(spec: ProblemSpec, lam: float,
               options: SolverOptions | None = None) -> BilSolution:
     """Solve the convex lifted program at one penalty weight ``lam``.
@@ -373,7 +366,8 @@ def solve_bil(spec: ProblemSpec, lam: float,
     and non-negative, and when ``1/rho``, ``rho * max(1, lam)`` or its square
     overflows.
     """
-    check_lambda(lam)
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
     options = options or SolverOptions()
     work = _Workspace(spec, lam, options)
 

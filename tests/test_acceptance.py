@@ -126,7 +126,7 @@ def test_criterion_4_uniqueness_theorem_validation():
             u = np.ones(n1)
             u[change_at:] = float(rng.uniform(1.5, 3.0))
             Z = np.outer(u, row)
-            res = brute_force_solve(op, 1, rhs=op.apply(Z), require_rank_one=False)
+            res = brute_force_solve(op, 1, rhs=op.apply(Z))
             assert res.num_solutions == 1, "counterexample to uniqueness"
             assert np.allclose(res.solutions[0].X, Z, atol=1e-7)
             validated += 1

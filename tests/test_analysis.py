@@ -327,7 +327,7 @@ class TestTheoremValidation:
                 continue
             change_at = int(rng.integers(2, n1 - 1))
             Z = planted_rank1(rng, n1, n2, change_at)
-            res = brute_force_solve(op, 1, rhs=op.apply(Z), require_rank_one=False)
+            res = brute_force_solve(op, 1, rhs=op.apply(Z))
             assert res.num_solutions == 1
             assert np.allclose(res.solutions[0].X, Z, atol=1e-8)
             validated += 1
@@ -339,7 +339,7 @@ class TestTheoremValidation:
         op = gaussian_operator(rng, 8, 2, 3)
         assert not certify_uniqueness(op, 1)
         Z = planted_rank1(rng, 8, 2, 4)
-        res = brute_force_solve(op, 1, rhs=op.apply(Z), require_rank_one=False)
+        res = brute_force_solve(op, 1, rhs=op.apply(Z))
         assert res.num_solutions + len(res.ambiguous_patterns) > 1
 
 
@@ -365,15 +365,13 @@ class TestBruteForce:
         assert res.num_solutions == 1
         assert res.solutions[0].a == pytest.approx([0.5], abs=1e-8)
 
-    def test_slack_covers_data_returns_zero(self):
+    def test_slack_data_rejected(self):
         orders = ArxOrders(n_a=0, n_b=2, n_k=0)
         u = gen_piecewise_input(10, (5,), (1.0, 3.0))
         z = simulate_arx((), (2.0, -1.0), orders, u)
         spec = build_problem([z], orders, epsilon=float(np.max(np.abs(z))) + 1.0)
-        res = brute_force_solve(spec, 2)
-        assert res.num_solutions == 1
-        assert np.allclose(res.solutions[0].X, 0.0)
-        assert res.solutions[0].change_count == 0
+        with pytest.raises(ValueError, match=r"exact data \(epsilon = 0\)"):
+            brute_force_solve(spec, 2)
 
     def test_budget_enforced(self):
         spec = build_problem([np.ones(14) + np.arange(14)],

@@ -74,6 +74,13 @@ class TestFitPiecewiseConstant:
         with pytest.raises(ValueError, match="max_segments"):
             fit_piecewise_constant(np.ones(5), 0)
 
+    def test_budget_above_length_is_clamped(self):
+        y = np.random.default_rng(24).normal(size=7)
+        u_big, cps_big = fit_piecewise_constant(y, len(y) + 5)
+        u_len, cps_len = fit_piecewise_constant(y, len(y))
+        assert np.array_equal(u_big, u_len)
+        assert cps_big == cps_len
+
 
 class TestLeastSquaresArx:
     def test_plant_and_recover(self):

@@ -379,9 +379,101 @@ class TestSweepBaselineRipcheck:
 
 class TestFloatSerialization:
     def test_17_digit_round_trip(self, tmp_path):
-        from bilarx.cli import _dumps
+        from bilarx.cli import _write_json
 
-        values = [np.pi, 1.0 / 3.0, 6.62607015e-34, -0.1, 2.0**53 + 1.0]
-        text = _dumps({"v": values})
-        back = json.loads(text)["v"]
+        values = [np.pi, 1.0 / 3.0, 6.62607015e-34, -0.1, 2.0**53 + 1.0,
+                  np.float64(2.0) / 3.0]
+        _write_json(tmp_path / "v.json", {"v": values})
+        back = json.loads((tmp_path / "v.json").read_text())["v"]
         assert all(a == b for a, b in zip(back, values))
+
+
+class TestInputContract:
+    """Bad data files, configs, estimates and environment end with their
+    documented exit code and one message line; ``--plot-dir`` of baseline and
+    simulate writes the documented CSVs."""
+
+    @staticmethod
+    def run_identify(capsys, tmp, data, cfg):
+        capsys.readouterr()
+        code = run_cli("identify", "--data", str(data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"))
+        err = capsys.readouterr().err
+        assert err.startswith("bilarx: ")
+        assert "Traceback" not in err
+        assert not (tmp / "o.json").exists()
+        return code, err
+
+    @pytest.mark.parametrize("csv_text, code, message", [
+        ("t,value\n1,1.0\n", 1, "need columns 't' and 'y'"),
+        ("y\n1.0\n", 1, "need columns 't' and 'y'"),
+        ("t,y\n1,1.0\nx,2.0\n", 1, ":3: bad t/y value"),
+        ("t,y\n", 3, "no data rows"),
+    ], ids=["no_y", "no_t", "non_numeric_t", "header_only"])
+    def test_bad_data_file(self, workdir, capsys, csv_text, code, message):
+        tmp, _, cfg = workdir
+        data = tmp / "bad.csv"
+        data.write_text(csv_text)
+        got, err = self.run_identify(capsys, tmp, data, cfg)
+        assert got == code
+        assert message in err
+
+    @pytest.mark.parametrize("cfg_text, message", [
+        ('[{"n_a": 1, "n_b": 3}]', "config must be a JSON object"),
+        ('{"n_a": 1, "n_b": 3', "is not valid JSON"),
+        ('{"n_b": 3, "lambda": 1.0}', "missing required config key 'n_a'"),
+    ], ids=["list", "invalid_json", "no_n_a"])
+    def test_bad_config_file(self, workdir, capsys, cfg_text, message):
+        tmp, data, _ = workdir
+        cfg = tmp / "bad.json"
+        cfg.write_text(cfg_text)
+        got, err = self.run_identify(capsys, tmp, data, cfg)
+        assert got == 1
+        assert message in err
+
+    def test_refine_wrong_length_estimate_exits_3(self, workdir, capsys):
+        tmp, data, cfg = workdir
+        prior = tmp / "prior.json"
+        prior.write_text(json.dumps({"u": {"y1": [0.0] * 29}}))
+        capsys.readouterr()
+        assert run_cli("refine", "--data", str(data), "--config", str(cfg),
+                       "--result", str(prior), "--gamma", "0.5",
+                       "--out", str(tmp / "o.json")) == 3
+        err = capsys.readouterr().err
+        assert "does not match data length" in err
+        assert "Traceback" not in err
+        assert not (tmp / "o.json").exists()
+
+    def test_non_integer_env_seed_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BILARX_SEED", "abc")
+        capsys.readouterr()
+        assert run_cli("simulate", "--scenario", "scenario_arx_noisy",
+                       "--out", str(tmp_path / "x.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == "bilarx: BILARX_SEED='abc' is not an integer\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_simulate_plot_dir(self, tmp_path, capsys):
+        plots = tmp_path / "plots"
+        assert run_cli("simulate", "--scenario", "scenario_two_sequences",
+                       "--out", str(tmp_path / "two.csv"),
+                       "--plot-dir", str(plots)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        sc = scenario("scenario_two_sequences")
+        for seq, u in zip(sc.spec.sequences, sc.truth.u_blocks):
+            rows = (plots / f"true_input_{seq.label}.csv").read_text().splitlines()
+            assert rows[0] == "t,u_true"
+            assert [float(r.split(",")[1]) for r in rows[1:]] == list(u)
+
+    def test_baseline_plot_dir(self, workdir, capsys):
+        tmp, data, cfg = workdir
+        plots = tmp / "plots"
+        assert run_cli("baseline", "--data", str(data), "--config", str(cfg),
+                       "--segments", "4", "--out", str(tmp / "b.json"),
+                       "--plot-dir", str(plots)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (plots / "baseline_y1.csv").read_text().splitlines()
+        assert rows[0] == "t,y_measured,u_fit"
+        assert len(rows) == 31
+        u_fit = json.loads((tmp / "b.json").read_text())["u"]["y1"]
+        assert [float(r.split(",")[2]) for r in rows[1:]] == u_fit

@@ -3,6 +3,7 @@ import pytest
 
 from bilarx import (
     ArxOrders,
+    MatrixOperator,
     OutputSeries,
     SolverOptions,
     add_uniform_noise,
@@ -11,8 +12,10 @@ from bilarx import (
     change_points,
     prox,
     scenario,
+    simulate_arx,
     solve_bil,
     solve_refined,
+    thin_svd,
 )
 from bilarx.solver import check_sweep_grid
 
@@ -100,6 +103,20 @@ def test_nan_setting_is_rejected(call, match):
     # NaN fails every comparison, so a guard written as ``x < 0`` lets it by;
     # an infinite weight passes a sign check but breaks the factorization,
     # and so does a finite one whose square or reciprocal overflows.
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: OutputSeries(np.ones((3, 2))), "1-d"),
+    (lambda: thin_svd(np.ones(4)), "2-d"),
+    (lambda: simulate_arx((0.5, 0.1), (1.0,), ArxOrders(n_a=1, n_b=1), np.ones(6)),
+     "a must have length 1"),
+    (lambda: simulate_arx((0.5,), (1.0,), ArxOrders(n_a=1, n_b=2), np.ones(6)),
+     "b must have length 2"),
+    (lambda: MatrixOperator(np.eye(6), 3, 2).apply(np.ones((2, 3))), "3 x 2"),
+], ids=["series_2d", "thin_svd_1d", "simulate_a", "simulate_b", "operator_apply"])
+def test_malformed_array_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -10,10 +10,14 @@ workload and pair, the command runs once in each checkout, each in a fresh
 interpreter; even pairs run the parent first and odd pairs the change first,
 so both sides see the same drift in machine speed. The file keeps every
 run's gated metrics and, per metric, both medians and quartiles, the
-relative change of the medians and how many pairs the change won; each
-workload's summary also counts, per side, the runs that report
-``correct: false``. A run that exits non-zero stops the command with the
-workload, side, pair and the tail of that run's stderr.
+relative change of the medians, how many pairs the change won and two
+verdicts against the metric's ``end_to_end`` bound: ``within_bound`` when
+the change's median is at most the parent's median times ``1 + bound``, and
+``unresolved`` when the parent's interquartile range exceeds ``bound`` times
+its median and not every change run beats every parent run. Each workload's
+summary also counts, per side, the runs that report ``correct: false``. A
+run that exits non-zero stops the command with the workload, side, pair and
+the tail of that run's stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from pathlib import Path
 
 BENCHMARK = json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 STDERR_TAIL = 20    # lines of a failed run's stderr shown when it stops the command
 
 
@@ -54,18 +59,25 @@ def run(checkout: Path, workload: str, seed: int, where: str) -> tuple:
 
 
 def compare(parent: list, change: list) -> dict:
-    """Medians, quartiles and pair wins of every metric (all lower-is-better)."""
+    """Medians, quartiles, pair wins and bound verdicts of every metric
+    (all lower-is-better)."""
     out = {}
     for name in parent[0]["metrics"]:
         p = [r["metrics"][name] for r in parent]
         c = [r["metrics"][name] for r in change]
+        p_median, c_median = statistics.median(p), statistics.median(c)
+        p_quartiles = statistics.quantiles(p, n=4)[::2]
+        bound = BOUNDS[name]
         out[name] = {
-            "parent_median": statistics.median(p),
-            "parent_quartiles": statistics.quantiles(p, n=4)[::2],
-            "change_median": statistics.median(c),
+            "parent_median": p_median,
+            "parent_quartiles": p_quartiles,
+            "change_median": c_median,
             "change_quartiles": statistics.quantiles(c, n=4)[::2],
-            "relative_change": statistics.median(c) / statistics.median(p) - 1.0,
+            "relative_change": c_median / p_median - 1.0,
             "change_lower_pairs": sum(b < a for a, b in zip(p, c)),
+            "within_bound": c_median <= p_median * (1.0 + bound),
+            "unresolved": (p_quartiles[1] - p_quartiles[0] > bound * p_median
+                           and not max(c) < min(p)),
         }
     return out
 
