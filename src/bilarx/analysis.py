@@ -9,10 +9,9 @@ subspace and read off the extreme singular values. No sampling is involved,
 and no basis matrix is formed: in that basis the restriction is a column sum
 per segment, a difference of two prefix sums over the rows. Subspaces grow
 with their patterns, so only the patterns with the most changes are walked,
-in chunks of stacked restrictions: the eigenvalues of their Gram matrices
-screen out the patterns that cannot hold the maximum, and one stacked SVD
-per chunk gives the extreme singular values of the rest. The uniqueness
-verdict's walk stops at the first chunk whose worst deviation reaches one.
+in chunks of stacked restrictions, and one stacked SVD per chunk gives
+their extreme singular values. The uniqueness verdict's walk stops at the
+first chunk whose worst deviation reaches one.
 
 The brute-force solver enumerates the same difference-support patterns and
 solves the data constraints exactly on each one, which makes it an
@@ -171,28 +170,15 @@ def _walk(operator: MatrixOperator, k: int, budget: int, stop: float) -> float:
     size = sizes[-1]
     prefix = _prefix_sums(operator.matrix, n1, operator.n2)
     rows, dim = prefix.shape[1], (size + 1) * operator.n2
-    tall = rows >= dim
     chunk = max(1, _CHUNK_ELEMENTS // (rows * dim))
 
     worst = 0.0
     # entries near the float range overflow the squares to inf, the answer
     with np.errstate(over="ignore"):
         for bounds in _pattern_chunks(n1, indices, size, chunk):
-            restricted = _restrict(prefix, bounds)
-            transposed = restricted.transpose(0, 2, 1)
-            gram = transposed @ restricted if tall else restricted @ transposed
-            if np.isfinite(gram).all():
-                lam = np.linalg.eigvalsh(gram)
-                screen = np.maximum(lam[:, -1] - 1.0, 1.0 - lam[:, 0] if tall else 1.0)
-                margin = 1e-9 * (1.0 + lam[:, -1].max())
-                # a NaN threshold compares False and keeps every pattern
-                keep = ~(screen < max(worst, screen.max()) - margin)
-                if not keep.any():
-                    continue
-                restricted = restricted[keep]
-            sigma = np.linalg.svd(restricted, compute_uv=False)
+            sigma = np.linalg.svd(_restrict(prefix, bounds), compute_uv=False)
             smax = sigma[:, 0]
-            smin = sigma[:, -1] if tall else 0.0
+            smin = sigma[:, -1] if rows >= dim else 0.0
             worst = max(worst, float(np.max(np.maximum(smax * smax - 1.0,
                                                        1.0 - smin * smin))))
             if worst >= stop:
@@ -211,13 +197,8 @@ def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> flo
     subspace, so there ``sigma_max`` is no smaller and ``sigma_min`` no
     larger. ``budget`` bounds the count of all 1..k patterns.
 
-    The walk takes the patterns in chunks of one shape. The eigenvalues of
-    each chunk's Gram matrices screen it: only the patterns whose screened
-    deviation lies within a margin of the worst so far, or of the chunk's
-    worst, reach one stacked SVD, and that SVD gives every number returned.
-    The margin, ``1e-9 * (1 + lambda_max)``, is many orders above the
-    roundoff of a Gram eigenvalue, so a skipped pattern never holds the
-    maximum. A wide restriction has ``sigma_min = 0``.
+    The walk takes the patterns in chunks of one shape, each factored by one
+    stacked SVD. A wide restriction has ``sigma_min = 0``.
     """
     return _walk(operator, k, budget, math.inf)
 
@@ -365,6 +346,8 @@ def brute_force_solve(problem, k_max: int, rhs=None,
             raise ValueError("brute force handles single-sequence instances")
         if problem.epsilon != 0.0:
             raise ValueError("brute force needs exact data (epsilon = 0)")
+        if rhs is not None:
+            raise ValueError("rhs is given only with a MatrixOperator; a spec has its data")
         op = build_lifted_operator(problem)
         n1 = len(problem.sequences[0])
         n2 = problem.orders.n_b
@@ -378,12 +361,17 @@ def brute_force_solve(problem, k_max: int, rhs=None,
         x_matrix = problem.matrix
         a_cols = np.zeros((x_matrix.shape[0], 0))
         rhs_vec = np.asarray(rhs, dtype=float)
+        if rhs_vec.shape != (x_matrix.shape[0],):
+            raise ValueError(f"rhs must have length {x_matrix.shape[0]}, "
+                             f"got shape {rhs_vec.shape}")
+        if not np.isfinite(rhs_vec).all():
+            raise ValueError("rhs has non-finite entries")
     else:
         raise TypeError(f"unsupported problem type {type(problem)!r}")
     rank_one = isinstance(problem, ProblemSpec)
     indices, sizes, total = _patterns(n1, k_max, not rank_one, budget)
 
-    scale = 1.0 + float(np.max(np.abs(rhs_vec))) if rhs_vec.size else 1.0
+    scale = 1.0 + float(np.max(np.abs(rhs_vec)))
     tol = 1e-9 * scale
     n_a = a_cols.shape[1]
     prefix = _prefix_sums(x_matrix, n1, n2)
@@ -404,14 +392,11 @@ def brute_force_solve(problem, k_max: int, rhs=None,
             if q == 0:
                 candidates = [coef0]
             elif q == 1 and rank_one and n2 == 2:
+                # 1 v^T with v = (1, -1) spans the null space: it lies in every
+                # pattern's subspace and every row maps it to v_1 + v_2 = 0
                 direction = null[:, 0]
-                C1 = direction[:d_x].reshape(-1, n2)
-                if np.max(np.abs(C1)) <= tol:
-                    # Family moves only the autoregressive part.
-                    ambiguous.append(tuple(pattern))
-                    continue
-                C0 = coef0[:d_x].reshape(-1, n2)
-                ts = _rank_one_in_line(C0, C1, tol)
+                ts = _rank_one_in_line(coef0[:d_x].reshape(-1, n2),
+                                       direction[:d_x].reshape(-1, n2), tol)
                 if ts is None:
                     ambiguous.append(tuple(pattern))
                     continue
@@ -425,9 +410,8 @@ def brute_force_solve(problem, k_max: int, rhs=None,
                 X = np.repeat(levels, lengths, axis=0)
                 a = coef[d_x:]
                 sigma = np.linalg.svd(X, compute_uv=False)
-                if rank_one and sigma.size > 1:
-                    if sigma[1] > 1e-6 * max(sigma[0], 1.0):
-                        continue
+                if rank_one and sigma.size > 1 and sigma[1] > 1e-6 * max(sigma[0], 1.0):
+                    continue
                 x_scale = 1.0 + float(np.max(np.abs(X)))
                 changes = _actual_changes(X, 1e-7 * x_scale)
                 duplicate = any(

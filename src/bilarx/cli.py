@@ -106,11 +106,16 @@ def _write_json(path, obj):
         Path(path).write_text(text)
 
 
-def _load_json(path):
+def _read_text(path) -> str:
+    """The text of ``path``; an unreadable or non-UTF-8 file is a usage error."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path):
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -159,11 +164,7 @@ def _non_negative(where, name, value) -> float:
 
 def _load_series_csv(path):
     """Read ``t,y[,series]`` rows into labeled sample arrays."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(text.splitlines())
+    reader = csv.DictReader(_read_text(path).splitlines())
     fields = reader.fieldnames or []
     if "t" not in fields or "y" not in fields:
         raise _UsageError(f"{path}: need columns 't' and 'y', got {fields}")

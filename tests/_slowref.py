@@ -6,8 +6,12 @@ nonsmooth penalties are replaced by their Moreau envelopes (gradients via
 numpy's SVD, not the package kernels), the slack is eliminated so the data
 constraint becomes an infinity-norm tube around ``y``, handled as a smooth
 squared-distance penalty, and the whole thing is minimized by accelerated
-gradient descent with continuation on the smoothing widths. A final least-squares correction lands the iterate exactly
-on the tube so the true objective can be evaluated there.
+gradient descent with continuation on the smoothing widths. The momentum
+restarts whenever the new step ``v_next - v`` has a positive inner product
+with the gradient at the extrapolated point (the gradient scheme of
+O'Donoghue and Candès), so no iteration evaluates the objective. A final
+least-squares correction lands the iterate exactly on the tube so the true
+objective can be evaluated there.
 """
 
 from __future__ import annotations
@@ -102,21 +106,6 @@ class SlowReference:
         grad[: g_x.size] += g_x.ravel()
         return grad
 
-    def _smoothed_value(self, v, mu, delta):
-        X, _ = self._split(v)
-        # Envelope of the nuclear norm from one SVD: with p1 = svt(X, mu),
-        # ||p1||_* = sum max(s - mu, 0) and ||X - p1||^2 = sum min(s, mu)^2.
-        s = np.linalg.svd(X, compute_uv=False)
-        small = np.minimum(s, mu)
-        d = self._diff(X)
-        p2 = _row_shrink_np(d, self.lam * mu)
-        gap = (d - p2).ravel()
-        excess = self._excess(v)
-        return (float(np.add.reduce(np.maximum(s - mu, 0.0)))
-                + float(small @ small) / (2 * mu)
-                + self.lam * _group_np(p2) + float(gap @ gap) / (2 * mu)
-                + float(excess @ excess) / (2 * delta))
-
     def solve(self, total_iters: int = 50_000, stages: int = 8,
               mu_start: float = 1e-1, mu_end: float = 1e-6):
         """Continuation over smoothing widths; returns (objective, v).
@@ -134,18 +123,16 @@ class SlowReference:
             step = 1.0 / L
             z = v.copy()
             t_acc = 1.0
-            f_prev = np.inf
             for _ in range(iters):
                 grad = self._grad(z, mu, delta)
                 v_next = z - step * grad
+                # gradient restart: drop the momentum once the step goes uphill
+                if grad @ (v_next - v) > 0.0:
+                    z, v, t_acc = v_next, v_next, 1.0
+                    continue
                 t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
                 z = v_next + ((t_acc - 1.0) / t_next) * (v_next - v)
                 v, t_acc = v_next, t_next
-                f_cur = self._smoothed_value(v, mu, delta)
-                if f_cur > f_prev:  # restart momentum on objective increase
-                    z = v.copy()
-                    t_acc = 1.0
-                f_prev = f_cur
         v = self.project_to_tube(v)
         return self.objective(v), v
 

@@ -431,6 +431,25 @@ class TestInputContract:
         assert got == 1
         assert message in err
 
+    @pytest.mark.parametrize("which", ["data", "config", "result"])
+    def test_non_utf8_file_exits_1(self, workdir, capsys, which):
+        tmp, data, cfg = workdir
+        prior = tmp / "prior.json"
+        prior.write_text(json.dumps({"u": {"y1": [0.0] * 30}}))
+        files = {"data": data, "config": cfg, "result": prior}
+        files[which] = tmp / "bad.bin"
+        files[which].write_bytes(b"\xff\xfe\x00")
+        capsys.readouterr()
+        code = run_cli("refine", "--data", str(files["data"]),
+                       "--config", str(files["config"]),
+                       "--result", str(files["result"]), "--gamma", "0.5",
+                       "--out", str(tmp / "o.json"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"bilarx: cannot read {files[which]}: ")
+        assert "Traceback" not in err
+        assert not (tmp / "o.json").exists()
+
     def test_refine_wrong_length_estimate_exits_3(self, workdir, capsys):
         tmp, data, cfg = workdir
         prior = tmp / "prior.json"
@@ -477,3 +496,48 @@ class TestInputContract:
         assert len(rows) == 31
         u_fit = json.loads((tmp / "b.json").read_text())["u"]["y1"]
         assert [float(r.split(",")[2]) for r in rows[1:]] == u_fit
+
+
+class TestAllZeroData:
+    """Twelve zero samples: the lifted solution is exactly zero, so there is
+    no input direction to report."""
+
+    @pytest.fixture()
+    def zeros(self, tmp_path):
+        data = tmp_path / "zeros.csv"
+        data.write_text("t,y\n" + "".join(f"{t},0.0\n" for t in range(1, 13)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_a": 1, "n_b": 2, "epsilon": 0.0,
+                                   "lambda": 10.0}))
+        return tmp_path, data, cfg
+
+    def test_identify_writes_null_b_and_no_fit(self, zeros):
+        tmp, data, cfg = zeros
+        plots = tmp / "plots"
+        assert run_cli("identify", "--data", str(data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"), "--plot-dir", str(plots)) == 0
+        got = json.loads((tmp / "o.json").read_text())
+        assert got["b"] is None
+        assert got["u"]["y1"] == [0.0] * 12
+        assert not list(plots.glob("fit_*.csv"))
+
+    def test_baseline_exits_3(self, zeros, capsys):
+        tmp, data, cfg = zeros
+        capsys.readouterr()
+        assert run_cli("baseline", "--data", str(data), "--config", str(cfg),
+                       "--segments", "2", "--out", str(tmp / "b.json")) == 3
+        err = capsys.readouterr().err
+        assert "rank deficient" in err
+        assert "Traceback" not in err
+        assert not (tmp / "b.json").exists()
+
+    def test_refine_without_gamma_exits_1(self, zeros, capsys):
+        tmp, data, cfg = zeros
+        prior = tmp / "prior.json"
+        prior.write_text(json.dumps({"u": {"y1": [0.0] * 12}}))
+        capsys.readouterr()
+        assert run_cli("refine", "--data", str(data), "--config", str(cfg),
+                       "--result", str(prior), "--out", str(tmp / "o.json")) == 1
+        err = capsys.readouterr().err
+        assert err == "bilarx: refine needs --gamma or 'gamma' in the config\n"
+        assert not (tmp / "o.json").exists()

@@ -46,6 +46,18 @@ class TestSolveBil:
         assert (max_constraint_residual(spec, sol.vars.X_blocks, sol.vars.a)
                 <= spec.epsilon + feasibility_slack(spec))
 
+    def test_all_zero_data_has_no_input_direction(self):
+        # X = 0, a = 0 is feasible and optimal, and the first iterate is
+        # already exactly there: with a zero spectrum there is no b to report
+        spec = build_problem([np.zeros(12)], ArxOrders(n_a=1, n_b=2), epsilon=0.0)
+        sol = solve_bil(spec, 10.0)
+        assert sol.b_est is None
+        assert sol.rank_gap == 0.0
+        assert np.array_equal(sol.u_est[0], np.zeros(12))
+        assert sol.objective == 0.0
+        assert sol.diagnostics.converged
+        assert sol.diagnostics.iterations == 1
+
     def test_fir_noisefree_rank_one_recovery(self):
         sc = scenario("scenario_fir_noisefree")
         sol = solve_bil(sc.spec, 1e4, SolverOptions(max_iters=20000))
