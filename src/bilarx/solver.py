@@ -11,10 +11,15 @@ ties multiple sequences to one shared coefficient vector).
 
 Splitting: the first block holds ``(X, a)``; the second is one copy
 ``z = (Z1, Z2, v)`` of ``M(X, a) = (X, D X, A(X, a))`` with one scaled
-multiplier. ``Z1`` takes the nuclear prox, ``Z2`` the row-group prox (hard row
-equality in the refinement solve), and the model output ``v`` is projected
-onto the tube ``|v - y| <= epsilon``, the slack being ``w = y - v``. The
-``(X, a)`` update solves with ``K = Mᵀ diag(rho) M``, factored once.
+multiplier. ``Z1`` takes the nuclear prox, ``Z2`` the row-group prox, and the
+model output ``v`` is projected onto the tube ``|v - y| <= epsilon``, the
+slack being ``w = y - v``. The ``(X, a)`` update solves with
+``K = Mᵀ diag(rho) M``, factored once.
+
+The refinement solve has no D X block: its unknowns are the coefficients
+``C`` of X in the orthonormal basis (segment indicator / sqrt(length)) of the
+rows that the frozen pairs join, so ``||X||_* = ||C||_*`` and the iteration
+is the same; X is expanded once at the end.
 
 Two deterministic normalizations keep behavior uniform across data scales
 and penalty weights spanning many orders of magnitude: outputs are divided
@@ -33,6 +38,7 @@ penalty serves the whole solve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,20 +148,21 @@ class _XSolve:
     """Solve with the x-update matrix ``K = Mᵀ diag(rho) M``, which is
     ``rho2 (AᵀA + L ⊗ I) + rho1 I_x``.
 
-    ``I_x`` and the row-difference Laplacian ``L = DᵀD`` act on the X entries
-    only; ``link[i]`` is 1 when ``D`` joins row ``i`` of the stacked X to
-    row ``i + 1``.
-    Each X entry enters at most one constraint row, so the X block of ``K``
-    is banded with bandwidth ``max(n_b, (n_b - 1)^2)`` and positive definite
-    through ``rho1``; it is factored once by a banded Cholesky. The ``a``
-    unknowns are eliminated through the ``n_a x n_a`` Schur complement
+    Tap ``k`` of constraint row ``r`` is ``weights[r, k]`` times X unknown
+    ``op.x_index[r, k]``. ``I_x`` and the row-difference Laplacian ``L = DᵀD``
+    act on the X unknowns only; ``link[i]`` is 1 when ``D`` joins row ``i``
+    to row ``i + 1`` (``link`` is empty without a D block). Taps ``k < k'``
+    of one constraint row lie in rows at most ``k' - k`` apart, so the X
+    block of ``K`` is banded with bandwidth ``max(n_b, (n_b - 1)^2)`` and
+    positive definite through ``rho1``; it is factored once by a banded
+    Cholesky. The ``a`` unknowns are eliminated through the Schur complement
     ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by eigendecomposition.
     Each x-update solves with ``Kxx`` by one LAPACK ``dpbtrs`` on the factor.
     ``null(K) = {(0, v) : A_a v = 0}`` matches ``null(S)``, so a
     rank-deficient ``a`` block gets the minimum-norm solution.
     """
 
-    def __init__(self, op: LiftedOperator, link: np.ndarray,
+    def __init__(self, op: LiftedOperator, weights: np.ndarray, link: np.ndarray,
                  rho1: float, rho2: float):
         n_b, n_a = op.x_index.shape[1], op.lagged.shape[1]
         self.n_x = op.n_x
@@ -163,23 +170,26 @@ class _XSolve:
         # LAPACK lower band form: ab[d, c] = Kxx[c + d, c].
         bandwidth = max(n_b, (n_b - 1) ** 2)
         ab = np.zeros((bandwidth + 1, self.n_x))
+        link = np.pad(link, (0, self.n_x // n_b - link.size))   # one entry per row
         lap_diag = link + np.concatenate([[0.0], link[:-1]])
         ab[0] = rho1 + rho2 * np.repeat(lap_diag, n_b)
         ab[n_b] = -rho2 * np.repeat(link, n_b)
-        # AᵀA: the taps k1 < k1' of one row couple X columns (k1' - k1)(n_b - 1)
-        # apart, the larger index belonging to k1.
-        ab[0, op.x_index.ravel()] += rho2
+        # AᵀA, accumulated: taps of many constraint rows share a column pair.
+        taps = op.x_index.ravel()
+        np.add.at(ab[0], taps, rho2 * (weights * weights).ravel())
         for hi in range(n_b):
             for lo in range(hi + 1, n_b):
-                cols = op.x_index[:, lo]
-                ab[op.x_index[:, hi] - cols, cols] += rho2
+                diff = np.abs(op.x_index[:, hi] - op.x_index[:, lo])
+                cols = np.minimum(op.x_index[:, hi], op.x_index[:, lo])
+                np.add.at(ab.reshape(-1), diff * self.n_x + cols,
+                          rho2 * weights[:, hi] * weights[:, lo])
         self._factor = scipy.linalg.cholesky_banded(ab, lower=True)
 
         self._Kxa = self._W = self._S_pinv = None
         if n_a:
-            Kxa = np.zeros((self.n_x, n_a))
-            Kxa[op.x_index.ravel()] = rho2 * np.repeat(op.lagged, n_b, axis=0)
-            self._Kxa = Kxa
+            self._Kxa = Kxa = np.column_stack([
+                np.bincount(taps, rho2 * weights.ravel() * lag, minlength=self.n_x)
+                for lag in np.repeat(op.lagged, n_b, axis=0).T])
             self._W = scipy.linalg.cho_solve_banded((self._factor, True), Kxa)
             S = rho2 * (op.lagged.T @ op.lagged) - Kxa.T @ self._W
             vals, vecs = scipy.linalg.eigh(S)
@@ -197,37 +207,53 @@ class _XSolve:
         return np.concatenate([x - self._W @ a, a])
 
 
+def _segments(lengths, freeze) -> tuple:
+    """Segment of every stacked X row and ``1 / sqrt(segment length)``: only
+    frozen difference ``i`` of a sequence joins its rows ``i`` and ``i + 1``."""
+    joined = np.zeros(sum(lengths), dtype=bool)    # row continues the one above
+    for start, idx in zip(np.cumsum(lengths) - lengths, freeze or ()):
+        joined[start + np.asarray(idx, dtype=np.intp)] = True
+    segment = np.cumsum(~joined) - 1
+    return segment, (1.0 / np.sqrt(np.bincount(segment)))[segment]
+
+
 class _Workspace:
     """Shared geometry for one ProblemSpec: operator, factorization, and the
-    map ``M x = (X, D X, A(X, a))`` of the packed ``x`` (X entries, then ``a``)
+    map ``M x = (X, D X, A(X, a))`` of the packed ``x`` (X unknowns, then ``a``)
     with per-entry penalty weights ``rho``: ``rho1`` on X, ``rho2`` after.
-    ``M`` and ``MT = Mᵀ`` are CSR; a pair straddling two sequences is an empty row."""
+    ``M`` and ``MT = Mᵀ`` are CSR; a pair straddling two sequences is an empty row.
+    With ``freeze``, row ``i`` of X is ``weight[i]`` times unknown row
+    ``segment[i]``, and there is no D X block."""
 
-    def __init__(self, spec: ProblemSpec, lam: float, options: SolverOptions):
+    def __init__(self, spec: ProblemSpec, lam: float, options: SolverOptions, freeze=None):
         self.spec = spec
         self.n_b = spec.orders.n_b
         self.lengths = spec.lengths
-        self.total_rows = sum(self.lengths)
-        self.n_x = self.total_rows * self.n_b
-        self.p = self.n_x + spec.orders.n_a
         # First stacked row of every sequence block after the first.
         self.block_starts = np.cumsum(self.lengths)[:-1]
+        self.segment, self.weight = _segments(self.lengths, freeze)
+        self.n_x = (int(self.segment[-1]) + 1) * self.n_b
+        self.p = self.n_x + spec.orders.n_a
 
-        # Row i of the stacked X is linked to row i + 1 unless it ends a block.
-        self.link = np.ones(self.total_rows)
-        self.link[np.cumsum(self.lengths) - 1] = 0.0
+        # D X pair i joins stacked row i to i + 1 unless a block ends there.
+        link = np.ones(self.segment.size - 1)
+        link[self.block_starts - 1] = 0.0
+        self.link = link if freeze is None else link[:0]
 
         self.y_scale = max(float(np.max(np.abs(s.samples))) for s in spec.sequences) or 1.0
         # Normalized units divide every output by y_scale, so the targets and
         # the lagged outputs multiplying ``a`` shrink by the same factor; the
-        # X columns are ones either way.
+        # X columns are ones either way, times the segment weights.
         op = build_lifted_operator(spec)
+        rows = op.x_index // self.n_b
         self.operator = replace(
-            op, rhs=op.rhs / self.y_scale, lagged=op.lagged / self.y_scale)
+            op, x_index=self.segment[rows] * self.n_b + op.x_index % self.n_b,
+            n_x=self.n_x, rhs=op.rhs / self.y_scale, lagged=op.lagged / self.y_scale)
+        self.tap_weights = self.weight[rows]
         self.eps = spec.epsilon / self.y_scale
 
         # Ends of the X and D X blocks in a stacked vector.
-        self.cuts = (self.n_x, 2 * self.n_x - self.n_b)
+        self.cuts = (self.n_x, self.n_x + self.link.size * self.n_b)
         self.M = self._stacked_map()
         self.MT = self.M.T.tocsr()
         # Starting weights; _admm scales both together and keeps K's factor.
@@ -240,13 +266,13 @@ class _Workspace:
                 f"of floating-point range: 1/rho, rho*max(1, lambda) and its "
                 f"square must be finite")
         self.rho = np.repeat([self.rho1, self.rho2], [self.n_x, self.M.shape[0] - self.n_x])
-        self.solve_K = _XSolve(self.operator, self.link, self.rho1, self.rho2)
+        self.solve_K = _XSolve(self.operator, self.tap_weights, self.link, self.rho1, self.rho2)
 
     def _stacked_map(self):
         """``M`` in CSR form: the identity on X, D X row ``(i, k)`` = X entry
         ``(i, k)`` - X entry ``(i + 1, k)`` on linked pairs, then A's rows."""
         n_x, n_b, op = self.n_x, self.n_b, self.operator
-        linked = np.repeat(self.link[:-1].astype(np.intp), n_b)   # 1 on linked D X rows
+        linked = np.repeat(self.link.astype(np.intp), n_b)   # 1 on linked D X rows
         pairs = np.flatnonzero(linked)
         taps = np.hstack([op.x_index[:, ::-1],
                           np.broadcast_to(n_x + np.arange(op.lagged.shape[1]), op.lagged.shape)])
@@ -254,7 +280,7 @@ class _Workspace:
                                            np.full(len(taps), taps.shape[1])]))
         cols = np.concatenate([np.arange(n_x), np.add.outer(pairs, [0, n_b]).ravel(), taps.ravel()])
         vals = np.concatenate([np.ones(n_x), np.tile([1.0, -1.0], pairs.size),
-                               np.hstack([np.ones(op.x_index.shape), op.lagged]).ravel()])
+                               np.hstack([self.tap_weights[:, ::-1], op.lagged]).ravel()])
         return scipy.sparse.csr_array((vals, cols, indptr), shape=(len(indptr) - 1, self.p))
 
     def blocks(self, q):
@@ -330,7 +356,8 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
 
 
 def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
-    stacked = work.y_scale * x[: work.n_x].reshape(-1, work.n_b)
+    stacked = work.y_scale * (work.weight[:, None]
+                              * x[: work.n_x].reshape(-1, work.n_b)[work.segment])
     X_blocks = tuple(np.split(stacked, work.block_starts))
     w_rows = np.subtract(work.lengths, work.spec.n - 1)    # one per time n..N_j
     w_blocks = tuple(np.split(work.y_scale * w, np.cumsum(w_rows)[:-1]))
@@ -386,6 +413,9 @@ def _normalize_freeze(spec: ProblemSpec, freeze) -> tuple:
         )
     out = []
     for j, (idx_set, length) in enumerate(zip(freeze, spec.lengths)):
+        if not all(isinstance(i, numbers.Integral) or
+                   isinstance(i, numbers.Real) and float(i).is_integer() for i in idx_set):
+            raise ValueError(f"freeze indices for sequence {j} must be integers")
         idx = sorted(int(i) for i in idx_set)
         if any(i < 1 or i > length - 1 for i in idx):
             raise ValueError(
@@ -400,25 +430,15 @@ def solve_refined(spec: ProblemSpec, freeze,
     """Minimize the nuclear norm alone with hard row equalities.
 
     ``freeze`` gives, per sequence, the 1-based difference indices ``i``
-    where ``X(i,:) = X(i+1,:)`` is enforced exactly. This is the
-    bias-removal re-solve: the sparsity pattern comes from a previous
-    estimate, the penalty weight drops to zero. Raises ValueError as
-    :func:`solve_bil` does for ``rho``.
+    where ``X(i,:) = X(i+1,:)`` holds bit for bit (ints, or floats of
+    integer value). This is the bias-removal re-solve: the sparsity pattern
+    comes from a previous estimate, the penalty weight drops to zero. Raises
+    ValueError as :func:`solve_bil` does for ``rho``.
     """
     options = options or SolverOptions()
     freeze = _normalize_freeze(spec, freeze)
-    work = _Workspace(spec, 0.0, options)
-    # Difference i of sequence j is stacked pair start_j + i - 1.
-    frozen = np.zeros(work.total_rows - 1, dtype=bool)
-    starts = np.concatenate([[0], work.block_starts])
-    frozen[[start + i - 1 for start, idx in zip(starts, freeze) for i in idx]] = True
-
-    def prox2(V, rho2):
-        out = V.copy()
-        out[frozen] = 0.0
-        return out
-
-    x, w, diag = _admm(work, prox2, options)
+    work = _Workspace(spec, 0.0, options, freeze)
+    x, w, diag = _admm(work, lambda V, rho2: V, options)    # the D X block is empty
     return _package_solution(work, x, w, 0.0, diag, frozen_rows=freeze)
 
 

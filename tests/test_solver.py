@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from bilarx import (
 from bilarx.solver import _Workspace
 
 from _instances import random_tiny_instance
-from _oracles import arx_constraint_matrix, max_constraint_residual
+from _oracles import arx_constraint_matrix, max_constraint_residual, segment_basis
 from _slowref import SlowReference
 
 
@@ -199,6 +200,40 @@ class TestXUpdateSolve:
         assert np.linalg.matrix_rank(K) < K.shape[0]
         # x-update right-hand sides lie in range(K): their a part is A_aᵀ r
         rhs = K @ rng.normal(size=K.shape[0])
+        expected = np.linalg.pinv(K) @ rhs
+        assert np.allclose(work.solve_K(rhs), expected, rtol=0,
+                           atol=1e-10 * np.max(np.abs(expected)))
+
+
+class TestSegmentSubspace:
+    """With a freeze set the workspace's X unknowns are segment coefficients
+    ``C``, ``X = P C`` for the orthonormal segment basis ``P``: ``M`` is
+    ``(C, A(P C, a))`` with no D X block, and ``K = rho (I + (A P)ᵀ(A P))``."""
+
+    @pytest.mark.parametrize("n_b", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_a", [0, 2])
+    def test_matches_dense_restriction(self, n_b, n_a):
+        rng = np.random.default_rng(10 * n_b + n_a)
+        lengths = (13, 9)
+        ys = [rng.normal(size=length) for length in lengths]
+        spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b, n_k=1), 0.1)
+        freeze = ((1, 2, 5, 6, 7, 11, 12), (3, 4, 8))     # as solve_refined passes it
+        work = _Workspace(spec, 0.0, SolverOptions(rho=0.6), freeze)
+        A, _ = arx_constraint_matrix(ys, n_a, n_b, 1)
+        A[:, A.shape[1] - n_a:] /= max(float(np.max(np.abs(y))) for y in ys)
+        P = scipy.linalg.block_diag(
+            *(segment_basis(n, n_b, sorted(set(range(1, n)) - set(f)))
+              for n, f in zip(lengths, freeze)), np.eye(n_a))
+        AP = A @ P
+        n_c = P.shape[1] - n_a
+        assert work.n_x == n_c == (6 + 6) * n_b
+        assert work.cuts == (n_c, n_c)
+        M = np.vstack([np.eye(n_c, P.shape[1]), AP])
+        assert np.allclose(work.M.toarray(), M, rtol=0, atol=1e-14)
+        assert np.allclose(work.MT.toarray(), M.T, rtol=0, atol=1e-14)
+        K = 0.6 * (AP.T @ AP)
+        K[:n_c, :n_c] += 0.6 * np.eye(n_c)
+        rhs = K @ rng.normal(size=K.shape[0])    # in range(K), as every x-update is
         expected = np.linalg.pinv(K) @ rhs
         assert np.allclose(work.solve_K(rhs), expected, rtol=0,
                            atol=1e-10 * np.max(np.abs(expected)))
@@ -432,6 +467,55 @@ class TestSolveRefined:
             solve_refined(spec, [])
         with pytest.raises(ValueError, match=r"\[1, 29\]"):
             solve_refined(spec, [{30}])
+
+    @pytest.mark.parametrize("index", [2.5, 7.9, "3", math.inf, math.nan])
+    def test_non_integral_freeze_index_rejected(self, index):
+        spec = scenario("scenario_fir_noisefree").spec
+        with pytest.raises(ValueError, match="must be integers"):
+            solve_refined(spec, [{index}])
+
+    def test_integral_freeze_indices_of_any_type(self):
+        sc = scenario("scenario_fir_noisefree")
+        opts = SolverOptions(max_iters=50)
+        plain = solve_refined(sc.spec, [{2, 7}], opts)
+        for freeze in ({2.0, 7.0}, {np.int64(2), np.float32(7.0)}):
+            sol = solve_refined(sc.spec, [freeze], opts)
+            assert sol.frozen_rows == ((2, 7),)
+            assert all(type(i) is int for i in sol.frozen_rows[0])
+            assert np.array_equal(sol.vars.X_blocks[0], plain.vars.X_blocks[0])
+
+    @pytest.mark.parametrize("name", ["scenario_arx_noisy", "scenario_two_sequences"])
+    def test_nothing_frozen_matches_unpenalized_solve(self, name):
+        # every row is its own unit-weight segment: the program of solve_bil at 0
+        spec = scenario(name).spec
+        opts = SolverOptions(max_iters=20000)
+        free = solve_refined(spec, [set() for _ in spec.lengths], opts)
+        ref = solve_bil(spec, 0.0, opts)
+        assert free.diagnostics.converged and ref.diagnostics.converged
+        assert abs(free.objective - ref.objective) <= 1e-6 * abs(ref.objective)
+
+    def test_frozen_pairs_hold_identical_rows(self):
+        sc = scenario("scenario_arx_noisy")
+        opts = SolverOptions(max_iters=30000)
+        refined = refine_pipeline(sc.spec, solve_bil(sc.spec, 1e7, opts), 0.5, opts)
+        X = refined.vars.X_blocks[0]
+        assert refined.frozen_rows[0]
+        for i in refined.frozen_rows[0]:
+            assert np.array_equal(X[i - 1], X[i]), i
+
+    # Objectives of the same program solved over every X entry with a masked
+    # D X prox (lambda 1e7, FIR 1e2; gamma 0.5; max_iters 30000), converged.
+    @pytest.mark.parametrize("name,seed,lam,objective", [
+        ("scenario_arx_noisy", None, 1e7, 289.69150041156695),
+        ("scenario_arx_noisy", 12, 1e7, 211.92755035181898),
+        ("scenario_fir_noisefree", None, 1e2, 408.72607539735975),
+    ], ids=["arx_noisy", "arx_noisy_seed12", "fir"])
+    def test_refine_parity_pins(self, name, seed, lam, objective):
+        sc = scenario(name, seed=seed)
+        opts = SolverOptions(max_iters=30000)
+        refined = refine_pipeline(sc.spec, solve_bil(sc.spec, lam, opts), 0.5, opts)
+        assert refined.diagnostics.converged
+        assert abs(refined.objective - objective) <= 1e-6 * objective
 
     def test_frozen_rows_recorded(self):
         sc = scenario("scenario_fir_noisefree")
