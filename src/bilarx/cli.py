@@ -11,11 +11,13 @@ simulate   generate a named synthetic scenario as CSV
 
 Data files are CSV with header ``t,y`` (single sequence) or ``t,y,series``;
 extra columns are ignored, time indices are 1-based and consecutive per
-series. Configuration is flat JSON with keys ``n_a, n_b, n_k, epsilon,
-lambda, gamma, rho, max_iters, tol``, the fields of ``ArxOrders`` and
-``SolverOptions`` (their defaults fill absent keys) and three reals.
-``n_a, n_b, n_k, max_iters`` take integers or integral floats such as
-``1e4``, the others any number. Results are JSON and CSV; every float is
+series; with a ``series`` column every row names its series.
+Configuration is flat JSON with keys ``n_a, n_b, n_k, epsilon, lambda,
+gamma, max_iters, tol``, the fields of ``ArxOrders`` and ``SolverOptions``
+(their defaults fill absent keys) and three reals; any other key, ``rho``
+among them, is a configuration error. ``n_a, n_b, n_k, max_iters`` take
+integers or integral floats such as ``1e4``, the others any number.
+``epsilon`` must be finite. Results are JSON and CSV; every float is
 written in its shortest round-trip representation, so it parses back
 bit-exact.
 
@@ -155,10 +157,12 @@ def _from_config(cls, path, cfg):
                       if f.name in cfg})
 
 
-def _non_negative(where, name, value) -> float:
-    """``value`` checked to be >= 0 (so not NaN); a bad value is a usage error."""
-    if not value >= 0:
-        raise _UsageError(f"{where}: {name} must be non-negative, got {value}")
+def _non_negative(where, name, value, finite=False) -> float:
+    """``value`` checked to be >= 0 (so not NaN), and below infinity if
+    ``finite``; a bad value is a usage error."""
+    if not (value >= 0 and not (finite and value == float("inf"))):
+        what = "non-negative and finite" if finite else "non-negative"
+        raise _UsageError(f"{where}: {name} must be {what}, got {value}")
     return value
 
 
@@ -172,6 +176,8 @@ def _load_series_csv(path):
     rows = {}
     for lineno, row in enumerate(reader, start=2):
         label = row["series"] if has_series else "y1"
+        if label is None:
+            raise _UsageError(f"{path}:{lineno}: missing series value")
         try:
             t = int(row["t"])
             y = float(row["y"])
@@ -196,7 +202,7 @@ def _load_series_csv(path):
 
 def _build_spec(args, cfg):
     orders = _from_config(ArxOrders, args.config, cfg)
-    epsilon = _non_negative(args.config, "epsilon", cfg.get("epsilon", 0.0))
+    epsilon = _non_negative(args.config, "epsilon", cfg.get("epsilon", 0.0), finite=True)
     series = _load_series_csv(args.data)
     try:
         return build_problem(series, orders, epsilon)

@@ -99,10 +99,10 @@ def build_problem(sequences, orders: ArxOrders, epsilon: float) -> ProblemSpec:
     """Validate and assemble a :class:`ProblemSpec`.
 
     ``sequences`` may be raw 1-d arrays or :class:`OutputSeries`; raw arrays
-    get labels ``y1, y2, ...``.
+    get labels ``y1, y2, ...``. ``epsilon`` must be non-negative and finite.
     """
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
     seqs = []
     for j, seq in enumerate(sequences):
         if not isinstance(seq, OutputSeries):

@@ -30,9 +30,10 @@ The penalty is residual-balanced (Boyd et al. 2011, section 3.4.1, on
 relative residuals as in Wohlberg 2017): every few iterations both blocks'
 weights are doubled or halved together when the primal and dual residuals,
 each over its own tolerance, are far apart, and the adaptation stops after a
-fixed number of changes. Scaling every weight by ``c`` scales ``K`` and the
-x-update's right-hand side alike, so the factorization made at the starting
-penalty serves the whole solve.
+fixed number of changes. The X block's weight starts at 1, so every weight
+in force is a power of two times its starting value. Scaling every weight by
+``c`` scales ``K`` and the x-update's right-hand side alike, so the
+factorization made at the starting penalty serves the whole solve.
 """
 
 from __future__ import annotations
@@ -71,40 +72,37 @@ _RHO_IMBALANCE = 5.0
 _RHO_STEP = 2.0
 _RHO_MAX_CHANGES = 50
 
-# Cap on the ratio rho2/rho1 = max(1, lambda) of the two blocks' weights.
-# K's conditioning follows that ratio; past ~1e15 rho1 drowns in the rounding
-# of K, and well before that the balanced penalty can walk into a blown-up
-# iterate that the relative stopping test accepts.
+# Cap on rho2 = max(1, lambda), the ratio of the two blocks' weights (the X
+# block's starts at 1). K's conditioning follows that ratio; past ~1e15 the X
+# block drowns in the rounding of K, and well before that the balanced penalty
+# can walk into a blown-up iterate that the relative stopping test accepts.
 _MAX_BLOCK_RATIO = 1e8
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs for the ADMM iteration.
+    """Budget and tolerance of the ADMM iteration; the penalty is the
+    solver's own (residual balancing picks it).
 
-    ``rho`` is the starting penalty: residual balancing doubles or halves it
-    during the solve (at most 50 times), so the iteration count depends on
-    it only weakly. ``tol`` is relative and serves both stopping tests:
-    residual norms are compared against the scale of the matched iterates.
+    ``max_iters`` is a positive integer. ``tol`` is relative, positive and
+    finite, and serves both stopping tests: residual norms are compared
+    against the scale of the matched iterates.
     """
 
-    rho: float = 1.0
     max_iters: int = 5000
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
-    """How a solve ended. ``rho`` is the penalty in force at exit (the
-    ``SolverOptions.rho`` scale) and ``rho_changes`` the number of times
+    """How a solve ended. ``rho`` is the X block's penalty weight in force at
+    exit, ``2**k`` after a start at 1, and ``rho_changes`` the number of times
     residual balancing doubled or halved it."""
 
     iterations: int
@@ -146,7 +144,7 @@ class SweepResult:
 
 class _XSolve:
     """Solve with the x-update matrix ``K = Mᵀ diag(rho) M``, which is
-    ``rho2 (AᵀA + L ⊗ I) + rho1 I_x``.
+    ``rho2 (AᵀA + L ⊗ I) + I_x`` at the starting weights.
 
     Tap ``k`` of constraint row ``r`` is ``weights[r, k]`` times X unknown
     ``op.x_index[r, k]``. ``I_x`` and the row-difference Laplacian ``L = DᵀD``
@@ -154,7 +152,7 @@ class _XSolve:
     to row ``i + 1`` (``link`` is empty without a D block). Taps ``k < k'``
     of one constraint row lie in rows at most ``k' - k`` apart, so the X
     block of ``K`` is banded with bandwidth ``max(n_b, (n_b - 1)^2)`` and
-    positive definite through ``rho1``; it is factored once by a banded
+    positive definite through ``I_x``; it is factored once by a banded
     Cholesky. The ``a`` unknowns are eliminated through the Schur complement
     ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by eigendecomposition.
     Each x-update solves with ``Kxx`` by one LAPACK ``dpbtrs`` on the factor.
@@ -163,7 +161,7 @@ class _XSolve:
     """
 
     def __init__(self, op: LiftedOperator, weights: np.ndarray, link: np.ndarray,
-                 rho1: float, rho2: float):
+                 rho2: float):
         n_b, n_a = op.x_index.shape[1], op.lagged.shape[1]
         self.n_x = op.n_x
 
@@ -172,7 +170,7 @@ class _XSolve:
         ab = np.zeros((bandwidth + 1, self.n_x))
         link = np.pad(link, (0, self.n_x // n_b - link.size))   # one entry per row
         lap_diag = link + np.concatenate([[0.0], link[:-1]])
-        ab[0] = rho1 + rho2 * np.repeat(lap_diag, n_b)
+        ab[0] = 1.0 + rho2 * np.repeat(lap_diag, n_b)
         ab[n_b] = -rho2 * np.repeat(link, n_b)
         # AᵀA, accumulated: taps of many constraint rows share a column pair.
         taps = op.x_index.ravel()
@@ -220,12 +218,12 @@ def _segments(lengths, freeze) -> tuple:
 class _Workspace:
     """Shared geometry for one ProblemSpec: operator, factorization, and the
     map ``M x = (X, D X, A(X, a))`` of the packed ``x`` (X unknowns, then ``a``)
-    with per-entry penalty weights ``rho``: ``rho1`` on X, ``rho2`` after.
+    with per-entry starting penalty weights ``rho``: 1 on X, ``rho2`` after.
     ``M`` and ``MT = Mᵀ`` are CSR; a pair straddling two sequences is an empty row.
     With ``freeze``, row ``i`` of X is ``weight[i]`` times unknown row
     ``segment[i]``, and there is no D X block."""
 
-    def __init__(self, spec: ProblemSpec, lam: float, options: SolverOptions, freeze=None):
+    def __init__(self, spec: ProblemSpec, lam: float, freeze=None):
         self.spec = spec
         self.n_b = spec.orders.n_b
         self.lengths = spec.lengths
@@ -257,16 +255,9 @@ class _Workspace:
         self.M = self._stacked_map()
         self.MT = self.M.T.tocsr()
         # Starting weights; _admm scales both together and keeps K's factor.
-        self.rho1 = options.rho
-        self.rho2 = options.rho * min(max(1.0, lam), _MAX_BLOCK_RATIO)
-        uncapped = options.rho * max(1.0, lam)
-        if not (1.0 / self.rho1 < math.inf and uncapped * uncapped < math.inf):
-            raise ValueError(
-                f"rho = {options.rho} at lambda = {lam} puts a penalty weight out "
-                f"of floating-point range: 1/rho, rho*max(1, lambda) and its "
-                f"square must be finite")
-        self.rho = np.repeat([self.rho1, self.rho2], [self.n_x, self.M.shape[0] - self.n_x])
-        self.solve_K = _XSolve(self.operator, self.tap_weights, self.link, self.rho1, self.rho2)
+        self.rho2 = min(max(1.0, lam), _MAX_BLOCK_RATIO)
+        self.rho = np.repeat([1.0, self.rho2], [self.n_x, self.M.shape[0] - self.n_x])
+        self.solve_K = _XSolve(self.operator, self.tap_weights, self.link, self.rho2)
 
     def _stacked_map(self):
         """``M`` in CSR form: the identity on X, D X row ``(i, k)`` = X entry
@@ -311,7 +302,7 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
 
     def rho_norm(v):    # ||rho * v||, from one dot product per weight
         h, t = v[:n_x], v[n_x:]
-        return math.hypot(work.rho1 * math.sqrt(h @ h), work.rho2 * math.sqrt(t @ t))
+        return math.hypot(math.sqrt(h @ h), work.rho2 * math.sqrt(t @ t))
 
     for iters in range(1, options.max_iters + 1):
         x = work.solve_K(work.MT @ (rho * (z - s)))
@@ -321,7 +312,7 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
         q += s
         Q1, Q2, q3 = work.blocks(q)
         w = prox.box_clip(rhs - q3, work.eps)
-        z_new = np.concatenate([prox.svt(Q1, 1.0 / (scale * work.rho1)).ravel(),
+        z_new = np.concatenate([prox.svt(Q1, 1.0 / scale).ravel(),
                                 prox2(Q2, scale * work.rho2).ravel(),
                                 rhs - w])
         np.subtract(q, z_new, out=s)
@@ -352,7 +343,7 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
                 s /= step
                 rho_changes += 1
     return x, w, SolverDiagnostics(iters, pri_norm, dual_norm, converged,
-                                   scale * options.rho, rho_changes)
+                                   scale, rho_changes)
 
 
 def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
@@ -389,14 +380,15 @@ def solve_bil(spec: ProblemSpec, lam: float,
 
     Non-convergence inside ``max_iters`` is not an exception: the best
     iterate comes back with ``diagnostics.converged`` False and the final
-    residual norms filled in. Raises ValueError unless ``lam`` is finite
-    and non-negative, and when ``1/rho``, ``rho * max(1, lam)`` or its square
-    overflows.
+    residual norms filled in. Raises ValueError unless ``lam`` is
+    non-negative with ``lam**2`` finite, the range in which the block
+    weights and ``K`` are formed without overflow.
     """
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+    if not (lam >= 0 and lam * lam < math.inf):
+        raise ValueError(f"lambda must be non-negative with its square in "
+                         f"floating-point range, got {lam}")
     options = options or SolverOptions()
-    work = _Workspace(spec, lam, options)
+    work = _Workspace(spec, lam)
 
     def prox2(V, rho2):
         return prox.row_group_shrink(V, lam / rho2)
@@ -432,12 +424,11 @@ def solve_refined(spec: ProblemSpec, freeze,
     ``freeze`` gives, per sequence, the 1-based difference indices ``i``
     where ``X(i,:) = X(i+1,:)`` holds bit for bit (ints, or floats of
     integer value). This is the bias-removal re-solve: the sparsity pattern
-    comes from a previous estimate, the penalty weight drops to zero. Raises
-    ValueError as :func:`solve_bil` does for ``rho``.
+    comes from a previous estimate, the penalty weight drops to zero.
     """
     options = options or SolverOptions()
     freeze = _normalize_freeze(spec, freeze)
-    work = _Workspace(spec, 0.0, options, freeze)
+    work = _Workspace(spec, 0.0, freeze)
     x, w, diag = _admm(work, lambda V, rho2: V, options)    # the D X block is empty
     return _package_solution(work, x, w, 0.0, diag, frozen_rows=freeze)
 

@@ -392,6 +392,10 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=message):
             brute_force_solve(op, 1, rhs=rhs)
 
+    def test_unsupported_problem_type_rejected(self):
+        with pytest.raises(TypeError, match="unsupported problem type"):
+            brute_force_solve(np.eye(3), 1)
+
     def test_spec_rejects_rhs(self):
         spec = build_problem([np.arange(8.0)], ArxOrders(n_a=0, n_b=1), 0.0)
         with pytest.raises(ValueError, match="rhs is given only with a MatrixOperator"):

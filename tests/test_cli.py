@@ -168,7 +168,9 @@ class TestIdentify:
 
 
 class TestBadSettings:
-    """Bad config values and flags end with exit 1 and one message line."""
+    """Bad config values and flags end with exit 1 and one message line. The
+    ``rho`` rows hold a key the solver no longer has: whatever its value, it
+    is an unknown config key."""
 
     @pytest.mark.parametrize("command, cfg_overrides, flags", [
         ("identify", {"rho": -1}, []),
@@ -190,10 +192,12 @@ class TestBadSettings:
         ("identify", {"rho": 1e-320}, []),
         ("refine", {"rho": 1e-320}, []),
         ("sweep", {}, ["--lambdas", "1e300"]),
+        ("identify", {"tol": float("inf")}, []),
+        ("identify", {"epsilon": float("inf")}, []),
     ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma",
             "n_a", "n_b", "epsilon", "lambda_inf", "max_iters_overflow", "rho_inf",
             "lambdas_inf", "lambda_huge", "lambda_square_overflow", "rho_huge",
-            "rho_tiny", "rho_tiny_refine", "lambdas_huge"])
+            "rho_tiny", "rho_tiny_refine", "lambdas_huge", "tol_inf", "epsilon_inf"])
     def test_exits_1_without_traceback(self, workdir, capsys, command,
                                        cfg_overrides, flags):
         tmp, data, _ = workdir
@@ -409,7 +413,8 @@ class TestInputContract:
         ("y\n1.0\n", 1, "need columns 't' and 'y'"),
         ("t,y\n1,1.0\nx,2.0\n", 1, ":3: bad t/y value"),
         ("t,y\n", 3, "no data rows"),
-    ], ids=["no_y", "no_t", "non_numeric_t", "header_only"])
+        ("t,y,series\n1,1.0,a\n2,2.0\n", 1, ":3: missing series value"),
+    ], ids=["no_y", "no_t", "non_numeric_t", "header_only", "no_series_value"])
     def test_bad_data_file(self, workdir, capsys, csv_text, code, message):
         tmp, _, cfg = workdir
         data = tmp / "bad.csv"

@@ -14,7 +14,6 @@ from bilarx import (
     scenario,
     simulate_arx,
     solve_bil,
-    solve_refined,
     thin_svd,
 )
 from bilarx.solver import check_sweep_grid
@@ -81,28 +80,26 @@ def _ones_spec():
     (lambda: prox.row_group_shrink(np.eye(2), NAN), "kappa"),
     (lambda: prox.box_clip(np.ones(3), NAN), "bound"),
     (lambda: add_uniform_noise(np.zeros(4), NAN, 1), "noise bound"),
-    (lambda: SolverOptions(rho=NAN), "rho"),
     (lambda: SolverOptions(max_iters=NAN), "max_iters"),
     (lambda: SolverOptions(tol=NAN), "tol"),
     (lambda: check_sweep_grid([NAN], 0.5), "positive"),
     (lambda: solve_bil(build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), 0.0),
                        INF), "lambda"),
     (lambda: check_sweep_grid([1.0, INF], 0.5), "finite"),
-    (lambda: SolverOptions(rho=INF), "rho"),
     (lambda: solve_bil(_ones_spec(), 1e300), "floating-point range"),
     (lambda: solve_bil(_ones_spec(), 1e200), "floating-point range"),
-    (lambda: solve_bil(_ones_spec(), 1.0, SolverOptions(rho=1e300)),
-     "floating-point range"),
-    (lambda: solve_refined(_ones_spec(), [set()], SolverOptions(rho=1e-320)),
-     "floating-point range"),
+    (lambda: SolverOptions(tol=INF), "tol"),
+    (lambda: SolverOptions(max_iters=2.5), "max_iters"),
+    (lambda: build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), INF), "epsilon"),
 ], ids=["build_problem", "change_points", "svt", "row_group_shrink", "box_clip",
-        "add_uniform_noise", "rho", "max_iters", "tol", "sweep_grid",
-        "solve_bil_inf", "sweep_grid_inf", "rho_inf", "lambda_huge",
-        "lambda_square_overflow", "rho_huge", "rho_tiny_refined"])
+        "add_uniform_noise", "max_iters", "tol", "sweep_grid",
+        "solve_bil_inf", "sweep_grid_inf", "lambda_huge",
+        "lambda_square_overflow", "tol_inf", "max_iters_fraction", "build_problem_inf"])
 def test_nan_setting_is_rejected(call, match):
     # NaN fails every comparison, so a guard written as ``x < 0`` lets it by;
     # an infinite weight passes a sign check but breaks the factorization,
-    # and so does a finite one whose square or reciprocal overflows.
+    # and so does a finite one whose square overflows. An infinite tolerance
+    # accepts the first iterate, and an infinite noise bound is no bound.
     with pytest.raises(ValueError, match=match):
         call()
 
