@@ -37,14 +37,14 @@ def fit_piecewise_constant(y, max_segments: int):
         q = csum2[j] - csum2[i]
         return q - s * s / (j - i)
 
-    # best[k][j]: optimal SSE for y[0:j] with exactly k+1 segments.
+    # best[k][j]: optimal SSE for y[0:j] with exactly k+1 segments; the
+    # last segment of cell (k, j) starts at split[k, j], the first minimizer.
     best = np.full((max_segments, N + 1), np.inf)
     split = np.zeros((max_segments, N + 1), dtype=int)
-    for j in range(1, N + 1):
-        best[0, j] = seg_cost(0, j)
+    best[0, 1:] = seg_cost(0, np.arange(1, N + 1))
     for k in range(1, max_segments):
         for j in range(k + 1, N + 1):
-            costs = [best[k - 1, m] + seg_cost(m, j) for m in range(k, j)]
+            costs = best[k - 1, k:j] + seg_cost(np.arange(k, j), j)
             m_best = int(np.argmin(costs))
             best[k, j] = costs[m_best]
             split[k, j] = m_best + k
@@ -53,19 +53,13 @@ def fit_piecewise_constant(y, max_segments: int):
     totals = best[:, N]
     k_opt = int(np.argmin(totals + 1e-12 * np.arange(max_segments)))
     boundaries = [N]
-    k, j = k_opt, N
-    while k > 0:
-        j = split[k, j]
-        boundaries.append(j)
-        k -= 1
-    boundaries.append(0)
-    boundaries.reverse()
+    for k in range(k_opt, 0, -1):
+        boundaries.append(split[k, boundaries[-1]])
+    boundaries = [0, *boundaries[::-1]]
 
-    u_hat = np.empty(N)
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        u_hat[lo:hi] = np.mean(y[lo:hi])
-    cps = [b for b in boundaries[1:-1]]
-    return u_hat, cps
+    u_hat = np.repeat([np.mean(y[lo:hi]) for lo, hi in zip(boundaries, boundaries[1:])],
+                      np.diff(boundaries))
+    return u_hat, boundaries[1:-1]
 
 
 def least_squares_arx(y, u, orders: ArxOrders):

@@ -11,7 +11,9 @@ simulate   generate a named synthetic scenario as CSV
 
 Data files are CSV with header ``t,y`` (single sequence) or ``t,y,series``;
 extra columns are ignored, time indices are 1-based and consecutive per
-series; with a ``series`` column every row names its series.
+series; with a ``series`` column every row names its series. With
+``--plot-dir``, a label that holds a path separator or a NUL cannot name
+the file ``<prefix>_<label>.csv`` there, and is a file-format error.
 Configuration is flat JSON with keys ``n_a, n_b, n_k, epsilon, lambda,
 gamma, max_iters, tol``, the fields of ``ArxOrders`` and ``SolverOptions``
 (their defaults fill absent keys) and three reals; any other key, ``rho``
@@ -204,6 +206,11 @@ def _build_spec(args, cfg):
     orders = _from_config(ArxOrders, args.config, cfg)
     epsilon = _non_negative(args.config, "epsilon", cfg.get("epsilon", 0.0), finite=True)
     series = _load_series_csv(args.data)
+    # Checked before any solve or write, so a rejected label leaves no file.
+    for label in (seq.label for seq in series) if args.plot_dir else ():
+        if Path(f"_{label}").name != f"_{label}" or "\0" in label:
+            raise _UsageError(f"{args.data}: series label {label!r} cannot name a file "
+                              f"in --plot-dir")
     try:
         return build_problem(series, orders, epsilon)
     except ValueError as exc:
@@ -217,10 +224,12 @@ def _inputs(spec, u_blocks, gamma):
             {lab: change_points(u, gamma) for lab, u in zip(labels, u_blocks)})
 
 
-def _write_series_csv(path, columns, *series):
-    """CSV with header ``t, *columns`` and one row per time index ``t = 1..N``."""
+def _write_series_csv(directory, name, columns, *series):
+    """CSV ``name`` in ``directory``, created if missing, with header
+    ``t, *columns`` and one row per time index ``t = 1..N``."""
+    path = Path(directory) / name
     with _write_errors(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
+        Path(directory).mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", *columns])
@@ -257,12 +266,11 @@ def _run_solve(args, cfg, gamma, solve):
         **extra,
     })
     if args.plot_dir and sol.b_est is not None:
-        out = Path(args.plot_dir)
         for seq, u in zip(spec.sequences, sol.u_est):
             y_model = simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
-            _write_series_csv(out / f"fit_{seq.label}.csv", ["y_measured", "y_model"],
-                              seq.samples, y_model)
-            _write_series_csv(out / f"input_{seq.label}.csv", ["u_estimate"], u)
+            _write_series_csv(args.plot_dir, f"fit_{seq.label}.csv",
+                              ["y_measured", "y_model"], seq.samples, y_model)
+            _write_series_csv(args.plot_dir, f"input_{seq.label}.csv", ["u_estimate"], u)
     return EXIT_OK if sol.diagnostics.converged else EXIT_NOT_CONVERGED
 
 
@@ -336,7 +344,7 @@ def _cmd_baseline(args):
                            "change_points": cps, "segments": args.segments})
     if args.plot_dir:
         for seq, u in zip(spec.sequences, u_hats):
-            _write_series_csv(Path(args.plot_dir) / f"baseline_{seq.label}.csv",
+            _write_series_csv(args.plot_dir, f"baseline_{seq.label}.csv",
                               ["y_measured", "u_fit"], seq.samples, u)
     return EXIT_OK
 
@@ -382,8 +390,7 @@ def _cmd_simulate(args):
                 writer.writerow(row)
     if args.plot_dir:
         for seq, u in zip(scn.spec.sequences, scn.truth.u_blocks):
-            _write_series_csv(Path(args.plot_dir) / f"true_input_{seq.label}.csv",
-                              ["u_true"], u)
+            _write_series_csv(args.plot_dir, f"true_input_{seq.label}.csv", ["u_true"], u)
     return EXIT_OK
 
 

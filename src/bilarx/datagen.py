@@ -70,11 +70,7 @@ def gen_piecewise_input(N: int, change_points, levels) -> np.ndarray:
     for a, b in zip(levels, levels[1:]):
         if a == b:
             raise ValueError("adjacent segment levels must differ")
-    u = np.empty(N)
-    bounds = [0] + change_points + [N]
-    for level, (lo, hi) in zip(levels, zip(bounds, bounds[1:])):
-        u[lo:hi] = level
-    return u
+    return np.repeat(levels, np.diff([0, *change_points, N]))
 
 
 def simulate_arx(a, b, orders: ArxOrders, u) -> np.ndarray:

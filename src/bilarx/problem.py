@@ -17,6 +17,7 @@ addressed by their 0-based position in the problem's sequence list.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,19 +32,18 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArxOrders:
-    """Model orders: ``n_a`` output lags, ``n_b`` input taps, ``n_k`` delay."""
+    """Model orders: ``n_a`` output lags, ``n_b`` input taps, ``n_k`` delay;
+    integers, with ``n_b >= 1`` and ``n_a, n_k >= 0``."""
 
     n_a: int
     n_b: int
     n_k: int = 0
 
     def __post_init__(self):
-        if self.n_b < 1:
-            raise ValueError(f"n_b must be >= 1, got {self.n_b}")
-        if self.n_a < 0:
-            raise ValueError(f"n_a must be >= 0, got {self.n_a}")
-        if self.n_k < 0:
-            raise ValueError(f"n_k must be >= 0, got {self.n_k}")
+        for name, low in (("n_b", 1), ("n_a", 0), ("n_k", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
     @property
     def n(self) -> int:

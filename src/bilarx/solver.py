@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,12 +49,7 @@ from scipy.linalg.lapack import dpbtrs
 
 from . import prox
 from .extract import change_points, factor_rank1
-from .problem import (
-    LiftedOperator,
-    LiftedVariables,
-    ProblemSpec,
-    build_lifted_operator,
-)
+from .problem import LiftedVariables, ProblemSpec, build_lifted_operator
 
 
 # Over-relaxation factor of the ADMM iteration. Values in [1.5, 1.8] are the
@@ -144,10 +139,10 @@ class SweepResult:
 
 class _XSolve:
     """Solve with the x-update matrix ``K = Mᵀ diag(rho) M``, which is
-    ``rho2 (AᵀA + L ⊗ I) + I_x`` at the starting weights.
+    ``rho2 (AᵀA + L ⊗ I) + I_x`` at the workspace's starting weights.
 
-    Tap ``k`` of constraint row ``r`` is ``weights[r, k]`` times X unknown
-    ``op.x_index[r, k]``. ``I_x`` and the row-difference Laplacian ``L = DᵀD``
+    Tap ``k`` of constraint row ``r`` is ``tap_weights[r, k]`` times X unknown
+    ``x_index[r, k]``. ``I_x`` and the row-difference Laplacian ``L = DᵀD``
     act on the X unknowns only; ``link[i]`` is 1 when ``D`` joins row ``i``
     to row ``i + 1`` (``link`` is empty without a D block). Taps ``k < k'``
     of one constraint row lie in rows at most ``k' - k`` apart, so the X
@@ -155,50 +150,54 @@ class _XSolve:
     positive definite through ``I_x``; it is factored once by a banded
     Cholesky. The ``a`` unknowns are eliminated through the Schur complement
     ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by eigendecomposition.
-    Each x-update solves with ``Kxx`` by one LAPACK ``dpbtrs`` on the factor.
+    Every solve with ``Kxx`` is one LAPACK ``dpbtrs`` on the factor.
     ``null(K) = {(0, v) : A_a v = 0}`` matches ``null(S)``, so a
     rank-deficient ``a`` block gets the minimum-norm solution.
     """
 
-    def __init__(self, op: LiftedOperator, weights: np.ndarray, link: np.ndarray,
-                 rho2: float):
-        n_b, n_a = op.x_index.shape[1], op.lagged.shape[1]
-        self.n_x = op.n_x
+    def __init__(self, work: _Workspace):
+        x_index, weights, lagged = work.x_index, work.tap_weights, work.lagged
+        n_b, rho2, self.n_x = work.n_b, work.rho2, work.n_x
 
         # LAPACK lower band form: ab[d, c] = Kxx[c + d, c].
         bandwidth = max(n_b, (n_b - 1) ** 2)
         ab = np.zeros((bandwidth + 1, self.n_x))
-        link = np.pad(link, (0, self.n_x // n_b - link.size))   # one entry per row
+        link = np.pad(work.link, (0, self.n_x // n_b - work.link.size))   # one entry per row
         lap_diag = link + np.concatenate([[0.0], link[:-1]])
         ab[0] = 1.0 + rho2 * np.repeat(lap_diag, n_b)
         ab[n_b] = -rho2 * np.repeat(link, n_b)
         # AᵀA, accumulated: taps of many constraint rows share a column pair.
-        taps = op.x_index.ravel()
+        taps = x_index.ravel()
         np.add.at(ab[0], taps, rho2 * (weights * weights).ravel())
         for hi in range(n_b):
             for lo in range(hi + 1, n_b):
-                diff = np.abs(op.x_index[:, hi] - op.x_index[:, lo])
-                cols = np.minimum(op.x_index[:, hi], op.x_index[:, lo])
+                diff = np.abs(x_index[:, hi] - x_index[:, lo])
+                cols = np.minimum(x_index[:, hi], x_index[:, lo])
                 np.add.at(ab.reshape(-1), diff * self.n_x + cols,
                           rho2 * weights[:, hi] * weights[:, lo])
         self._factor = scipy.linalg.cholesky_banded(ab, lower=True)
 
         self._Kxa = self._W = self._S_pinv = None
-        if n_a:
+        if lagged.shape[1]:
             self._Kxa = Kxa = np.column_stack([
                 np.bincount(taps, rho2 * weights.ravel() * lag, minlength=self.n_x)
-                for lag in np.repeat(op.lagged, n_b, axis=0).T])
-            self._W = scipy.linalg.cho_solve_banded((self._factor, True), Kxa)
-            S = rho2 * (op.lagged.T @ op.lagged) - Kxa.T @ self._W
+                for lag in np.repeat(lagged, n_b, axis=0).T])
+            self._W = self._solve_xx(Kxa)
+            S = rho2 * (lagged.T @ lagged) - Kxa.T @ self._W
             vals, vecs = scipy.linalg.eigh(S)
             cutoff = np.max(np.abs(vals)) * S.shape[0] * np.finfo(float).eps
             inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
             self._S_pinv = (vecs * inv) @ vecs.T
 
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dpbtrs(self._factor, rhs[: self.n_x], lower=1)
+    def _solve_xx(self, b: np.ndarray) -> np.ndarray:
+        """``Kxx^-1 b`` on the held factor, for a vector or a matrix ``b``."""
+        x, info = dpbtrs(self._factor, b, lower=1)
         if info:
             raise np.linalg.LinAlgError(f"dpbtrs failed with info = {info}")
+        return x
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        x = self._solve_xx(rhs[: self.n_x])
         if self._W is None:
             return np.concatenate([x, rhs[self.n_x :]])
         a = self._S_pinv @ (rhs[self.n_x :] - self._Kxa.T @ x)
@@ -239,15 +238,15 @@ class _Workspace:
         self.link = link if freeze is None else link[:0]
 
         self.y_scale = max(float(np.max(np.abs(s.samples))) for s in spec.sequences) or 1.0
-        # Normalized units divide every output by y_scale, so the targets and
-        # the lagged outputs multiplying ``a`` shrink by the same factor; the
-        # X columns are ones either way, times the segment weights.
+        # The constraint operator the iteration solves with. Normalized units
+        # divide every output by y_scale, so the targets and the lagged outputs
+        # multiplying ``a`` shrink by the same factor; the X columns are ones
+        # either way, times the segment weights.
         op = build_lifted_operator(spec)
         rows = op.x_index // self.n_b
-        self.operator = replace(
-            op, x_index=self.segment[rows] * self.n_b + op.x_index % self.n_b,
-            n_x=self.n_x, rhs=op.rhs / self.y_scale, lagged=op.lagged / self.y_scale)
+        self.x_index = self.segment[rows] * self.n_b + op.x_index % self.n_b
         self.tap_weights = self.weight[rows]
+        self.lagged, self.rhs = op.lagged / self.y_scale, op.rhs / self.y_scale
         self.eps = spec.epsilon / self.y_scale
 
         # Ends of the X and D X blocks in a stacked vector.
@@ -257,21 +256,21 @@ class _Workspace:
         # Starting weights; _admm scales both together and keeps K's factor.
         self.rho2 = min(max(1.0, lam), _MAX_BLOCK_RATIO)
         self.rho = np.repeat([1.0, self.rho2], [self.n_x, self.M.shape[0] - self.n_x])
-        self.solve_K = _XSolve(self.operator, self.tap_weights, self.link, self.rho2)
+        self.solve_K = _XSolve(self)
 
     def _stacked_map(self):
         """``M`` in CSR form: the identity on X, D X row ``(i, k)`` = X entry
         ``(i, k)`` - X entry ``(i + 1, k)`` on linked pairs, then A's rows."""
-        n_x, n_b, op = self.n_x, self.n_b, self.operator
+        n_x, n_b, lagged = self.n_x, self.n_b, self.lagged
         linked = np.repeat(self.link.astype(np.intp), n_b)   # 1 on linked D X rows
         pairs = np.flatnonzero(linked)
-        taps = np.hstack([op.x_index[:, ::-1],
-                          np.broadcast_to(n_x + np.arange(op.lagged.shape[1]), op.lagged.shape)])
+        taps = np.hstack([self.x_index[:, ::-1],
+                          np.broadcast_to(n_x + np.arange(lagged.shape[1]), lagged.shape)])
         indptr = np.cumsum(np.concatenate([[0], np.ones(n_x, np.intp), 2 * linked,
                                            np.full(len(taps), taps.shape[1])]))
         cols = np.concatenate([np.arange(n_x), np.add.outer(pairs, [0, n_b]).ravel(), taps.ravel()])
         vals = np.concatenate([np.ones(n_x), np.tile([1.0, -1.0], pairs.size),
-                               np.hstack([self.tap_weights[:, ::-1], op.lagged]).ravel()])
+                               np.hstack([self.tap_weights[:, ::-1], lagged]).ravel()])
         return scipy.sparse.csr_array((vals, cols, indptr), shape=(len(indptr) - 1, self.p))
 
     def blocks(self, q):
@@ -290,7 +289,7 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
     same ``scale`` leaves the solution unchanged.
     """
     alpha, tol = _OVER_RELAXATION, options.tol
-    rho, rhs, cut, n_x = work.rho, work.operator.rhs, work.cuts[1], work.n_x
+    rho, rhs, cut, n_x = work.rho, work.rhs, work.cuts[1], work.n_x
     scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
     # so the slack w = rhs - v starts at zero.

@@ -502,6 +502,29 @@ class TestInputContract:
         u_fit = json.loads((tmp / "b.json").read_text())["u"]["y1"]
         assert [float(r.split(",")[2]) for r in rows[1:]] == u_fit
 
+    @pytest.mark.parametrize("command, flags", [
+        ("identify", []),
+        ("baseline", ["--segments", "4"]),
+    ], ids=["identify", "baseline"])
+    def test_plot_label_leaving_plot_dir_exits_1(self, workdir, capsys, command, flags):
+        # A label with path separators would put fit_<label>.csv outside
+        # --plot-dir; it is refused before the solve, so nothing is written.
+        tmp, data, cfg = workdir
+        rows = list(csv.DictReader(data.read_text().splitlines()))
+        escape = tmp / "escape.csv"
+        escape.write_text("t,y,series\n" + "".join(
+            f"{r['t']},{r['y']},/../../esc\n" for r in rows))
+        before = set(tmp.rglob("*"))
+        capsys.readouterr()
+        code = run_cli(command, "--data", str(escape), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"),
+                       "--plot-dir", str(tmp / "plots" / "inner"), *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"bilarx: {escape}: series label '/../../esc' cannot name "
+                       f"a file in --plot-dir\n")
+        assert set(tmp.rglob("*")) == before
+
 
 class TestAllZeroData:
     """Twelve zero samples: the lifted solution is exactly zero, so there is

@@ -292,11 +292,14 @@ class TestKernelCallCounts:
     """perfbench's per-layer split relies on one ``svt`` and one ``box_clip``
     per iteration, and on one more thin SVD for the objective and one for
     the rank-one factorization. A penalty change rescales ``K`` without
-    refactoring it, so each solve factors once."""
+    refactoring it, so each solve factors once. With ``n_a >= 1`` the Schur
+    complement takes one ``scipy.linalg.eigh`` per solve, which perfbench's
+    traced run counts through that name: a pseudo-inverse that reaches LAPACK
+    another way would leave its x-solve invariant unchecked."""
 
     @pytest.mark.parametrize("refine", [False, True], ids=["solve_bil", "solve_refined"])
     def test_prox_calls_per_iteration(self, monkeypatch, refine):
-        counts = dict.fromkeys(("svt", "box_clip", "thin_svd", "cholesky_banded"), 0)
+        counts = dict.fromkeys(("svt", "box_clip", "thin_svd", "cholesky_banded", "eigh"), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -310,13 +313,13 @@ class TestKernelCallCounts:
         freeze = freeze_small_differences(solve_bil(spec, 1e7).u_est, 0.5) if refine else None
         for module, name in ((prox, "svt"), (prox, "box_clip"),
                              (prox, "thin_svd"), (extract, "thin_svd"),
-                             (scipy.linalg, "cholesky_banded")):
+                             (scipy.linalg, "cholesky_banded"), (scipy.linalg, "eigh")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         sol = solve_refined(spec, freeze) if refine else solve_bil(spec, 1e7)
         assert sol.diagnostics.rho_changes >= 1
         iters = sol.diagnostics.iterations
         assert counts == {"svt": iters, "box_clip": iters, "thin_svd": iters + 2,
-                          "cholesky_banded": 1}
+                          "cholesky_banded": 1, "eigh": 1}
 
 
 class TestResidualBalancing:
