@@ -12,8 +12,10 @@ simulate   generate a named synthetic scenario as CSV
 Data files are CSV with header ``t,y`` (single sequence) or ``t,y,series``;
 extra columns are ignored, time indices are 1-based and consecutive per
 series; with a ``series`` column every row names its series. With
-``--plot-dir``, a label that holds a path separator or a NUL cannot name
-the file ``<prefix>_<label>.csv`` there, and is a file-format error.
+``--plot-dir``, a label is a file-format error when some file
+``<prefix>_<label>.csv`` that the command writes there would not be a plain
+file name: one holding a path separator or a NUL, or longer than 255 bytes.
+``ripcheck`` writes no per-figure file and has no ``--plot-dir``.
 Configuration is flat JSON with keys ``n_a, n_b, n_k, epsilon, lambda,
 gamma, max_iters, tol``, the fields of ``ArxOrders`` and ``SolverOptions``
 (their defaults fill absent keys) and three reals; any other key, ``rho``
@@ -69,6 +71,10 @@ _CONFIG_TYPES = {
     **typing.get_type_hints(SolverOptions),
     "epsilon": float, "lambda": float, "gamma": float,
 }
+
+
+# Longest file name, in bytes, that common file systems accept.
+_NAME_MAX = 255
 
 
 class _UsageError(Exception):
@@ -202,13 +208,23 @@ def _load_series_csv(path):
     return series
 
 
-def _build_spec(args, cfg):
+def _plot_name(prefix, label) -> str:
+    """File name of the ``--plot-dir`` CSV ``prefix`` of series ``label``."""
+    return f"{prefix}_{label}.csv"
+
+
+def _build_spec(args, cfg, plot_prefixes=()):
+    """The problem of ``args.data`` under ``cfg``. With ``--plot-dir``, every
+    series label must make plain file names with ``plot_prefixes``, the
+    per-figure files the command writes there."""
     orders = _from_config(ArxOrders, args.config, cfg)
     epsilon = _non_negative(args.config, "epsilon", cfg.get("epsilon", 0.0), finite=True)
     series = _load_series_csv(args.data)
     # Checked before any solve or write, so a rejected label leaves no file.
     for label in (seq.label for seq in series) if args.plot_dir else ():
-        if Path(f"_{label}").name != f"_{label}" or "\0" in label:
+        names = [_plot_name(prefix, label) for prefix in plot_prefixes]
+        if any(Path(name).name != name or "\0" in name
+               or len(os.fsencode(name)) > _NAME_MAX for name in names):
             raise _UsageError(f"{args.data}: series label {label!r} cannot name a file "
                               f"in --plot-dir")
     try:
@@ -247,7 +263,7 @@ def _run_solve(args, cfg, gamma, solve):
     convergence.
     """
     options = _from_config(SolverOptions, args.config, cfg)
-    spec = _build_spec(args, cfg)
+    spec = _build_spec(args, cfg, ("fit", "input"))
     with _usage_errors(args.config):
         sol, extra = solve(spec, options)
     inputs, cps = _inputs(spec, sol.u_est, gamma)
@@ -268,9 +284,10 @@ def _run_solve(args, cfg, gamma, solve):
     if args.plot_dir and sol.b_est is not None:
         for seq, u in zip(spec.sequences, sol.u_est):
             y_model = simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
-            _write_series_csv(args.plot_dir, f"fit_{seq.label}.csv",
+            _write_series_csv(args.plot_dir, _plot_name("fit", seq.label),
                               ["y_measured", "y_model"], seq.samples, y_model)
-            _write_series_csv(args.plot_dir, f"input_{seq.label}.csv", ["u_estimate"], u)
+            _write_series_csv(args.plot_dir, _plot_name("input", seq.label),
+                              ["u_estimate"], u)
     return EXIT_OK if sol.diagnostics.converged else EXIT_NOT_CONVERGED
 
 
@@ -334,7 +351,7 @@ def _cmd_sweep(args):
 
 def _cmd_baseline(args):
     cfg = _load_config(args.config)
-    spec = _build_spec(args, cfg)
+    spec = _build_spec(args, cfg, ("baseline",))
     try:
         a_est, b_est, u_hats = naive_identify(spec, args.segments)
     except ValueError as exc:
@@ -344,7 +361,7 @@ def _cmd_baseline(args):
                            "change_points": cps, "segments": args.segments})
     if args.plot_dir:
         for seq, u in zip(spec.sequences, u_hats):
-            _write_series_csv(args.plot_dir, f"baseline_{seq.label}.csv",
+            _write_series_csv(args.plot_dir, _plot_name("baseline", seq.label),
                               ["y_measured", "u_fit"], seq.samples, u)
     return EXIT_OK
 
@@ -390,7 +407,8 @@ def _cmd_simulate(args):
                 writer.writerow(row)
     if args.plot_dir:
         for seq, u in zip(scn.spec.sequences, scn.truth.u_blocks):
-            _write_series_csv(args.plot_dir, f"true_input_{seq.label}.csv", ["u_true"], u)
+            _write_series_csv(args.plot_dir, _plot_name("true_input", seq.label),
+                              ["u_true"], u)
     return EXIT_OK
 
 
@@ -416,12 +434,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Blind ARX identification via convex lifting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p):
+    def add_io(p, plots=True):
         p.add_argument("--data", required=True, help="input CSV (t,y[,series])")
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output JSON path")
-        p.add_argument("--plot-dir", default=None,
-                       help="directory for per-figure CSV files")
+        if plots:
+            p.add_argument("--plot-dir", default=None,
+                           help="directory for per-figure CSV files")
+        else:
+            p.set_defaults(plot_dir=None)
 
     p = sub.add_parser("identify", help="solve the lifted convex program")
     add_io(p)
@@ -449,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("ripcheck", help="restricted-isometry uniqueness check")
-    add_io(p)
+    add_io(p, plots=False)
     p.add_argument("--k", type=_int_at_least(1), required=True,
                    help="difference sparsity level")
     p.add_argument("--budget", type=_int_at_least(0), default=100_000,

@@ -197,11 +197,14 @@ class _XSolve:
         return x
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._solve_xx(rhs[: self.n_x])
-        if self._W is None:
-            return np.concatenate([x, rhs[self.n_x :]])
-        a = self._S_pinv @ (rhs[self.n_x :] - self._Kxa.T @ x)
-        return np.concatenate([x - self._W @ a, a])
+        """``K^-1 rhs``, written over ``rhs`` and returned."""
+        x = rhs[: self.n_x]
+        x[...] = self._solve_xx(x)
+        if self._W is not None:
+            a = self._S_pinv @ (rhs[self.n_x :] - self._Kxa.T @ x)
+            x -= self._W @ a
+            rhs[self.n_x :] = a
+        return rhs
 
 
 def _segments(lengths, freeze) -> tuple:
@@ -292,10 +295,12 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
     rho, rhs, cut, n_x = work.rho, work.rhs, work.cuts[1], work.n_x
     scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
-    # so the slack w = rhs - v starts at zero.
+    # so the slack w = rhs - v starts at zero. The stacked iterates and one
+    # scratch vector are allocated once per solve; z and z_new swap each step.
     z = np.concatenate([np.zeros(cut), rhs])
-    s = np.zeros_like(z)
-    q = np.empty_like(z)
+    s, q, z_new, tmp = (np.zeros_like(z) for _ in range(4))
+    Q1, Q2, q3 = work.blocks(q)
+    new_blocks, old_blocks = work.blocks(z_new), work.blocks(z)
     floor_pri, floor_dual = 1e-14 * math.sqrt(z.size), 1e-14 * math.sqrt(work.p)
     c_norm = math.sqrt(rhs @ rhs)
 
@@ -304,25 +309,30 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
         return math.hypot(math.sqrt(h @ h), work.rho2 * math.sqrt(t @ t))
 
     for iters in range(1, options.max_iters + 1):
-        x = work.solve_K(work.MT @ (rho * (z - s)))
+        np.subtract(z, s, out=tmp)
+        tmp *= rho
+        x = work.solve_K(work.MT @ tmp)
         Mx = work.M @ x
         # The relaxed point plus the multiplier: q = z + alpha (Mx - z) + s.
-        np.add(z, alpha * (Mx - z), out=q)
+        np.subtract(Mx, z, out=q)
+        q *= alpha
+        q += z
         q += s
-        Q1, Q2, q3 = work.blocks(q)
-        w = prox.box_clip(rhs - q3, work.eps)
-        z_new = np.concatenate([prox.svt(Q1, 1.0 / scale).ravel(),
-                                prox2(Q2, scale * work.rho2).ravel(),
-                                rhs - w])
+        w = prox.box_clip(np.subtract(rhs, q3, out=tmp[cut:]), work.eps)
+        Z1, Z2, z3 = new_blocks
+        Z1[...] = prox.svt(Q1, 1.0 / scale)
+        Z2[...] = prox2(Q2, scale * work.rho2)
+        np.subtract(rhs, w, out=z3)
         np.subtract(q, z_new, out=s)
-        r = Mx - z_new
+        r = np.subtract(Mx, z_new, out=tmp)
         pri_norm = math.sqrt(r @ r)
         # Dual progress measured in copy space: the smooth part of the first
         # block is zero, so the textbook x-space reference is identically
         # tiny after every exact (X, a) solve and cannot anchor a relative
         # test. The per-entry penalty weights make this scale-covariant.
-        dual_norm = scale * rho_norm(z_new - z)
-        z = z_new
+        dual_norm = scale * rho_norm(np.subtract(z_new, z, out=tmp))
+        z, z_new = z_new, z
+        new_blocks, old_blocks = old_blocks, new_blocks
         bz_norm = math.sqrt(z[:cut] @ z[:cut] + w @ w)
         eps_pri = tol * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
         eps_dual = tol * (1.0 + scale * rho_norm(s)) + floor_dual

@@ -380,6 +380,21 @@ class TestSweepBaselineRipcheck:
                                "certified_unique"}
         assert result["certified_unique"] is False  # structural null direction
 
+    def test_ripcheck_has_no_plot_dir(self, tmp_path, capsys):
+        # ripcheck writes no per-figure file, so --plot-dir is a usage error
+        data = tmp_path / "fir.csv"
+        run_cli("simulate", "--scenario", "scenario_fir_noisefree",
+                "--out", str(data))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_a": 0, "n_b": 3, "epsilon": 0.0}))
+        capsys.readouterr()
+        assert run_cli("ripcheck", "--data", str(data), "--config", str(cfg),
+                       "--k", "1", "--out", str(tmp_path / "rip.json"),
+                       "--plot-dir", str(tmp_path / "plots")) == 1
+        assert "unrecognized arguments: --plot-dir" in capsys.readouterr().err
+        assert not (tmp_path / "rip.json").exists()
+        assert not (tmp_path / "plots").exists()
+
 
 class TestFloatSerialization:
     def test_17_digit_round_trip(self, tmp_path):
@@ -524,6 +539,44 @@ class TestInputContract:
         assert err == (f"bilarx: {escape}: series label '/../../esc' cannot name "
                        f"a file in --plot-dir\n")
         assert set(tmp.rglob("*")) == before
+
+    @pytest.mark.parametrize("command, flags, prefix", [
+        ("identify", [], "input"),
+        ("baseline", ["--segments", "4"], "baseline"),
+    ], ids=["identify", "baseline"])
+    def test_plot_label_too_long_exits_1(self, workdir, capsys, command, flags, prefix):
+        # The longest file the command writes, <prefix>_<label>.csv, is one
+        # byte over 255 once encoded ("é" is two bytes); it is refused before
+        # the solve, so no result file or plot directory appears.
+        tmp, data, cfg = workdir
+        label = "é" * ((256 - len(prefix) - 5) // 2) + "x" * ((256 - len(prefix) - 5) % 2)
+        assert len(f"{prefix}_{label}.csv".encode()) == 256
+        rows = list(csv.DictReader(data.read_text().splitlines()))
+        long_data = tmp / "long.csv"
+        long_data.write_text("t,y,series\n" + "".join(
+            f"{r['t']},{r['y']},{label}\n" for r in rows))
+        capsys.readouterr()
+        code = run_cli(command, "--data", str(long_data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"), "--plot-dir", str(tmp / "plots"),
+                       *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"bilarx: {long_data}: series label {label!r} cannot name "
+                       f"a file in --plot-dir\n")
+        assert not (tmp / "o.json").exists()
+        assert not (tmp / "plots").exists()
+
+    def test_plot_label_at_name_limit_is_written(self, workdir):
+        # input_<label>.csv of exactly 255 bytes is a valid file name
+        tmp, data, cfg = workdir
+        label = "x" * (255 - len("input_.csv"))
+        rows = list(csv.DictReader(data.read_text().splitlines()))
+        long_data = tmp / "long.csv"
+        long_data.write_text("t,y,series\n" + "".join(
+            f"{r['t']},{r['y']},{label}\n" for r in rows))
+        assert run_cli("identify", "--data", str(long_data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"), "--plot-dir", str(tmp / "plots")) == 0
+        assert (tmp / "plots" / f"input_{label}.csv").exists()
 
 
 class TestAllZeroData:

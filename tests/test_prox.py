@@ -87,6 +87,38 @@ class TestThinSvd:
         with pytest.raises(ValueError, match="finite"):
             prox.thin_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (30, 3), (1, 4), (4, 4)])
+    def test_same_bits_as_numpy_svd(self, shape):
+        # numpy.linalg.svd reaches the same LAPACK driver (gesdd, thin), so
+        # with the sign convention applied its factors agree bit for bit
+        rng = np.random.default_rng(10 * shape[0] + shape[1])
+        M = random_matrix(rng, shape)
+        u, sigma, vt = np.linalg.svd(M, full_matrices=False)
+        flip = np.copysign(1.0, vt[np.arange(len(vt)), np.abs(vt).argmax(axis=1)])
+        dec = prox.thin_svd(M)
+        assert np.array_equal(dec.left_vectors, u * flip)
+        assert np.array_equal(dec.singular_values, sigma)
+        assert np.array_equal(dec.right_vectors, (vt * flip[:, None]).T)
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 3)])
+    def test_empty_input(self, capfd, shape):
+        # LAPACK rejects an empty matrix with a message on stderr; the thin
+        # factors are empty without calling it
+        dec = prox.thin_svd(np.zeros(shape))
+        r = min(shape)
+        assert dec.left_vectors.shape == (shape[0], r)
+        assert dec.singular_values.shape == (r,)
+        assert dec.right_vectors.shape == (shape[1], r)
+        assert prox.svt(np.zeros(shape), 1.0).shape == shape
+        assert capfd.readouterr() == ("", "")
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(m, full_matrices):
+            return np.eye(2), np.ones(2), np.eye(2), 1
+        monkeypatch.setattr(prox, "dgesdd", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+            prox.thin_svd(np.eye(2))
+
 
 class TestSvt:
     def test_full_shrinkage(self):
@@ -217,6 +249,16 @@ class TestBoxClip:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError, match="non-negative"):
             prox.box_clip(np.zeros(2), -1.0)
+
+    @pytest.mark.parametrize("bound", [0.0, 0.5, 2.0, np.inf])
+    def test_same_bits_as_clip(self, bound):
+        # signed zeros and the sign of NaN included: a zero bound keeps the
+        # sign of every zero and of every clipped entry's side
+        v = np.array([0.0, -0.0, 0.5, -0.5, 3.0, -3.0, np.nan, -np.nan,
+                      np.inf, -np.inf, 1e-300, -1e-300])
+        expected = np.clip(v, -bound, bound)
+        assert np.array_equal(prox.box_clip(v, bound).view(np.int64),
+                              expected.view(np.int64))
 
 
 finite_rows = st.lists(

@@ -322,6 +322,32 @@ class TestKernelCallCounts:
                           "cholesky_banded": 1, "eigh": 1}
 
 
+class TestReferenceWorkPins:
+    """The solve and gamma = 0.5 refine that perfbench's ``arx_refine`` times
+    as fixed work (noise seed 12, max_iters 6000), and the default seed at
+    default options: their iteration counts are pinned, so a change to the
+    loop that alters them shows here, not only as a timing shift. The
+    objectives were recorded when the loop allocated fresh temporaries and
+    the SVD went through ``numpy.linalg.svd``; the buffered loop on the
+    LAPACK driver gives the same bits."""
+
+    @pytest.mark.parametrize("seed,max_iters,pins", [
+        (12, 6000, (700, 1925885563.5976167, 294, 211.92739613629664)),
+        (None, 5000, (629, 1953756012.4717984, 461, 289.69152870059577)),
+    ], ids=["seed12", "default_seed"])
+    def test_iterations_and_objectives(self, seed, max_iters, pins):
+        spec = scenario("scenario_arx_noisy", seed=seed).spec
+        opts = SolverOptions(max_iters=max_iters)
+        sol = solve_bil(spec, 1e7, opts)
+        refined = refine_pipeline(spec, sol, 0.5, opts)
+        iters, objective, refine_iters, refine_objective = pins
+        assert sol.diagnostics.converged and refined.diagnostics.converged
+        assert sol.diagnostics.iterations == iters
+        assert refined.diagnostics.iterations == refine_iters
+        assert abs(sol.objective - objective) <= 1e-12 * objective
+        assert abs(refined.objective - refine_objective) <= 1e-12 * refine_objective
+
+
 class TestResidualBalancing:
     """The penalty starts at 1 and is doubled or halved until the relative
     primal and dual residuals balance."""
