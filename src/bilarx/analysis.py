@@ -17,7 +17,10 @@ The brute-force solver enumerates the same difference-support patterns and
 solves the data constraints exactly on each one, which makes it an
 independent ground-truth oracle for small instances: it certifies whether a
 piecewise-constant, rank-one solution is unique, and finds all of them when
-it is not.
+it is not. The data fix a lifted matrix only up to ``1 v^T`` with
+``sum(v) = 0``; that family leaves the differences between segment levels
+alone, so their common direction is ``b``, and ``sum(v) = 0`` fixes the
+scale of the one rank-one member, for every ``n_b``.
 """
 
 from __future__ import annotations
@@ -263,48 +266,34 @@ class BruteForceResult:
 
 
 def _lstsq_with_null(A, rhs):
-    """Min-norm least-squares solution and an orthonormal null-space basis."""
+    """Min-norm least-squares solution and the dimension of the null space."""
     u, sigma, vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(sigma > sigma[0] * max(A.shape) * np.finfo(float).eps))
     coef = vt[:rank].T @ ((u[:, :rank].T @ rhs) / sigma[:rank])
-    null = vt[rank:].T
-    return coef, null
+    return coef, A.shape[1] - rank
 
 
-def _rank_one_in_line(C0, C1, tol):
-    """Parameters t where ``C0 + t C1`` has rank <= 1, or None for "all t".
+def _rank_one_member(levels):
+    """The rank-one members of ``levels + 1 v^T`` with ``sum(v) = 0``.
 
-    Every 2x2 minor of the segment-level matrix must vanish; each minor is a
-    quadratic in t, so candidates are common roots across row pairs. Returns
-    a list of parameters (possibly empty) or None when the whole line is
-    rank-deficient (no pair constrains t).
+    Adding ``1 v^T`` leaves the differences ``D_i = levels_i - levels_0``
+    alone, so a rank-one member ``u b^T`` has ``b`` along every difference and
+    ``u_0 = sum(levels_0) / sum(b)``. Returns the segment levels of that one
+    candidate, an empty list when no member exists, or None when the members
+    form a family (all differences zero, or ``sum(b) = 0`` with
+    ``sum(levels_0) = 0``). Differences, level sums and ``sum(b)`` (``b`` of
+    unit norm) within the change tolerance count as zero. The caller tests
+    the candidate for rank one.
     """
-    nseg = C0.shape[0]
-    polys = []
-    for i in range(nseg - 1):
-        for j in range(i + 1, nseg):
-            q2 = C1[i, 0] * C1[j, 1] - C1[i, 1] * C1[j, 0]
-            q1 = (C0[i, 0] * C1[j, 1] + C1[i, 0] * C0[j, 1]
-                  - C0[i, 1] * C1[j, 0] - C1[i, 1] * C0[j, 0])
-            q0 = C0[i, 0] * C0[j, 1] - C0[i, 1] * C0[j, 0]
-            polys.append((q2, q1, q0))
-    live = [p for p in polys if max(abs(v) for v in p) > tol]
-    if not live:
+    scale = 1.0 + float(np.max(np.abs(levels)))
+    diffs = levels[1:] - levels[0]
+    if not diffs.size or np.max(np.abs(diffs)) <= 1e-7 * scale:
         return None
-    q2, q1, q0 = live[0]
-    roots = np.roots([q2, q1, q0]) if abs(q2) > tol else (
-        np.array([-q0 / q1]) if abs(q1) > tol else np.array([])
-    )
-    out = []
-    for r in roots:
-        if abs(np.imag(r)) > 1e-8 * (1.0 + abs(r)):
-            continue
-        t = float(np.real(r))
-        scale = 1.0 + abs(t) + abs(t) * abs(t)
-        if all(abs(p2 * t * t + p1 * t + p0) <= 1e-6 * scale * (1.0 + max(map(abs, (p2, p1, p0))))
-               for p2, p1, p0 in polys):
-            out.append(t)
-    return out
+    b = np.linalg.svd(diffs)[2][0]
+    lead, total = float(np.sum(levels[0])), float(np.sum(b))
+    if abs(total) <= 1e-7:
+        return None if abs(lead) <= 1e-7 * scale else []
+    return [levels + (lead / total * b - levels[0])]
 
 
 def _actual_changes(X, tol):
@@ -329,12 +318,14 @@ def brute_force_solve(problem, k_max: int, rhs=None,
     are kept. Every pattern of up to ``k_max`` changes is walked, and
     ``budget`` bounds their count.
 
-    Each pattern system is solved exactly. For a spec, a one-dimensional
-    solution family (the generic case for these operators, whose null space
-    contains constant-row matrices with zero-sum rows) is resolved
-    analytically: the parameters where the family crosses the rank-one
-    variety are roots of quadratic minor conditions. Families that stay
-    rank-deficient for every parameter, or of dimension two and higher, are
+    Each pattern system is solved exactly. For a spec, the null space
+    always holds the ``n_b - 1`` dimensional family ``1 v^T`` with
+    ``sum(v) = 0`` (the operator cannot see it); when it holds nothing else,
+    the family's rank-one member has a closed form: its row direction ``b``
+    is that of the segment-level differences, which the family leaves
+    alone, and ``sum(v) = 0`` fixes its scale. Patterns whose null space is
+    wider, or whose rank-one members form a family of their own (no level
+    differences, or ``sum(b) = 0`` with a zero-sum first level), are
     reported in ``ambiguous_patterns`` instead of enumerated.
 
     Returns every distinct solution with the minimal change count found.
@@ -385,30 +376,26 @@ def brute_force_solve(problem, k_max: int, rhs=None,
             A = np.hstack([_restrict(prefix, bounds), a_cols])
             d_x = lengths.size * n2
 
-            coef0, null = _lstsq_with_null(A, rhs_vec)
+            coef0, q = _lstsq_with_null(A, rhs_vec)
             if np.max(np.abs(A @ coef0 - rhs_vec)) > tol:
                 continue
-            q = null.shape[1]
+            a = coef0[d_x:]
+            levels = coef0[:d_x].reshape(-1, n2) * (1.0 / np.sqrt(lengths))[:, None]
             if q == 0:
-                candidates = [coef0]
-            elif q == 1 and rank_one and n2 == 2:
-                # 1 v^T with v = (1, -1) spans the null space: it lies in every
-                # pattern's subspace and every row maps it to v_1 + v_2 = 0
-                direction = null[:, 0]
-                ts = _rank_one_in_line(coef0[:d_x].reshape(-1, n2),
-                                       direction[:d_x].reshape(-1, n2), tol)
-                if ts is None:
-                    ambiguous.append(tuple(pattern))
-                    continue
-                candidates = [coef0 + t * direction for t in ts]
+                candidates = [levels]
+            elif rank_one and q == n2 - 1:
+                # the null space is the family 1 v^T with sum(v) = 0: it lies
+                # in every pattern's subspace, and every constraint row maps
+                # it to sum(v) = 0
+                candidates = _rank_one_member(levels)
             else:
+                candidates = None
+            if candidates is None:
                 ambiguous.append(tuple(pattern))
                 continue
 
-            for coef in candidates:
-                levels = coef[:d_x].reshape(-1, n2) * (1.0 / np.sqrt(lengths))[:, None]
+            for levels in candidates:
                 X = np.repeat(levels, lengths, axis=0)
-                a = coef[d_x:]
                 sigma = np.linalg.svd(X, compute_uv=False)
                 if rank_one and sigma.size > 1 and sigma[1] > 1e-6 * max(sigma[0], 1.0):
                     continue

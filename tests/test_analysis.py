@@ -27,7 +27,13 @@ from bilarx.analysis import (
     rip_report,
 )
 
-from _oracles import rip_constant_by_basis, segment_basis
+from _oracles import (
+    arx_constraint_matrix,
+    gram_eigen_singular_values,
+    max_constraint_residual,
+    rip_constant_by_basis,
+    segment_basis,
+)
 
 
 def fir_operator():
@@ -59,6 +65,35 @@ def planted_rank1(rng, n1, n2, change_at, ratio=2.5):
     u = np.ones(n1)
     u[change_at:] = ratio
     return np.outer(u, row)
+
+
+def fir_output(X):
+    """Exact data of an n_b = 2, n_k = 0 FIR model with lifted matrix ``X``:
+    two free samples, then y(t) = X(t-1, 1) + X(t-2, 2) for t = 3..N
+    (1-based)."""
+    return np.concatenate([[0.3, 0.7], X[1:-1, 0] + X[:-2, 1]])
+
+
+@pytest.fixture
+def members(monkeypatch):
+    """What each call of the rank-one closed form returned: its candidate
+    count, or None for a pattern it leaves ambiguous."""
+    seen = []
+    original = analysis._rank_one_member
+
+    def recording(levels):
+        out = original(levels)
+        seen.append(None if out is None else len(out))
+        return out
+
+    monkeypatch.setattr(analysis, "_rank_one_member", recording)
+    return seen
+
+
+def planted_spec(N, n_a, n_b, n_k, change_points, levels, a, b):
+    orders = ArxOrders(n_a=n_a, n_b=n_b, n_k=n_k)
+    u = gen_piecewise_input(N, change_points, levels)
+    return build_problem([simulate_arx(a, b, orders, u)], orders, 0.0)
 
 
 class TestRipConstant:
@@ -402,49 +437,114 @@ class TestBruteForce:
             brute_force_solve(spec, 1, rhs=np.zeros(7))
 
     def test_constant_output_is_ambiguous(self):
-        # a constant y is matched by 1 v^T for every v with v_1 + v_2 = y,
-        # a line that stays rank one, so no 2x2 minor pins it; a change at
-        # 1, 6 or 7 makes a segment of entries the data do not all reach,
-        # which widens the family past a line
+        # a constant y is matched by 1 v^T for every v with v_1 + v_2 = y, and
+        # every such matrix is rank one: the empty pattern has no level
+        # differences, and on (2,)..(5,) the data tie both segments to the
+        # same levels, so no difference gives the rank-one member a direction;
+        # a change at 1, 6 or 7 makes a segment of entries the data do not
+        # all reach, which widens the null space past the family
         spec = build_problem([np.full(8, 2.0)], ArxOrders(n_a=0, n_b=2), 0.0)
         res = brute_force_solve(spec, 1)
         assert res.num_solutions == 0
         assert res.ambiguous_patterns == ((), (1,), (2,), (3,), (4,), (5,), (6,), (7,))
 
-    def test_rank_one_line_keeps_only_real_roots(self):
-        # det(C0 + t I) is (t - 1)(t - 2) for C0 = -diag(1, 2), but
-        # (t - 1)^2 + 1e-8, whose roots 1 +- 1e-4 i pass the minor test at
-        # their real part, for the rotation-like C0
-        roots = analysis._rank_one_in_line(-np.diag([1.0, 2.0]), np.eye(2), 1e-9)
-        assert sorted(roots) == pytest.approx([1.0, 2.0])
-        C0 = np.array([[-1.0, -1e-4], [1e-4, -1.0]])
-        assert analysis._rank_one_in_line(C0, np.eye(2), 1e-9) == []
-
-    def test_nearly_rank_one_candidate_rejected(self, monkeypatch):
-        # X = u b^T plus 1e-5 (1, 2) on the last segment is not rank one;
-        # its family's minors vanish at one parameter within their
-        # tolerance, and the singular value test turns that candidate away
+    def test_nearly_rank_one_candidate_rejected(self, members):
+        # X = u b^T plus 1e-5 (1, 2) on the last segment is not rank one; its
+        # level differences still give the family one candidate, and the
+        # singular value test turns that candidate away
         def data(delta):
             X = np.outer(np.repeat([1.0, 3.0, 2.0], 4), [2.0, -1.0])
             X[8:] += delta * np.array([1.0, 2.0])
-            # y(t) = X(t-1, 1) + X(t-2, 2) for t = 3..12, 1-based
-            return np.concatenate([[0.3, 0.7], X[1:-1, 0] + X[:-2, 1]])
+            return fir_output(X)
 
         orders = ArxOrders(n_a=0, n_b=2)
         exact = brute_force_solve(build_problem([data(0.0)], orders, 0.0), 2)
         assert [s.pattern for s in exact.solutions] == [(4, 8)]
 
-        roots = []
-        original = analysis._rank_one_in_line
-
-        def recording(C0, C1, tol):
-            out = original(C0, C1, tol)
-            roots.extend(out or [])
-            return out
-
-        monkeypatch.setattr(analysis, "_rank_one_in_line", recording)
+        members.clear()
         res = brute_force_solve(build_problem([data(1e-5)], orders, 0.0), 2)
-        assert roots and res.num_solutions == 0
+        assert 1 in members and res.num_solutions == 0
+
+    def test_fir_preset_is_unique(self):
+        # the paper's instance (n_b = 3): the null space of every pattern
+        # holds a two-dimensional family, and its rank-one member is unique
+        sc = scenario("scenario_fir_noisefree")
+        res = brute_force_solve(sc.spec, 3)
+        assert res.patterns_checked == 4090
+        assert res.ambiguous_patterns == ()
+        assert [s.pattern for s in res.solutions] == [(8, 15, 23)]
+        X = np.outer(sc.truth.u_blocks[0], sc.truth.b)
+        assert res.solutions[0].change_count == 3
+        assert np.max(np.abs(res.solutions[0].X - X)) <= 1e-9 * np.max(np.abs(X))
+
+    def test_unseen_change_leaves_zero_change_family_ambiguous(self):
+        # the data never see the planted change at 8, so the zero-change
+        # answers are the whole line c_1 + c_2 = -20; on (2, 4) the level
+        # differences are rounding noise (1.6e-7, a tenth of the change
+        # tolerance), which gives the rank-one member no direction
+        spec = planted_spec(10, 1, 2, 1, [8], [4.0, 2.0], (0.01,), (-2.0, -3.0))
+        res = brute_force_solve(spec, 2)
+        assert res.num_solutions == 0
+        assert {(), (2, 4)} <= set(res.ambiguous_patterns)
+
+    def test_zero_sum_b_on_rank_one_data_is_ambiguous(self, members):
+        # b = (1, -1): every member (u + c) b^T of the planted pattern's family
+        # is rank one
+        spec = planted_spec(8, 0, 2, 0, [4], [1.0, 3.0], (), (1.0, -1.0))
+        res = brute_force_solve(spec, 1)
+        assert res.num_solutions == 0
+        assert (4,) in res.ambiguous_patterns
+        assert None in members
+
+    def test_zero_sum_differences_without_rank_one_member(self, members):
+        # rows (1, 2) then (3, 0): the difference (2, -2) fixes b along
+        # (1, -1), but every member's first row sums to 3, never a multiple
+        # of b; no one-change pattern reproduces the data with rank one
+        X = np.repeat([[1.0, 2.0], [3.0, 0.0]], 4, axis=0)
+        spec = build_problem([fir_output(X)], ArxOrders(n_a=0, n_b=2), 0.0)
+        res = brute_force_solve(spec, 1)
+        assert res.num_solutions == 0
+        assert (4,) not in res.ambiguous_patterns
+        assert 0 in members
+
+    def test_null_space_wider_than_the_family_is_ambiguous(self):
+        # a change at 1 leaves row 1's second entry unseen by the data: on
+        # the explicit basis the null space of pattern (1, 4) has one more
+        # dimension than the family 1 v^T with sum(v) = 0
+        spec = planted_spec(8, 0, 2, 0, [4], [1.0, 3.0], (), (2.0, -1.0))
+        A, _ = arx_constraint_matrix([spec.sequences[0].samples], 0, 2, 0)
+        restricted = A @ segment_basis(8, 2, (1, 4))
+        assert restricted.shape[1] - np.linalg.matrix_rank(restricted) == 2
+        res = brute_force_solve(spec, 2)
+        assert (1, 4) in res.ambiguous_patterns
+        assert [s.pattern for s in res.solutions] == [(4,)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(7, 10),
+        n_a=st.integers(0, 1),
+        n_b=st.integers(1, 3),
+        n_k=st.integers(0, 1),
+        cuts=st.sets(st.integers(1, 6), max_size=2),
+        levels=st.lists(st.integers(-30, 30).map(lambda v: v / 10),
+                        min_size=3, max_size=3, unique=True),
+        a=st.integers(-50, 50).map(lambda v: v / 100),
+        b=st.lists(st.integers(-30, 30).map(lambda v: v / 10),
+                   min_size=3, max_size=3),
+    )
+    def test_solutions_reproduce_the_data_with_rank_one(self, N, n_a, n_b, n_k,
+                                                         cuts, levels, a, b):
+        # both checks use the model equation written entry by entry and the
+        # Gram-matrix singular values, not the package's kernels
+        cps = sorted(cuts)
+        spec = planted_spec(N, n_a, n_b, n_k, cps, levels[:len(cps) + 1],
+                               (a,)[:n_a], b[:n_b])
+        y = spec.sequences[0].samples
+        for sol in brute_force_solve(spec, 2).solutions:
+            residual = max_constraint_residual(spec, [sol.X], sol.a)
+            assert residual <= 1e-9 * (1.0 + np.max(np.abs(y)))
+            sigma = gram_eigen_singular_values(sol.X)
+            assert sigma.size == 1 or sigma[1] <= 1e-6 * sigma[0]
 
     def test_multi_sequence_rejected(self):
         spec = build_problem([np.ones(8) + np.arange(8), np.ones(8)],
@@ -456,6 +556,43 @@ class TestBruteForce:
         spec = build_problem([np.arange(8.0)], ArxOrders(n_a=0, n_b=1), 0.0)
         with pytest.raises(ValueError, match="k_max"):
             brute_force_solve(spec, -1)
+
+
+# Random tiny exact n_b = 2 instances at k_max = 2 and the answers the
+# earlier oracle gave on them; it took the parameters where the line
+# coef0 + t * null crossed the rank-one matrices from the roots of the 2x2
+# minors, each a quadratic in t. Per case: (n_a, n_k), N, planted change
+# points and levels, a, b, then that oracle's solution patterns and
+# ambiguous patterns. Where it differed from the closed form it was wrong
+# (test_unseen_change_leaves_zero_change_family_ambiguous).
+QUADRATIC_SEARCH_ANSWERS = [
+    ((0, 0), 9, (4,), (2.8, -2.0), (), (2.1, -2.0),
+     [(4,)], [(1, 4), (3, 4), (4, 5), (4, 7), (4, 8)]),
+    ((1, 1), 10, (2,), (-0.7, -1.9), (-0.34,), (-3.0, 2.8),
+     [(2,)], [(1, 2), (1, 3), (2, 3), (2, 7), (2, 8), (2, 9)]),
+    ((0, 1), 10, (3, 5), (-2.4, 1.0, 1.9), (), (1.1, 3.0), [(3, 5)], []),
+    ((1, 0), 8, (3, 5), (2.9, 0.8, 1.0), (-0.17,), (1.1, -2.3), [(3, 5)], []),
+    ((0, 0), 10, (6,), (0.8, 0.9), (), (0.0, -2.6),
+     [(6,), (7,)], [(1, 6), (1, 7), (5, 6), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9)]),
+    ((1, 1), 7, (3, 5), (-0.1, 1.9, 0.3), (-0.06,), (-2.9, 1.1),
+     [(2,), (3,)], [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (2, 6),
+                    (3, 4), (3, 5), (3, 6)]),
+    ((0, 0), 8, (1, 4), (0.4, 2.2, -2.5), (), (1.5, 1.9), [], [(1, 4)]),
+    ((1, 1), 9, (1, 4), (-0.7, 2.7, -0.7), (0.08,), (2.5, -3.0), [], [(1, 4)]),
+    ((0, 0), 7, (4,), (-2.8, -2.1), (), (2.6, -2.6),
+     [], [(4,), (1, 4), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6)]),
+]
+
+
+class TestQuadraticSearchAnswers:
+    @pytest.mark.parametrize("case", QUADRATIC_SEARCH_ANSWERS,
+                             ids=[f"case{i}" for i in range(len(QUADRATIC_SEARCH_ANSWERS))])
+    def test_closed_form_gives_the_recorded_answers(self, case):
+        (n_a, n_k), N, cps, levels, a, b, solutions, ambiguous = case
+        spec = planted_spec(N, n_a, 2, n_k, cps, levels, a, b)
+        res = brute_force_solve(spec, 2)
+        assert sorted(s.pattern for s in res.solutions) == solutions
+        assert list(res.ambiguous_patterns) == ambiguous
 
 
 class TestCorollaryAgreement:
