@@ -57,7 +57,16 @@ from .problem import LiftedVariables, ProblemSpec, build_lifted_operator
 # section 3.4.3); 1.6 is fixed because no answer should hinge on tuning it.
 _OVER_RELAXATION = 1.6
 
-# Residual balancing: every _RHO_CHECK_EVERY iterations, when one of the
+# The residuals, their thresholds and the stopping test are evaluated only at
+# iteration 1, every _CHECK_EVERY iterations and at max_iters; the iterates
+# are the same at every index either way. At the paper's sizes that
+# bookkeeping (two residual vectors, five norms) is a sixth to a fifth of an
+# iteration, which is why OSQP (Stellato et al. 2020) also checks its
+# termination criteria only every few iterations.
+_CHECK_EVERY = 5
+
+# Residual balancing: every _RHO_CHECK_EVERY iterations (a multiple of
+# _CHECK_EVERY, so the residuals are fresh), when one of the
 # relative residuals pri/eps_pri and dual/eps_dual exceeds the other by
 # _RHO_IMBALANCE, the penalty is multiplied (pri ahead) or divided (dual
 # ahead) by _RHO_STEP. After _RHO_MAX_CHANGES changes it stays fixed, as the
@@ -96,9 +105,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
-    """How a solve ended. ``rho`` is the X block's penalty weight in force at
-    exit, ``2**k`` after a start at 1, and ``rho_changes`` the number of times
-    residual balancing doubled or halved it."""
+    """How a solve ended. The stopping test runs at iteration 1, every fifth
+    iteration and at ``max_iters``, so ``iterations`` is 1, a multiple of 5
+    or the cap; ``converged`` is that test's verdict on the returned iterate,
+    which the residuals describe. ``rho`` is the X block's penalty weight in
+    force at exit, ``2**k`` after a start at 1, and ``rho_changes`` the
+    number of times residual balancing doubled or halved it."""
 
     iterations: int
     primal_residual: float
@@ -189,17 +201,18 @@ class _XSolve:
             inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
             self._S_pinv = (vecs * inv) @ vecs.T
 
-    def _solve_xx(self, b: np.ndarray) -> np.ndarray:
-        """``Kxx^-1 b`` on the held factor, for a vector or a matrix ``b``."""
-        x, info = dpbtrs(self._factor, b, lower=1)
+    def _solve_xx(self, b: np.ndarray, overwrite: int = 0) -> np.ndarray:
+        """``Kxx^-1 b`` on the held factor, for a vector or a matrix ``b``;
+        with ``overwrite=1`` a contiguous ``b`` is solved in place."""
+        x, info = dpbtrs(self._factor, b, lower=1, overwrite_b=overwrite)
         if info:
             raise np.linalg.LinAlgError(f"dpbtrs failed with info = {info}")
         return x
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        """``K^-1 rhs``, written over ``rhs`` and returned."""
-        x = rhs[: self.n_x]
-        x[...] = self._solve_xx(x)
+        """``K^-1 rhs``, written over ``rhs`` and returned: ``dpbtrs`` solves
+        in place on the contiguous view ``rhs[:n_x]``, with no copy."""
+        x = self._solve_xx(rhs[: self.n_x], overwrite=1)
         if self._W is not None:
             a = self._S_pinv @ (rhs[self.n_x :] - self._Kxa.T @ x)
             x -= self._W @ a
@@ -289,7 +302,10 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
     ``prox2(V, rho2)`` is the prox of the D X block at the current weight.
     The weights in force are ``scale * work.rho``; the x-update uses
     ``work.rho`` itself, since scaling ``K`` and its right-hand side by the
-    same ``scale`` leaves the solution unchanged.
+    same ``scale`` leaves the solution unchanged. Every iteration makes the
+    same updates; only at iteration 1, every ``_CHECK_EVERY`` iterations and
+    at ``max_iters`` are the residuals formed and the stopping test applied,
+    and the first iterate that passes is returned.
     """
     alpha, tol = _OVER_RELAXATION, options.tol
     rho, rhs, cut, n_x = work.rho, work.rhs, work.cuts[1], work.n_x
@@ -324,15 +340,17 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
         Z2[...] = prox2(Q2, scale * work.rho2)
         np.subtract(rhs, w, out=z3)
         np.subtract(q, z_new, out=s)
-        r = np.subtract(Mx, z_new, out=tmp)
+        z, z_new = z_new, z
+        new_blocks, old_blocks = old_blocks, new_blocks
+        if iters % _CHECK_EVERY and iters != 1 and iters != options.max_iters:
+            continue
+        r = np.subtract(Mx, z, out=tmp)
         pri_norm = math.sqrt(r @ r)
         # Dual progress measured in copy space: the smooth part of the first
         # block is zero, so the textbook x-space reference is identically
         # tiny after every exact (X, a) solve and cannot anchor a relative
         # test. The per-entry penalty weights make this scale-covariant.
-        dual_norm = scale * rho_norm(np.subtract(z_new, z, out=tmp))
-        z, z_new = z_new, z
-        new_blocks, old_blocks = old_blocks, new_blocks
+        dual_norm = scale * rho_norm(np.subtract(z, z_new, out=tmp))
         bz_norm = math.sqrt(z[:cut] @ z[:cut] + w @ w)
         eps_pri = tol * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
         eps_dual = tol * (1.0 + scale * rho_norm(s)) + floor_dual

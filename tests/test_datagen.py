@@ -104,6 +104,18 @@ class TestUniformNoise:
         first = [gen.next_unit() for _ in range(3)]
         assert first == [0.29404672187536496, 0.8432913574055981, 0.37141301636381596]
 
+    def test_zero_state_seed_falls_back(self):
+        # splitmix64 maps this seed to 0, a fixed point of xorshift; the
+        # generator starts from the golden-ratio constant instead
+        seed = (1 << 64) - 0x9E3779B97F4A7C15
+        gen = UniformNoise(seed)
+        assert gen._state == 0x9E3779B97F4A7C15
+        first = [gen.next_unit() for _ in range(50)]
+        again = UniformNoise(seed)
+        assert first == [again.next_unit() for _ in range(50)]
+        assert all(0.0 <= v < 1.0 for v in first)
+        assert len(set(first)) == 50
+
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError, match="non-negative"):
             add_uniform_noise(np.zeros(3), -1.0, 0)
