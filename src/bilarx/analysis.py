@@ -265,14 +265,6 @@ class BruteForceResult:
         return len(self.solutions)
 
 
-def _lstsq_with_null(A, rhs):
-    """Min-norm least-squares solution and the dimension of the null space."""
-    u, sigma, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(sigma > sigma[0] * max(A.shape) * np.finfo(float).eps))
-    coef = vt[:rank].T @ ((u[:, :rank].T @ rhs) / sigma[:rank])
-    return coef, A.shape[1] - rank
-
-
 def _rank_one_member(levels):
     """The rank-one members of ``levels + 1 v^T`` with ``sum(v) = 0``.
 
@@ -376,7 +368,8 @@ def brute_force_solve(problem, k_max: int, rhs=None,
             A = np.hstack([_restrict(prefix, bounds), a_cols])
             d_x = lengths.size * n2
 
-            coef0, q = _lstsq_with_null(A, rhs_vec)
+            coef0, _, rank, _ = np.linalg.lstsq(A, rhs_vec, rcond=None)
+            q = A.shape[1] - rank
             if np.max(np.abs(A @ coef0 - rhs_vec)) > tol:
                 continue
             a = coef0[d_x:]

@@ -374,12 +374,7 @@ def _cmd_ripcheck(args):
         report = rip_report(operator, args.k, budget=args.budget)
     except ValueError as exc:
         raise _DataError(str(exc)) from exc
-    _write_json(args.out, {
-        "k": report.k,
-        "rip_epsilon": report.rip_epsilon,
-        "patterns_checked": report.patterns_checked,
-        "certified_unique": report.certified_unique,
-    })
+    _write_json(args.out, dataclasses.asdict(report))
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ Splitting: the first block holds ``(X, a)``; the second is one copy
 multiplier. ``Z1`` takes the nuclear prox, ``Z2`` the row-group prox, and the
 model output ``v`` is projected onto the tube ``|v - y| <= epsilon``, the
 slack being ``w = y - v``. The ``(X, a)`` update solves with
-``K = Mᵀ diag(rho) M``, factored once.
+``K = Mᵀ diag(1, rho2) M`` at the two starting block weights, factored once.
 
 The refinement solve has no D X block: its unknowns are the coefficients
 ``C`` of X in the orthonormal basis (segment indicator / sqrt(length)) of the
@@ -150,8 +150,8 @@ class SweepResult:
 
 
 class _XSolve:
-    """Solve with the x-update matrix ``K = Mᵀ diag(rho) M``, which is
-    ``rho2 (AᵀA + L ⊗ I) + I_x`` at the workspace's starting weights.
+    """Solve with the x-update matrix ``K = Mᵀ diag(1, rho2) M``, which is
+    ``rho2 (AᵀA + L ⊗ I) + I_x`` at the workspace's two block weights.
 
     Tap ``k`` of constraint row ``r`` is ``tap_weights[r, k]`` times X unknown
     ``x_index[r, k]``. ``I_x`` and the row-difference Laplacian ``L = DᵀD``
@@ -233,7 +233,7 @@ def _segments(lengths, freeze) -> tuple:
 class _Workspace:
     """Shared geometry for one ProblemSpec: operator, factorization, and the
     map ``M x = (X, D X, A(X, a))`` of the packed ``x`` (X unknowns, then ``a``)
-    with per-entry starting penalty weights ``rho``: 1 on X, ``rho2`` after.
+    with two starting block weights: 1 on the X copy, ``rho2`` after it.
     ``M`` and ``MT = Mᵀ`` are CSR; a pair straddling two sequences is an empty row.
     With ``freeze``, row ``i`` of X is ``weight[i]`` times unknown row
     ``segment[i]``, and there is no D X block."""
@@ -271,7 +271,6 @@ class _Workspace:
         self.MT = self.M.T.tocsr()
         # Starting weights; _admm scales both together and keeps K's factor.
         self.rho2 = min(max(1.0, lam), _MAX_BLOCK_RATIO)
-        self.rho = np.repeat([1.0, self.rho2], [self.n_x, self.M.shape[0] - self.n_x])
         self.solve_K = _XSolve(self)
 
     def _stacked_map(self):
@@ -295,20 +294,20 @@ class _Workspace:
         return q[:i].reshape(-1, self.n_b), q[i:j].reshape(-1, self.n_b), q[j:]
 
 
-def _admm(work: _Workspace, prox2, options: SolverOptions):
-    """Run the iteration; returns (x, w, diagnostics) in normalized units,
-    with ``x`` packed as X entries, then ``a``.
+def _admm(work: _Workspace, lam: float, options: SolverOptions):
+    """Run the iteration at D X penalty ``lam``; returns (x, w, diagnostics)
+    in normalized units, with ``x`` packed as X entries, then ``a``.
 
-    ``prox2(V, rho2)`` is the prox of the D X block at the current weight.
-    The weights in force are ``scale * work.rho``; the x-update uses
-    ``work.rho`` itself, since scaling ``K`` and its right-hand side by the
-    same ``scale`` leaves the solution unchanged. Every iteration makes the
-    same updates; only at iteration 1, every ``_CHECK_EVERY`` iterations and
-    at ``max_iters`` are the residuals formed and the stopping test applied,
-    and the first iterate that passes is returned.
+    The block weights in force are ``scale`` on the X copy and ``scale *
+    work.rho2`` after it; the x-update uses them at ``scale = 1``, since
+    scaling ``K`` and its right-hand side alike leaves the solution
+    unchanged. Every iteration makes the same updates; only at iteration 1,
+    every ``_CHECK_EVERY`` iterations and at ``max_iters`` are the residuals
+    formed and the stopping test applied, and the first iterate that passes
+    is returned.
     """
     alpha, tol = _OVER_RELAXATION, options.tol
-    rho, rhs, cut, n_x = work.rho, work.rhs, work.cuts[1], work.n_x
+    rhs, cut, n_x = work.rhs, work.cuts[1], work.n_x
     scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
     # so the slack w = rhs - v starts at zero. The stacked iterates and one
@@ -320,13 +319,13 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
     floor_pri, floor_dual = 1e-14 * math.sqrt(z.size), 1e-14 * math.sqrt(work.p)
     c_norm = math.sqrt(rhs @ rhs)
 
-    def rho_norm(v):    # ||rho * v||, from one dot product per weight
+    def rho_norm(v):    # ||diag(1, rho2) v||, from one dot product per block
         h, t = v[:n_x], v[n_x:]
         return math.hypot(math.sqrt(h @ h), work.rho2 * math.sqrt(t @ t))
 
     for iters in range(1, options.max_iters + 1):
         np.subtract(z, s, out=tmp)
-        tmp *= rho
+        tmp[n_x:] *= work.rho2      # the X block's starting weight is 1
         x = work.solve_K(work.MT @ tmp)
         Mx = work.M @ x
         # The relaxed point plus the multiplier: q = z + alpha (Mx - z) + s.
@@ -337,7 +336,8 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
         w = prox.box_clip(np.subtract(rhs, q3, out=tmp[cut:]), work.eps)
         Z1, Z2, z3 = new_blocks
         Z1[...] = prox.svt(Q1, 1.0 / scale)
-        Z2[...] = prox2(Q2, scale * work.rho2)
+        if Q2.size:                 # the refine has no D X block
+            Z2[...] = prox.row_group_shrink(Q2, lam / (scale * work.rho2))
         np.subtract(rhs, w, out=z3)
         np.subtract(q, z_new, out=s)
         z, z_new = z_new, z
@@ -349,7 +349,7 @@ def _admm(work: _Workspace, prox2, options: SolverOptions):
         # Dual progress measured in copy space: the smooth part of the first
         # block is zero, so the textbook x-space reference is identically
         # tiny after every exact (X, a) solve and cannot anchor a relative
-        # test. The per-entry penalty weights make this scale-covariant.
+        # test. The block weights make this scale-covariant.
         dual_norm = scale * rho_norm(np.subtract(z, z_new, out=tmp))
         bz_norm = math.sqrt(z[:cut] @ z[:cut] + w @ w)
         eps_pri = tol * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
@@ -416,11 +416,7 @@ def solve_bil(spec: ProblemSpec, lam: float,
                          f"floating-point range, got {lam}")
     options = options or SolverOptions()
     work = _Workspace(spec, lam)
-
-    def prox2(V, rho2):
-        return prox.row_group_shrink(V, lam / rho2)
-
-    x, w, diag = _admm(work, prox2, options)
+    x, w, diag = _admm(work, lam, options)
     return _package_solution(work, x, w, lam, diag)
 
 
@@ -435,7 +431,7 @@ def _normalize_freeze(spec: ProblemSpec, freeze) -> tuple:
         if not all(isinstance(i, numbers.Integral) or
                    isinstance(i, numbers.Real) and float(i).is_integer() for i in idx_set):
             raise ValueError(f"freeze indices for sequence {j} must be integers")
-        idx = sorted(int(i) for i in idx_set)
+        idx = sorted({int(i) for i in idx_set})
         if any(i < 1 or i > length - 1 for i in idx):
             raise ValueError(
                 f"freeze indices for sequence {j} must lie in [1, {length - 1}]"
@@ -456,14 +452,14 @@ def solve_refined(spec: ProblemSpec, freeze,
     options = options or SolverOptions()
     freeze = _normalize_freeze(spec, freeze)
     work = _Workspace(spec, 0.0, freeze)
-    x, w, diag = _admm(work, lambda V, rho2: V, options)    # the D X block is empty
+    x, w, diag = _admm(work, 0.0, options)
     return _package_solution(work, x, w, 0.0, diag, frozen_rows=freeze)
 
 
 def freeze_small_differences(u_blocks, gamma: float) -> list:
     """Per input estimate, the 1-based indices ``i`` with ``|u(i) - u(i+1)| <= gamma``
     (those :func:`change_points` leaves out), which the refinement re-solve
-    freezes; ValueError unless ``gamma >= 0``."""
+    freezes; ValueError unless every estimate is finite and ``gamma >= 0``."""
     return [set(range(1, len(u))) - set(change_points(u, gamma)) for u in u_blocks]
 
 

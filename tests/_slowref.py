@@ -22,7 +22,7 @@ import numpy as np
 
 from bilarx.problem import ProblemSpec
 
-from _oracles import arx_constraint_matrix
+from _oracles import arx_constraint_matrix, segment_basis
 
 
 _TINY = np.finfo(float).tiny
@@ -147,3 +147,30 @@ class SlowReference:
             return v
         delta, *_ = np.linalg.lstsq(self.A, excess, rcond=None)
         return v - delta
+
+
+class SegmentReference(SlowReference):
+    """The refinement's program for one sequence, on the same smoothed route:
+    minimize ``||X||_*`` (lambda = 0) over the tube with ``X = P C``, where
+    ``P`` is the orthonormal segment basis of the rows that the unfrozen
+    differences leave free. The unknowns are ``(C, a)``, so the constraint
+    matrix is ``A @ blockdiag(P, I)`` and ``total_rows`` counts segments;
+    ``||C||_* = ||X||_*`` because ``P`` has orthonormal columns. The rows of
+    ``A P`` need not be independent, so :meth:`project_to_tube` is a
+    least-squares correction that may leave a violation behind."""
+
+    def __init__(self, spec: ProblemSpec, frozen):
+        super().__init__(spec, 0.0)
+        (N,) = self.lengths
+        pattern = sorted(set(range(1, N)) - {int(i) for i in frozen})
+        self.P = segment_basis(N, self.n_b, pattern)
+        n_x = N * self.n_b
+        self.A = np.hstack([self.A[:, :n_x] @ self.P, self.A[:, n_x:]])
+        self.total_rows = len(pattern) + 1
+        self.lengths = (self.total_rows,)
+        self.pair_mask = np.ones((self.total_rows - 1, 1))
+        self.A_norm2 = float(np.linalg.norm(self.A, 2)) ** 2
+
+    def restrict(self, X, a):
+        """The packed ``(C, a)`` of a full ``X`` that is constant on segments."""
+        return np.concatenate([self.P.T @ np.ravel(X), np.ravel(a)])

@@ -105,6 +105,14 @@ class TestChangePoints:
         with pytest.raises(ValueError, match="gamma"):
             change_points(np.ones(4), -0.1)
 
+    @pytest.mark.parametrize("u", [[0.0, np.nan, 1.0], [np.inf, 0.0],
+                                   [1.0, 1.0, -np.inf], [np.nan, np.nan]])
+    def test_rejects_non_finite(self, u):
+        # a NaN difference compares False against any gamma, which used to
+        # read as "no change" and freeze both pairs around the unknown value
+        with pytest.raises(ValueError, match="finite"):
+            change_points(u, 0.5)
+
     @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=20),
            st.floats(0.0, 10.0))
     @settings(max_examples=80, deadline=None)

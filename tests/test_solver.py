@@ -28,7 +28,7 @@ from bilarx.solver import _Workspace, freeze_small_differences
 
 from _instances import random_tiny_instance
 from _oracles import arx_constraint_matrix, max_constraint_residual, segment_basis
-from _slowref import SlowReference
+from _slowref import SegmentReference, SlowReference
 
 
 def feasibility_slack(spec):
@@ -323,7 +323,10 @@ class TestStackedMap:
             assert np.allclose(work.MT @ q, M.T @ q, rtol=0, atol=1e-13), case
             lhs, rhs = float((work.M @ x) @ q), float(x @ (work.MT @ q))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs)), case
-            K = work.MT @ (work.rho[:, None] * work.M.toarray())
+            # K's two block weights: 1 on the n_x rows of the X copy, rho2 on
+            # every row after them.
+            weights = np.repeat([1.0, work.rho2], [work.n_x, M.shape[0] - work.n_x])
+            K = work.MT @ (weights[:, None] * work.M.toarray())
             assert np.allclose(K, dense_x_update_matrix(spec, 3.0),
                                rtol=0, atol=1e-13), case
             checked += 1
@@ -558,6 +561,16 @@ class TestSolveRefined:
             assert all(type(i) is int for i in sol.frozen_rows[0])
             assert np.array_equal(sol.vars.X_blocks[0], plain.vars.X_blocks[0])
 
+    def test_freeze_sets_are_canonical(self):
+        # a repeated or unordered index names the same frozen pair once
+        sc = scenario("scenario_fir_noisefree")
+        opts = SolverOptions(max_iters=50)
+        plain = solve_refined(sc.spec, [(1, 2)], opts)
+        for freeze in ((1, 1, 2), (2, 1), [2, 2, 1, 1]):
+            sol = solve_refined(sc.spec, [freeze], opts)
+            assert sol.frozen_rows == ((1, 2),)
+            assert np.array_equal(sol.vars.X_blocks[0], plain.vars.X_blocks[0])
+
     @pytest.mark.parametrize("name", ["scenario_arx_noisy", "scenario_two_sequences"])
     def test_nothing_frozen_matches_unpenalized_solve(self, name):
         # every row is its own unit-weight segment: the program of solve_bil at 0
@@ -590,6 +603,22 @@ class TestSolveRefined:
         refined = refine_pipeline(sc.spec, solve_bil(sc.spec, lam, opts), 0.5, opts)
         assert refined.diagnostics.converged
         assert abs(refined.objective - objective) <= 1e-6 * objective
+
+    # Seeds fixed before any run; the refine shares no kernel with the
+    # reference, which solves the restricted program by smoothed gradients.
+    @pytest.mark.parametrize("seed", [2, 5, 8])
+    def test_matches_segment_reference(self, seed):
+        spec, lam = random_tiny_instance(seed)
+        u = solve_bil(spec, lam).u_est[0]
+        freeze = freeze_small_differences([u], 0.1 * np.max(np.abs(np.diff(u))))
+        refined = solve_refined(spec, freeze, SolverOptions(max_iters=40000))
+        assert refined.diagnostics.converged
+        ref = SegmentReference(spec, freeze[0])
+        obj_ref, _ = ref.solve(total_iters=50_000)
+        v = ref.project_to_tube(ref.restrict(refined.vars.X_blocks[0], refined.a_est))
+        assert abs(ref.objective(v) - obj_ref) <= 1e-3 * max(abs(obj_ref), 1e-9)
+        peak = np.max(np.abs(spec.sequences[0].samples))
+        assert ref.tube_violation(v) <= 1e-6 * (1.0 + peak)
 
     def test_frozen_rows_recorded(self):
         sc = scenario("scenario_fir_noisefree")
@@ -635,6 +664,13 @@ class TestRefinePipeline:
         sol = solve_bil(sc.spec, 1e4, SolverOptions(max_iters=200))
         with pytest.raises(ValueError, match="gamma"):
             refine_pipeline(sc.spec, sol, -0.5)
+
+    def test_rejects_non_finite_estimate(self):
+        # a NaN difference must not read as small: it is an error, not a
+        # freeze of both pairs around the unknown value
+        with pytest.raises(ValueError, match="finite"):
+            freeze_small_differences([[0.0, np.nan, 1.0, 1.0]], 0.5)
+        assert freeze_small_differences([[0.0, 5.0, 1.0, 1.0]], 0.5) == [{3}]
 
 
 class TestSweepLambda:
