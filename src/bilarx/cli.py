@@ -110,8 +110,14 @@ def _fmt(x: float) -> str:
 
 
 def _write_json(path, obj):
-    """``obj`` as JSON text; floats use Python's shortest round-trip ``repr``."""
-    text = json.dumps(obj, indent=2) + "\n"
+    """``obj`` as JSON text; floats use Python's shortest round-trip ``repr``.
+    A NaN or an infinity is no JSON number: that result is a data error, and
+    nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise _DataError(f"{path} not written: a result overflows floating-point "
+                         f"range in the data's units") from exc
     with _write_errors(path):
         Path(path).write_text(text)
 
@@ -334,7 +340,8 @@ def _cmd_refine(args):
 
 def _cmd_sweep(args):
     cfg = _load_config(args.config)
-    with _usage_errors("sweep"):
+    # check_sweep_grid checks the gap target first, then the grid.
+    with _usage_errors("--lambdas" if 0.0 < args.gap_target < 1.0 else "--gap-target"):
         grid = check_sweep_grid(
             [v for v in args.lambdas.split(",") if v.strip()], args.gap_target)
     gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))

@@ -214,8 +214,8 @@ class _XSolve:
         in place on the contiguous view ``rhs[:n_x]``, with no copy."""
         x = self._solve_xx(rhs[: self.n_x], overwrite=1)
         if self._W is not None:
-            a = self._S_pinv @ (rhs[self.n_x :] - self._Kxa.T @ x)
-            x -= self._W @ a
+            a = np.dot(self._S_pinv, rhs[self.n_x :] - np.dot(self._Kxa.T, x))
+            x -= np.dot(self._W, a)     # matmul skips BLAS for a one-column W
             rhs[self.n_x :] = a
         return rhs
 
@@ -384,8 +384,9 @@ def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
     dec = prox.thin_svd(stacked)
     sigma = dec.singular_values
     _, DX, _ = work.blocks(work.M @ x)
-    objective = (float(np.sum(sigma))
-                 + lam * work.y_scale * prox.row_group_norm(DX))
+    # A zero D X term is exactly 0, also where lam * y_scale overflows.
+    dx_norm = prox.row_group_norm(DX)
+    objective = float(np.sum(sigma)) + (lam * work.y_scale * dx_norm if dx_norm else 0.0)
     if sigma[0] == 0.0:
         u_est = tuple(np.zeros(length) for length in work.lengths)
         b_est = None
@@ -476,17 +477,19 @@ def refine_pipeline(spec: ProblemSpec, bil_solution: BilSolution, gamma: float,
 
 
 def check_sweep_grid(grid, gap_target: float) -> list:
-    """The penalty grid as floats; raises ValueError unless it is non-empty,
-    positive, finite and strictly ascending and ``0 < gap_target < 1``."""
+    """The penalty grid as floats; raises ValueError unless ``0 < gap_target <
+    1`` and the grid is non-empty, strictly ascending and positive with every
+    square finite, the range in which :func:`solve_bil` accepts ``lam``."""
+    if not 0.0 < gap_target < 1.0:
+        raise ValueError(f"gap_target must lie in (0, 1), got {gap_target}")
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("lambda grid must be non-empty")
-    if any(not 0 < g < math.inf for g in grid):
-        raise ValueError("lambda grid entries must be positive and finite")
+    if any(not (g > 0 and g * g < math.inf) for g in grid):
+        raise ValueError("lambda grid entries must be positive and finite, "
+                         "with finite squares")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda grid must be strictly ascending")
-    if not 0.0 < gap_target < 1.0:
-        raise ValueError(f"gap_target must lie in (0, 1), got {gap_target}")
     return grid
 
 

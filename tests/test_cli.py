@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bilarx import SolverOptions, refine_pipeline, scenario, solve_bil
+from bilarx import SolverOptions, refine_pipeline, scenario, solve_bil, solver
 from bilarx.cli import main
 
 
@@ -194,10 +194,12 @@ class TestBadSettings:
         ("sweep", {}, ["--lambdas", "1e300"]),
         ("identify", {"tol": float("inf")}, []),
         ("identify", {"epsilon": float("inf")}, []),
+        ("sweep", {}, ["--lambdas", "1e2,1e155"]),
     ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma",
             "n_a", "n_b", "epsilon", "lambda_inf", "max_iters_overflow", "rho_inf",
             "lambdas_inf", "lambda_huge", "lambda_square_overflow", "rho_huge",
-            "rho_tiny", "rho_tiny_refine", "lambdas_huge", "tol_inf", "epsilon_inf"])
+            "rho_tiny", "rho_tiny_refine", "lambdas_huge", "tol_inf", "epsilon_inf",
+            "lambdas_square_overflow"])
     def test_exits_1_without_traceback(self, workdir, capsys, command,
                                        cfg_overrides, flags):
         tmp, data, _ = workdir
@@ -213,6 +215,19 @@ class TestBadSettings:
         assert code == 1
         assert err.startswith("bilarx: ")
         assert "Traceback" not in err
+        assert not (tmp / "o.json").exists()
+
+    def test_sweep_grid_checked_before_any_solve(self, workdir, capsys, monkeypatch):
+        # A grid point whose square overflows is rejected up front, and the
+        # message names the flag, not the config file.
+        tmp, data, cfg = workdir
+        monkeypatch.setattr(solver, "solve_bil", lambda *args: pytest.fail("solved"))
+        capsys.readouterr()
+        code = run_cli("sweep", "--data", str(data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"), "--lambdas", "1e2,1e155")
+        assert code == 1
+        assert capsys.readouterr().err == ("bilarx: --lambdas: lambda grid entries must "
+                                           "be positive and finite, with finite squares\n")
         assert not (tmp / "o.json").exists()
 
     @pytest.mark.parametrize("cfg_overrides, message", [
@@ -405,6 +420,40 @@ class TestFloatSerialization:
         _write_json(tmp_path / "v.json", {"v": values})
         back = json.loads((tmp_path / "v.json").read_text())["v"]
         assert all(a == b for a, b in zip(back, values))
+
+
+class TestResultsOutOfRange:
+    """A result JSON never carries NaN or Infinity. The solve runs in units of
+    max |y|; a result that overflows once scaled back to the data's units is
+    a data error (exit 3) and writes nothing, and an exactly zero D X term
+    adds 0 to the objective, however large lambda * max |y| is."""
+
+    def write(self, tmp, ys, **cfg):
+        data, config = tmp / "data.csv", tmp / "cfg.json"
+        data.write_text("t,y\n" + "".join(f"{t},{y!r}\n" for t, y in enumerate(ys, 1)))
+        config.write_text(json.dumps(cfg))
+        return ["--data", str(data), "--config", str(config), "--out", str(tmp / "o.json")]
+
+    def test_zero_dx_term_is_zero(self, tmp_path):
+        io = self.write(tmp_path, [1e308] * 3, n_a=1, n_b=1, epsilon=2.0, **{"lambda": 2.0})
+        assert run_cli("identify", *io) == 0
+        got = json.loads((tmp_path / "o.json").read_text(), parse_constant=pytest.fail)
+        assert got["objective"] == 0.0
+
+    @pytest.mark.parametrize("command, ys, cfg, flags", [
+        ("identify", [1e308] * 12, {"n_a": 0, "lambda": 2.0, "epsilon": 2.0}, []),
+        ("sweep", [1e200] * 6 + [-1e200] * 6, {"n_a": 1, "epsilon": 1.0},
+         ["--lambdas", "1e154"]),
+    ], ids=["singular_values_inf", "sweep_objective_inf"])
+    def test_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                  command, ys, cfg, flags):
+        io = self.write(tmp_path, ys, n_b=1, **cfg)
+        capsys.readouterr()
+        assert run_cli(command, *io, *flags) == 3
+        err = capsys.readouterr().err
+        assert err == (f"bilarx: {tmp_path / 'o.json'} not written: a result overflows "
+                       f"floating-point range in the data's units\n")
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestInputContract:

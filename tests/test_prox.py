@@ -235,6 +235,36 @@ class TestRowGroupShrink:
             prox.row_group_shrink(np.eye(2), -1.0)
 
 
+class TestRowNormBits:
+    """``row_group_shrink`` and ``row_group_norm`` use the bits of
+    ``np.sqrt(np.add.reduce(m * m, axis=1))`` as row norms on tall matrices,
+    with zero rows, rows whose squares overflow and empty shapes."""
+
+    @staticmethod
+    @np.errstate(over="ignore")
+    def check(m):
+        norms = np.sqrt(np.add.reduce(m * m, axis=1))
+        finite = norms[np.isfinite(norms) & (norms > 0)]
+        kappa = float(np.median(finite)) if finite.size else 1.0
+        expected = m * (1.0 - kappa / np.maximum(norms, kappa))[:, None]
+        assert np.array_equal(prox.row_group_shrink(m, kappa), expected)
+        assert prox.row_group_norm(m) == float(np.sum(norms))
+
+    @pytest.mark.parametrize("n_b", [1, 2, 3, 4, 8])
+    def test_seeded_tall_matrices(self, n_b):
+        rng = np.random.default_rng(n_b)
+        for rows in (1, 12, 301, 3000):
+            m = rng.standard_normal((rows, n_b)) * 10.0 ** rng.uniform(-150, 150, (rows, 1))
+            m[::5] = 0.0
+            m[3::11] = rng.uniform(-1.0, 1.0, m[3::11].shape) * 1e200
+            self.check(m)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_shapes(self, shape):
+        self.check(np.zeros(shape))
+        assert prox.row_group_shrink(np.zeros(shape), 1.0).shape == shape
+
+
 class TestBoxClip:
     def test_basic(self):
         assert np.allclose(prox.box_clip(np.array([3.0, -0.5]), 1.0), [1.0, -0.5])

@@ -9,7 +9,9 @@ from scipy.linalg.lapack import dpbtrs
 
 from bilarx import (
     ArxOrders,
+    OutputSeries,
     SolverOptions,
+    add_uniform_noise,
     build_problem,
     change_points,
     extract,
@@ -394,6 +396,28 @@ class TestReferenceWorkPins:
         assert abs(refined.objective - refine_objective) <= 1e-12 * refine_objective
 
 
+class TestLongSeriesPin:
+    """A 20-iteration solve on an N = 600 series, longer than any preset: at
+    that length the row-group prox and the Schur step run on tall arrays, so
+    a kernel change that moves a bit there shows here. The pins are the
+    objective and both residuals at the cap."""
+
+    def test_objective_and_residuals(self):
+        ref = scenario("scenario_arx_noisy")
+        u = gen_piecewise_input(600, [57, 131, 204, 290, 368, 455, 521],
+                                [4.0, -3.0, 2.5, -6.0, 1.0, 7.5, -2.0, 3.0])
+        y = add_uniform_noise(simulate_arx(ref.truth.a, ref.truth.b, ref.spec.orders, u),
+                              0.5, 7)
+        spec = build_problem([OutputSeries(y)], ref.spec.orders, 0.5)
+        sol = solve_bil(spec, 1e4, SolverOptions(max_iters=20))
+        diag = sol.diagnostics
+        assert diag.iterations == 20 and not diag.converged
+        for got, pin in [(sol.objective, 4533467.6571673965),
+                         (diag.primal_residual, 0.5441342033886843),
+                         (diag.dual_residual, 1158.1158669584509)]:
+            assert abs(got - pin) <= 1e-12 * pin
+
+
 class TestResidualBalancing:
     """The penalty starts at 1 and is doubled or halved until the relative
     primal and dual residuals balance."""
@@ -713,3 +737,11 @@ class TestSweepLambda:
             sweep_lambda(spec, [-1.0, 2.0], 0.5)
         with pytest.raises(ValueError, match="gap_target"):
             sweep_lambda(spec, [1.0], 1.5)
+
+    def test_grid_point_whose_square_overflows_fails_before_any_solve(self, monkeypatch):
+        # solve_bil's own lambda rule, applied to the whole grid up front.
+        spec = scenario("scenario_fir_noisefree").spec
+        assert solver.check_sweep_grid([1e2, 1e154], 0.5) == [1e2, 1e154]
+        monkeypatch.setattr(solver, "solve_bil", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="finite squares"):
+            sweep_lambda(spec, [1e2, 1e155], 0.5)

@@ -14,7 +14,11 @@ relative change of the medians, how many pairs the change won and two
 verdicts against the metric's ``end_to_end`` bound: ``within_bound`` when
 the change's median is at most the parent's median times ``1 + bound``, and
 ``unresolved`` when the parent's interquartile range exceeds ``bound`` times
-its median and not every change run beats every parent run. Each workload's
+its median and not every change run beats every parent run. It also
+records the parent's interquartile range and the gain verdict ``claim_met``:
+the change won at least nine tenths of all pairs (ties count for neither
+side) and its median lies below the parent's by more than that range. The
+verdicts are printed per workload. Each workload's
 summary also counts, per side, the runs that report ``correct: false``. A
 run that exits non-zero stops the command with the workload, side, pair and
 the tail of that run's stderr.
@@ -59,25 +63,28 @@ def run(checkout: Path, workload: str, seed: int, where: str) -> tuple:
 
 
 def compare(parent: list, change: list) -> dict:
-    """Medians, quartiles, pair wins and bound verdicts of every metric
-    (all lower-is-better)."""
+    """Medians, quartiles, pair wins, bound verdicts and the gain verdict of
+    every metric (all lower-is-better)."""
     out = {}
     for name in parent[0]["metrics"]:
         p = [r["metrics"][name] for r in parent]
         c = [r["metrics"][name] for r in change]
         p_median, c_median = statistics.median(p), statistics.median(c)
         p_quartiles = statistics.quantiles(p, n=4)[::2]
+        p_iqr = p_quartiles[1] - p_quartiles[0]
+        wins = sum(b < a for a, b in zip(p, c))
         bound = BOUNDS[name]
         out[name] = {
             "parent_median": p_median,
             "parent_quartiles": p_quartiles,
+            "parent_iqr": p_iqr,
             "change_median": c_median,
             "change_quartiles": statistics.quantiles(c, n=4)[::2],
             "relative_change": c_median / p_median - 1.0,
-            "change_lower_pairs": sum(b < a for a, b in zip(p, c)),
+            "change_lower_pairs": wins,
             "within_bound": c_median <= p_median * (1.0 + bound),
-            "unresolved": (p_quartiles[1] - p_quartiles[0] > bound * p_median
-                           and not max(c) < min(p)),
+            "unresolved": p_iqr > bound * p_median and not max(c) < min(p),
+            "claim_met": 10 * wins >= 9 * len(p) and p_median - c_median > p_iqr,
         }
     return out
 
@@ -111,9 +118,14 @@ def main(argv=None) -> int:
         incorrect = {side: sum(not r["correct"] for r in results)
                      for side, results in runs.items()}
         print(f"{workload} runs with correct: false: {incorrect}", file=sys.stderr)
+        summary = compare(runs["parent"], runs["change"])
+        for name, s in summary.items():
+            print(f"{workload} {name}: {s['relative_change']:+.1%}, change lower in "
+                  f"{s['change_lower_pairs']}/{args.pairs} pairs, within_bound "
+                  f"{s['within_bound']}, unresolved {s['unresolved']}, "
+                  f"claim_met {s['claim_met']}", file=sys.stderr)
         bench["workloads"][workload] = dict(
-            runs, summary=dict(compare(runs["parent"], runs["change"]),
-                               incorrect_runs=incorrect))
+            runs, summary=dict(summary, incorrect_runs=incorrect))
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
