@@ -98,7 +98,12 @@ def operator_from_problem(spec: ProblemSpec) -> MatrixOperator:
     )
 
 
-def _patterns(n1: int, k: int, interior_only: bool, budget) -> tuple:
+# Most patterns one walk may count, checked before any work: about 9 s of the
+# brute-force oracle's pace on the FIR preset.
+_PATTERN_BUDGET = 100_000
+
+
+def _patterns(n1: int, k: int, interior_only: bool, budget=_PATTERN_BUDGET) -> tuple:
     """Change indices, pattern sizes and pattern count of a walk up to ``k``.
 
     With ``interior_only`` the boundary differences are pinned, so indices
@@ -162,14 +167,14 @@ def _pattern_chunks(n1: int, indices, size: int, chunk: int):
         yield np.pad(patterns, ((0, 0), (1, 1)), constant_values=((0, 0), (0, n1)))
 
 
-def _walk(operator: MatrixOperator, k: int, budget: int, stop: float) -> float:
+def _walk(operator: MatrixOperator, k: int, stop: float) -> float:
     """The constant at ``k``, or the worst deviation so far once it reaches ``stop``."""
     if k <= 0:
         raise ValueError(f"sparsity level k must be positive, got {k}")
     n1 = operator.n1
     if n1 < 4:
         raise ValueError(f"need n1 >= 4 to pin the boundary differences, got {n1}")
-    indices, sizes, _ = _patterns(n1, k, True, budget)
+    indices, sizes, _ = _patterns(n1, k, True)
     size = sizes[-1]
     prefix = _prefix_sums(operator.matrix, n1, operator.n2)
     rows, dim = prefix.shape[1], (size + 1) * operator.n2
@@ -189,7 +194,7 @@ def _walk(operator: MatrixOperator, k: int, budget: int, stop: float) -> float:
     return worst
 
 
-def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> float:
+def rip_constant(operator: MatrixOperator, k: int) -> float:
     """Smallest constant for the restricted isometry at sparsity ``k``.
 
     The constant is the worst deviation ``max(sigma_max^2 - 1,
@@ -198,22 +203,21 @@ def rip_constant(operator: MatrixOperator, k: int, budget: int = 100_000) -> flo
     with exactly ``min(k, #interior indices)`` changes are walked: every
     smaller pattern lies inside one of them, whose subspace contains its
     subspace, so there ``sigma_max`` is no smaller and ``sigma_min`` no
-    larger. ``budget`` bounds the count of all 1..k patterns.
+    larger. ValueError when all 1..k patterns number over ``_PATTERN_BUDGET``.
 
     The walk takes the patterns in chunks of one shape, each factored by one
     stacked SVD. A wide restriction has ``sigma_min = 0``.
     """
-    return _walk(operator, k, budget, math.inf)
+    return _walk(operator, k, math.inf)
 
 
 def rip_patterns_checked(operator: MatrixOperator, k: int) -> int:
     """How many patterns the constant at level ``k`` is a maximum over: every
-    pattern of 1..k interior indices, the count ``budget`` is checked against."""
+    pattern of 1..k interior indices, the count checked against the budget."""
     return _patterns(operator.n1, k, True, math.inf)[2]
 
 
-def certify_uniqueness(operator: MatrixOperator, k: int,
-                       budget: int = 100_000) -> bool:
+def certify_uniqueness(operator: MatrixOperator, k: int) -> bool:
     """True when the isometry constant at level ``2k`` is below one.
 
     In that regime a solution with at most ``k`` difference changes (and
@@ -224,13 +228,13 @@ def certify_uniqueness(operator: MatrixOperator, k: int,
     one. With ``n2 >= 2`` an identification operator stops there: it maps the
     null direction ``1 v^T`` with ``sum(v) = 0``, in every subspace, to zero.
     """
-    return _walk(operator, 2 * k, budget, 1.0) < 1.0
+    return _walk(operator, 2 * k, 1.0) < 1.0
 
 
-def rip_report(operator: MatrixOperator, k: int, budget: int = 100_000) -> RipReport:
+def rip_report(operator: MatrixOperator, k: int) -> RipReport:
     """Bundle the constant at ``k`` (every pattern) with the verdict at ``2k`` (early exit)."""
-    eps = rip_constant(operator, k, budget=budget)
-    certified = certify_uniqueness(operator, k, budget=budget)
+    eps = rip_constant(operator, k)
+    certified = certify_uniqueness(operator, k)
     return RipReport(
         k=k, rip_epsilon=eps,
         patterns_checked=rip_patterns_checked(operator, k),
@@ -294,8 +298,7 @@ def _actual_changes(X, tol):
     return [int(i) + 1 for i in np.nonzero(norms > tol)[0]]
 
 
-def brute_force_solve(problem, k_max: int, rhs=None,
-                      budget: int = 20_000) -> BruteForceResult:
+def brute_force_solve(problem, k_max: int, rhs=None) -> BruteForceResult:
     """Every piecewise-row-constant solution of exact data with few changes.
 
     ``problem`` is either a :class:`ProblemSpec` (single sequence, exact
@@ -307,8 +310,8 @@ def brute_force_solve(problem, k_max: int, rhs=None,
     solutions, the ones an ARX model can produce, are kept. For an operator
     the boundary differences are pinned and at least one change is
     required, matching the uniqueness analysis, and solutions of every rank
-    are kept. Every pattern of up to ``k_max`` changes is walked, and
-    ``budget`` bounds their count.
+    are kept. Every pattern of up to ``k_max`` changes is walked; more than
+    ``_PATTERN_BUDGET`` of them is a ValueError.
 
     Each pattern system is solved exactly. For a spec, the null space
     always holds the ``n_b - 1`` dimensional family ``1 v^T`` with
@@ -352,7 +355,7 @@ def brute_force_solve(problem, k_max: int, rhs=None,
     else:
         raise TypeError(f"unsupported problem type {type(problem)!r}")
     rank_one = isinstance(problem, ProblemSpec)
-    indices, sizes, total = _patterns(n1, k_max, not rank_one, budget)
+    indices, sizes, total = _patterns(n1, k_max, not rank_one)
 
     scale = 1.0 + float(np.max(np.abs(rhs_vec)))
     tol = 1e-9 * scale

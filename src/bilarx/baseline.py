@@ -20,6 +20,8 @@ def fit_piecewise_constant(y, max_segments: int):
     Exact squared-error segmentation by dynamic programming; each segment
     takes the mean of its samples. Returns ``(u_hat, change_points)`` with
     1-based change points (last index of each segment but the final one).
+    The fit runs on ``y`` divided by the power of two just above ``max |y|``,
+    which is exact and keeps the squares in floating-point range.
     """
     y = np.asarray(y, dtype=float)
     N = y.shape[0]
@@ -27,6 +29,8 @@ def fit_piecewise_constant(y, max_segments: int):
         raise ValueError(f"max_segments must be >= 1, got {max_segments}")
     if max_segments > N:
         max_segments = N
+    exponent = int(np.frexp(np.max(np.abs(y)))[1])
+    y = np.ldexp(y, -exponent)
 
     # cost[i][j] = SSE of fitting one mean to y[i:j] (half-open, 0-based).
     csum = np.concatenate(([0.0], np.cumsum(y)))
@@ -59,7 +63,7 @@ def fit_piecewise_constant(y, max_segments: int):
 
     u_hat = np.repeat([np.mean(y[lo:hi]) for lo, hi in zip(boundaries, boundaries[1:])],
                       np.diff(boundaries))
-    return u_hat, boundaries[1:-1]
+    return np.ldexp(u_hat, exponent), boundaries[1:-1]
 
 
 def least_squares_arx(y, u, orders: ArxOrders):
@@ -79,11 +83,15 @@ def least_squares_arx(y, u, orders: ArxOrders):
 def _fit_arx(spec: ProblemSpec, u_blocks):
     """Least-squares ``(a, b)`` on the rows of the lifted operator: tap ``k1``
     of a row is X entry ``(t - n_k - k1, k1)``, so ``x_index // n_b`` is the
-    stacked input row each tap reads, beside the row's lagged outputs."""
+    stacked input row each tap reads, beside the row's lagged outputs. The
+    system is divided by the power of two just above its largest entry,
+    which is exact and leaves ``(a, b)`` as they are."""
     op = build_lifted_operator(spec)
     n_b = spec.orders.n_b
     phi = np.hstack([np.concatenate(u_blocks)[op.x_index // n_b], op.lagged])
-    coef, _, rank, _ = np.linalg.lstsq(phi, op.rhs, rcond=None)
+    exponent = int(np.frexp(max(np.max(np.abs(phi)), np.max(np.abs(op.rhs))))[1])
+    coef, _, rank, _ = np.linalg.lstsq(np.ldexp(phi, -exponent), np.ldexp(op.rhs, -exponent),
+                                       rcond=None)
     if rank < phi.shape[1]:
         raise ValueError(
             f"regressor matrix is rank deficient ({rank} < {phi.shape[1]}); "

@@ -17,13 +17,13 @@ series; with a ``series`` column every row names its series. With
 file name: one holding a path separator or a NUL, or longer than 255 bytes.
 ``ripcheck`` writes no per-figure file and has no ``--plot-dir``.
 Configuration is flat JSON with keys ``n_a, n_b, n_k, epsilon, lambda,
-gamma, max_iters, tol``, the fields of ``ArxOrders`` and ``SolverOptions``
+gamma, max_iters``, the fields of ``ArxOrders`` and ``SolverOptions``
 (their defaults fill absent keys) and three reals; any other key, ``rho``
-among them, is a configuration error. ``n_a, n_b, n_k, max_iters`` take
-integers or integral floats such as ``1e4``, the others any number.
-``epsilon`` must be finite. Results are JSON and CSV; every float is
-written in its shortest round-trip representation, so it parses back
-bit-exact.
+and ``tol`` among them, is a configuration error. ``n_a, n_b, n_k,
+max_iters`` take integers or integral floats such as ``1e4``, the others
+any number. ``epsilon`` must be finite. Results are JSON and CSV; every
+float is written in its shortest round-trip representation, so it parses
+back bit-exact.
 
 Exit codes: 0 success, 1 usage, configuration, file-format or file-write
 error, 2 solver non-convergence, 3 invalid or infeasible input data (a
@@ -266,13 +266,19 @@ def _run_solve(args, cfg, gamma, solve):
     blocks; a ValueError from it is a usage error of the config. Writes the
     result JSON and, with ``--plot-dir``, per-series CSVs of measured against
     model output and of the input estimate. The exit code reports
-    convergence.
+    convergence. A model output that overflows is a data error, found
+    before anything is written.
     """
     options = _from_config(SolverOptions, args.config, cfg)
     spec = _build_spec(args, cfg, ("fit", "input"))
     with _usage_errors(args.config):
         sol, extra = solve(spec, options)
     inputs, cps = _inputs(spec, sol.u_est, gamma)
+    fits = ([simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
+             for u in sol.u_est] if args.plot_dir and sol.b_est is not None else [])
+    if not all(np.isfinite(y_model).all() for y_model in fits):
+        raise _DataError(f"{args.out} not written: the model output overflows "
+                         f"floating-point range in the data's units")
     _write_json(args.out, {
         "a": list(sol.a_est),
         "b": None if sol.b_est is None else list(sol.b_est),
@@ -287,13 +293,11 @@ def _run_solve(args, cfg, gamma, solve):
         "diagnostics": dataclasses.asdict(sol.diagnostics),
         **extra,
     })
-    if args.plot_dir and sol.b_est is not None:
-        for seq, u in zip(spec.sequences, sol.u_est):
-            y_model = simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
-            _write_series_csv(args.plot_dir, _plot_name("fit", seq.label),
-                              ["y_measured", "y_model"], seq.samples, y_model)
-            _write_series_csv(args.plot_dir, _plot_name("input", seq.label),
-                              ["u_estimate"], u)
+    for seq, u, y_model in zip(spec.sequences, sol.u_est, fits):
+        _write_series_csv(args.plot_dir, _plot_name("fit", seq.label),
+                          ["y_measured", "y_model"], seq.samples, y_model)
+        _write_series_csv(args.plot_dir, _plot_name("input", seq.label),
+                          ["u_estimate"], u)
     return EXIT_OK if sol.diagnostics.converged else EXIT_NOT_CONVERGED
 
 
@@ -378,7 +382,7 @@ def _cmd_ripcheck(args):
     spec = _build_spec(args, cfg)
     try:
         operator = operator_from_problem(spec)
-        report = rip_report(operator, args.k, budget=args.budget)
+        report = rip_report(operator, args.k)
     except ValueError as exc:
         raise _DataError(str(exc)) from exc
     _write_json(args.out, dataclasses.asdict(report))
@@ -475,8 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p, plots=False)
     p.add_argument("--k", type=_int_at_least(1), required=True,
                    help="difference sparsity level")
-    p.add_argument("--budget", type=_int_at_least(0), default=100_000,
-                   help="pattern enumeration budget")
     p.set_defaults(func=_cmd_ripcheck)
 
     p = sub.add_parser("simulate", help="generate a named synthetic scenario")

@@ -25,27 +25,18 @@ def _splitmix64(seed: int) -> int:
     return z ^ (z >> 31)
 
 
-class UniformNoise:
-    """xorshift64* stream of uniform doubles; deterministic per seed."""
-
-    def __init__(self, seed: int):
-        self._state = _splitmix64(int(seed) & _MASK64)
-        if self._state == 0:
-            self._state = 0x9E3779B97F4A7C15
-
-    def next_u64(self) -> int:
-        x = self._state
-        x ^= (x >> 12)
+def _uniform_units(seed: int, size: int) -> list:
+    """The first ``size`` doubles in ``[0, 1)`` of the xorshift64* stream of
+    ``seed``; a seed that splitmix64 maps to 0, a fixed point of xorshift,
+    starts from the golden-ratio constant instead."""
+    x = _splitmix64(int(seed) & _MASK64) or 0x9E3779B97F4A7C15
+    units = []
+    for _ in range(size):
+        x ^= x >> 12
         x = (x ^ (x << 25)) & _MASK64
-        x ^= (x >> 27)
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
-
-    def next_unit(self) -> float:
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        return np.array([low + (high - low) * self.next_unit() for _ in range(size)])
+        x ^= x >> 27
+        units.append((((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * (1.0 / (1 << 53)))
+    return units
 
 
 def gen_piecewise_input(N: int, change_points, levels) -> np.ndarray:
@@ -120,8 +111,7 @@ def add_uniform_noise(z, bound: float, seed: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if bound == 0:
         return z.copy()
-    rng = UniformNoise(seed)
-    return z + rng.uniform(-bound, bound, z.shape[0])
+    return z + (-bound + 2 * bound * np.array(_uniform_units(seed, z.shape[0])))
 
 
 @dataclass(frozen=True)

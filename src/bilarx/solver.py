@@ -65,6 +65,10 @@ _OVER_RELAXATION = 1.6
 # termination criteria only every few iterations.
 _CHECK_EVERY = 5
 
+# Relative tolerance of both stopping tests; the residuals and their scales are
+# in units of max |y|, so one value serves every data scale.
+_TOL = 1e-7
+
 # Residual balancing: every _RHO_CHECK_EVERY iterations (a multiple of
 # _CHECK_EVERY, so the residuals are fresh), when one of the
 # relative residuals pri/eps_pri and dual/eps_dual exceeds the other by
@@ -85,22 +89,14 @@ _MAX_BLOCK_RATIO = 1e8
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Budget and tolerance of the ADMM iteration; the penalty is the
-    solver's own (residual balancing picks it).
-
-    ``max_iters`` is a positive integer. ``tol`` is relative, positive and
-    finite, and serves both stopping tests: residual norms are compared
-    against the scale of the matched iterates.
-    """
+    """Iteration budget of the ADMM, a positive integer; the penalty and the
+    stopping tolerance are the solver's own."""
 
     max_iters: int = 5000
-    tol: float = 1e-7
 
     def __post_init__(self):
         if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -306,7 +302,7 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
     formed and the stopping test applied, and the first iterate that passes
     is returned.
     """
-    alpha, tol = _OVER_RELAXATION, options.tol
+    alpha = _OVER_RELAXATION
     rhs, cut, n_x = work.rhs, work.cuts[1], work.n_x
     scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
@@ -352,8 +348,8 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
         # test. The block weights make this scale-covariant.
         dual_norm = scale * rho_norm(np.subtract(z, z_new, out=tmp))
         bz_norm = math.sqrt(z[:cut] @ z[:cut] + w @ w)
-        eps_pri = tol * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
-        eps_dual = tol * (1.0 + scale * rho_norm(s)) + floor_dual
+        eps_pri = _TOL * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
+        eps_dual = _TOL * (1.0 + scale * rho_norm(s)) + floor_dual
         converged = pri_norm <= eps_pri and dual_norm <= eps_dual
         if converged:
             break

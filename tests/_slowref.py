@@ -10,8 +10,9 @@ gradient descent with continuation on the smoothing widths. The momentum
 restarts whenever the new step ``v_next - v`` has a positive inner product
 with the gradient at the extrapolated point (the gradient scheme of
 O'Donoghue and Candès), so no iteration evaluates the objective. A final
-least-squares correction lands the iterate exactly on the tube so the true
-objective can be evaluated there.
+correction lands the iterate on the tube so the true objective can be
+evaluated there: least squares where the constraint rows are independent,
+an infinity-norm nearest-point LP (HiGHS) on the segment subspace.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from bilarx.problem import ProblemSpec
 
@@ -156,8 +158,8 @@ class SegmentReference(SlowReference):
     differences leave free. The unknowns are ``(C, a)``, so the constraint
     matrix is ``A @ blockdiag(P, I)`` and ``total_rows`` counts segments;
     ``||C||_* = ||X||_*`` because ``P`` has orthonormal columns. The rows of
-    ``A P`` need not be independent, so :meth:`project_to_tube` is a
-    least-squares correction that may leave a violation behind."""
+    ``A P`` need not be independent, so a least-squares correction can leave
+    a violation behind; :meth:`project_to_tube` solves an LP instead."""
 
     def __init__(self, spec: ProblemSpec, frozen):
         super().__init__(spec, 0.0)
@@ -170,6 +172,23 @@ class SegmentReference(SlowReference):
         self.lengths = (self.total_rows,)
         self.pair_mask = np.ones((self.total_rows - 1, 1))
         self.A_norm2 = float(np.linalg.norm(self.A, 2)) ** 2
+
+    def project_to_tube(self, v):
+        """The point of the tube ``|A v - y| <= eps`` nearest to ``v`` in the
+        infinity norm: the correction ``d`` minimizes ``t`` subject to
+        ``|d| <= t`` entrywise and ``|r + A d| <= eps`` for the residual ``r``."""
+        if not np.any(self._excess(v)):
+            return v
+        p, r = v.size, self.A @ v - self.rhs
+        eye, ones, zeros = np.eye(p), np.ones((p, 1)), np.zeros((r.size, 1))
+        lp = linprog(np.eye(p + 1)[-1],
+                     A_ub=np.block([[eye, -ones], [-eye, -ones],
+                                    [self.A, zeros], [-self.A, zeros]]),
+                     b_ub=np.concatenate([np.zeros(2 * p), self.eps - r, self.eps + r]),
+                     bounds=[(None, None)] * p + [(0.0, None)], method="highs")
+        if lp.status != 0:
+            raise RuntimeError(f"tube projection LP failed: {lp.message}")
+        return v + lp.x[:p]
 
     def restrict(self, X, a):
         """The packed ``(C, a)`` of a full ``X`` that is constant on segments."""

@@ -154,10 +154,10 @@ class TestRipConstant:
         assert rip_patterns_checked(op, 2) == 6 + 15
 
     def test_budget_enforced(self):
-        rng = np.random.default_rng(6)
-        op = gaussian_operator(rng, 12, 1, 30)
+        # 96 interior indices at k = 3: 147 536 patterns, refused before any SVD
+        op = MatrixOperator(np.ones((1, 100)), 100, 1)
         with pytest.raises(ValueError, match="budget"):
-            rip_constant(op, 3, budget=10)
+            rip_constant(op, 3)
 
     def test_rejects_bad_k_and_small_n1(self):
         rng = np.random.default_rng(7)
@@ -407,10 +407,11 @@ class TestBruteForce:
             brute_force_solve(spec, 2)
 
     def test_budget_enforced(self):
-        spec = build_problem([np.ones(14) + np.arange(14)],
+        # 59 difference indices at k_max = 4: 489 406 patterns, refused up front
+        spec = build_problem([np.ones(60) + np.arange(60)],
                              ArxOrders(n_a=0, n_b=1), 0.0)
         with pytest.raises(ValueError, match="budget"):
-            brute_force_solve(spec, 3, budget=5)
+            brute_force_solve(spec, 4)
 
     def test_operator_requires_rhs(self):
         rng = np.random.default_rng(10)

@@ -1,11 +1,13 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bilarx import SolverOptions, refine_pipeline, scenario, solve_bil, solver
-from bilarx.cli import main
+from bilarx.cli import _CONFIG_TYPES, _load_config, main
 
 
 def run_cli(*args):
@@ -108,6 +110,15 @@ class TestIdentify:
         assert run_cli("identify", "--data", str(data), "--config", str(cfg),
                        "--out", str(tmp / "o.json")) == 1
 
+    def test_readme_config_example_loads(self, tmp_path):
+        # The README's example names every config key and nothing else.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        example = re.search(r"configuration is flat JSON:\n\n```json\n(.*?)```",
+                            readme, re.S).group(1)
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(example)
+        assert set(_load_config(cfg)) == set(_CONFIG_TYPES)
+
     def test_missing_lambda_exits_1(self, workdir):
         tmp, data, _ = workdir
         cfg = tmp / "nolam.json"
@@ -169,8 +180,8 @@ class TestIdentify:
 
 class TestBadSettings:
     """Bad config values and flags end with exit 1 and one message line. The
-    ``rho`` rows hold a key the solver no longer has: whatever its value, it
-    is an unknown config key."""
+    ``rho`` and ``tol`` rows hold keys the solver no longer has: whatever the
+    value, each is an unknown config key."""
 
     @pytest.mark.parametrize("command, cfg_overrides, flags", [
         ("identify", {"rho": -1}, []),
@@ -237,7 +248,7 @@ class TestBadSettings:
         ({"lambda": True}, "lambda must be a number, got True"),
         ({"epsilon": "2"}, "epsilon must be a number, got '2'"),
         ({"n_k": "0"}, "n_k must be an integer, got '0'"),
-        ({"tol": None}, "tol must be a number, got None"),
+        ({"tol": None}, "unknown config key 'tol'"),
     ], ids=["n_b_fraction", "max_iters_fraction", "n_a_bool", "lambda_bool",
             "epsilon_string", "n_k_string", "tol_null"])
     def test_wrong_type_exits_1(self, workdir, capsys, cfg_overrides, message):
@@ -262,9 +273,8 @@ class TestBadSettings:
 
     @pytest.mark.parametrize("command, flags", [
         ("ripcheck", ["--k", "0"]),
-        ("ripcheck", ["--k", "1", "--budget", "-1"]),
         ("baseline", ["--segments", "0"]),
-    ], ids=["k", "budget", "segments"])
+    ], ids=["k", "segments"])
     def test_bad_flag_exits_1(self, workdir, capsys, command, flags):
         tmp, data, cfg = workdir
         capsys.readouterr()
@@ -410,6 +420,21 @@ class TestSweepBaselineRipcheck:
         assert not (tmp_path / "rip.json").exists()
         assert not (tmp_path / "plots").exists()
 
+    def test_ripcheck_has_no_budget(self, tmp_path, capsys):
+        # the pattern budget is a fixed limit of the analysis, not a flag
+        data = tmp_path / "fir.csv"
+        run_cli("simulate", "--scenario", "scenario_fir_noisefree",
+                "--out", str(data))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_a": 0, "n_b": 3, "epsilon": 0.0}))
+        capsys.readouterr()
+        assert run_cli("ripcheck", "--data", str(data), "--config", str(cfg),
+                       "--k", "1", "--budget", "5", "--out", str(tmp_path / "rip.json")) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --budget 5" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "rip.json").exists()
+
 
 class TestFloatSerialization:
     def test_17_digit_round_trip(self, tmp_path):
@@ -454,6 +479,51 @@ class TestResultsOutOfRange:
         assert err == (f"bilarx: {tmp_path / 'o.json'} not written: a result overflows "
                        f"floating-point range in the data's units\n")
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:autoregressive polynomial", "ignore:overflow encountered")
+    def test_model_output_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # The estimate fits the data, but simulating it from zero presamples
+        # runs its pole of 6.6e93 past the float range: the fit file would
+        # hold inf, so no file is written.
+        io = self.write(tmp_path, [0.0, 0.0, 0.0, 1.0, 6.571157014032351e93],
+                        n_a=1, n_b=1, **{"lambda": 1.0})
+        assert run_cli("identify", *io) == 0
+        (tmp_path / "o.json").unlink()
+        capsys.readouterr()
+        assert run_cli("identify", *io, "--plot-dir", str(tmp_path / "plots")) == 3
+        assert capsys.readouterr().err.endswith(
+            "not written: the model output overflows floating-point range in the "
+            "data's units\n")
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "plots").exists()
+
+
+class TestBaselineScale:
+    """The baseline's verdict and ``(a, b)`` do not depend on the data's
+    scale: its segmentation and its least squares each divide their data by
+    a power of two near its largest magnitude. Squaring samples of 1e155 or
+    1e-160 used to overflow or underflow the segmentation costs, which
+    collapsed the fit to one constant segment and ended in "rank deficient"
+    (exit 3)."""
+
+    WALK = np.cumsum(np.random.default_rng(0).standard_normal(12))
+
+    def run(self, tmp, scale):
+        data, cfg, out = tmp / f"{scale}.csv", tmp / "cfg.json", tmp / f"{scale}.json"
+        data.write_text("t,y\n" + "".join(f"{t},{float(y)!r}\n"
+                                          for t, y in enumerate(self.WALK * scale, 1)))
+        cfg.write_text(json.dumps({"n_a": 1, "n_b": 2}))
+        assert run_cli("baseline", "--data", str(data), "--config", str(cfg),
+                       "--segments", "2", "--out", str(out)) == 0
+        return json.loads(out.read_text(), parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e-160, 1e-300])
+    def test_same_answer_at_every_scale(self, tmp_path, scale):
+        ref, got = self.run(tmp_path, 1.0), self.run(tmp_path, scale)
+        assert got["change_points"] == ref["change_points"]
+        assert got["a"] == pytest.approx(ref["a"], rel=1e-12)
+        assert got["b"] == pytest.approx(ref["b"], rel=1e-12)
+        assert np.array(got["u"]["y1"]) / scale == pytest.approx(ref["u"]["y1"], rel=1e-12)
 
 
 class TestInputContract:

@@ -81,14 +81,12 @@ def _ones_spec():
     (lambda: prox.box_clip(np.ones(3), NAN), "bound"),
     (lambda: add_uniform_noise(np.zeros(4), NAN, 1), "noise bound"),
     (lambda: SolverOptions(max_iters=NAN), "max_iters"),
-    (lambda: SolverOptions(tol=NAN), "tol"),
     (lambda: check_sweep_grid([NAN], 0.5), "positive"),
     (lambda: solve_bil(build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), 0.0),
                        INF), "lambda"),
     (lambda: check_sweep_grid([1.0, INF], 0.5), "finite"),
     (lambda: solve_bil(_ones_spec(), 1e300), "floating-point range"),
     (lambda: solve_bil(_ones_spec(), 1e200), "floating-point range"),
-    (lambda: SolverOptions(tol=INF), "tol"),
     (lambda: SolverOptions(max_iters=2.5), "max_iters"),
     (lambda: build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), INF), "epsilon"),
     (lambda: ArxOrders(n_a=1, n_b=NAN), "n_b must be an integer"),
@@ -96,17 +94,16 @@ def _ones_spec():
     (lambda: ArxOrders(n_a=0.5, n_b=2), "n_a must be an integer"),
     (lambda: ArxOrders(n_a=1, n_b=2, n_k=1.0), "n_k must be an integer"),
 ], ids=["build_problem", "change_points", "svt", "row_group_shrink", "box_clip",
-        "add_uniform_noise", "max_iters", "tol", "sweep_grid",
+        "add_uniform_noise", "max_iters", "sweep_grid",
         "solve_bil_inf", "sweep_grid_inf", "lambda_huge",
-        "lambda_square_overflow", "tol_inf", "max_iters_fraction", "build_problem_inf",
+        "lambda_square_overflow", "max_iters_fraction", "build_problem_inf",
         "n_b_nan", "n_b_fraction", "n_a_fraction", "n_k_float"])
 def test_nan_setting_is_rejected(call, match):
     # NaN fails every comparison, so a guard written as ``x < 0`` lets it by;
     # an infinite weight passes a sign check but breaks the factorization,
-    # and so does a finite one whose square overflows. An infinite tolerance
-    # accepts the first iterate, and an infinite noise bound is no bound. A
-    # fractional model order passes a sign check and fails inside the solve
-    # as an array index.
+    # and so does a finite one whose square overflows. An infinite noise
+    # bound is no bound. A fractional model order passes a sign check and
+    # fails inside the solve as an array index.
     with pytest.raises(ValueError, match=match):
         call()
 

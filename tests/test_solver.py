@@ -492,12 +492,10 @@ class TestStoppingCadence:
 
 class TestSolverOptions:
     def test_defaults(self):
-        opts = SolverOptions()
-        assert opts.max_iters == 5000
-        assert opts.tol == 1e-7
+        assert vars(SolverOptions()) == {"max_iters": 5000}
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_iters": 0}, {"tol": 0.0}, {"max_iters": 5000.0},
+        {"max_iters": 0}, {"max_iters": -1}, {"max_iters": 5000.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -638,11 +636,13 @@ class TestSolveRefined:
         refined = solve_refined(spec, freeze, SolverOptions(max_iters=40000))
         assert refined.diagnostics.converged
         ref = SegmentReference(spec, freeze[0])
-        obj_ref, _ = ref.solve(total_iters=50_000)
+        obj_ref, v_ref = ref.solve(total_iters=50_000)
         v = ref.project_to_tube(ref.restrict(refined.vars.X_blocks[0], refined.a_est))
         assert abs(ref.objective(v) - obj_ref) <= 1e-3 * max(abs(obj_ref), 1e-9)
         peak = np.max(np.abs(spec.sequences[0].samples))
         assert ref.tube_violation(v) <= 1e-6 * (1.0 + peak)
+        # the reference's objective is read at a point of the tube too
+        assert ref.tube_violation(v_ref) <= 1e-6 * (1.0 + peak)
 
     def test_frozen_rows_recorded(self):
         sc = scenario("scenario_fir_noisefree")
