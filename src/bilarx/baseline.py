@@ -84,20 +84,23 @@ def _fit_arx(spec: ProblemSpec, u_blocks):
     """Least-squares ``(a, b)`` on the rows of the lifted operator: tap ``k1``
     of a row is X entry ``(t - n_k - k1, k1)``, so ``x_index // n_b`` is the
     stacked input row each tap reads, beside the row's lagged outputs. The
-    system is divided by the power of two just above its largest entry,
-    which is exact and leaves ``(a, b)`` as they are."""
+    input taps are divided by the power of two just above their largest
+    entry, and the lagged outputs and targets by the one just above theirs,
+    so the rank test sees the input and the output on one scale however far
+    apart their units are; both divisions, and scaling ``b`` back, are exact."""
     op = build_lifted_operator(spec)
     n_b = spec.orders.n_b
-    phi = np.hstack([np.concatenate(u_blocks)[op.x_index // n_b], op.lagged])
-    exponent = int(np.frexp(max(np.max(np.abs(phi)), np.max(np.abs(op.rhs))))[1])
-    coef, _, rank, _ = np.linalg.lstsq(np.ldexp(phi, -exponent), np.ldexp(op.rhs, -exponent),
-                                       rcond=None)
+    taps = np.concatenate(u_blocks)[op.x_index // n_b]
+    e_u, e_y = (int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
+                for m in (taps, np.column_stack([op.lagged, op.rhs])))
+    phi = np.hstack([np.ldexp(taps, -e_u), np.ldexp(op.lagged, -e_y)])
+    coef, _, rank, _ = np.linalg.lstsq(phi, np.ldexp(op.rhs, -e_y), rcond=None)
     if rank < phi.shape[1]:
         raise ValueError(
             f"regressor matrix is rank deficient ({rank} < {phi.shape[1]}); "
             "the input does not excite all coefficients"
         )
-    return coef[n_b:], coef[:n_b]
+    return coef[n_b:], np.ldexp(coef[:n_b], e_y - e_u)
 
 
 def naive_identify(spec: ProblemSpec, max_segments: int):

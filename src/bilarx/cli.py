@@ -42,6 +42,7 @@ import json
 import os
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,8 +275,12 @@ def _run_solve(args, cfg, gamma, solve):
     with _usage_errors(args.config):
         sol, extra = solve(spec, options)
     inputs, cps = _inputs(spec, sol.u_est, gamma)
-    fits = ([simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
-             for u in sol.u_est] if args.plot_dir and sol.b_est is not None else [])
+    # An unstable estimate warns and may overflow; the check below makes that
+    # the one error line.
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore")
+        fits = ([simulate_arx(sol.a_est, sol.b_est, spec.orders, np.asarray(u))
+                 for u in sol.u_est] if args.plot_dir and sol.b_est is not None else [])
     if not all(np.isfinite(y_model).all() for y_model in fits):
         raise _DataError(f"{args.out} not written: the model output overflows "
                          f"floating-point range in the data's units")

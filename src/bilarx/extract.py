@@ -1,8 +1,8 @@
 """Rank-1 factorization of a solved lifted matrix into (input, coefficients).
 
 The factorization is only determined up to a multiplicative scalar, so the
-coefficient vector is pinned to unit 2-norm with its largest-magnitude entry
-positive; all magnitude information lands in the input estimates.
+coefficient vector is pinned to unit 2-norm with its first largest-magnitude
+entry positive; all magnitude information lands in the input estimates.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class FactoredModel:
     ``u_blocks[j] @ b.T`` is the best rank-1 approximation of block ``j``.
     ``rank_gap`` is ``sigma2 / sigma1`` of the stacked matrix; values near
     zero mean the solution is essentially rank one. ``(u, b)`` carry an
-    unresolvable common scale, pinned by the unit norm of ``b``.
+    unresolvable common scale, pinned by the unit norm and sign rule of ``b``.
     """
 
     u_blocks: tuple
@@ -57,6 +57,8 @@ def factor_rank1(X_blocks) -> FactoredModel:
             "lifted matrix is identically zero: no identifiable component"
         )
     b = dec.right_vectors[:, 0].copy()
+    if b[np.argmax(np.abs(b))] < 0:
+        b *= -1.0
     u_blocks = tuple(block @ b for block in blocks)
     gap = float(sigma[1] / sigma[0]) if sigma.size > 1 else 0.0
     for u in u_blocks:

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels and proximal operators.
 
 The singular value decomposition is LAPACK's divide-and-conquer driver
-``dgesdd``, called through ``scipy.linalg.lapack``, thin, with one
-deterministic sign convention on top, so every caller sees the same factors
-for the same matrix.
+``dgesdd``, called through ``scipy.linalg.lapack``, thin, with LAPACK's signs:
+a product of left and right vectors does not depend on them, and the one
+vector read on its own, ``extract.factor_rank1``'s ``b``, is signed there.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class ThinSvd:
     singular_values : (r,) ndarray
         Non-negative, sorted non-increasing.
     right_vectors : (n, r) ndarray
-        Column-orthonormal right singular vectors, each with its
-        largest-magnitude entry positive.
+        Column-orthonormal right singular vectors. The sign of each pair
+        ``(left_vectors[:, i], right_vectors[:, i])`` is LAPACK's.
     """
 
     left_vectors: np.ndarray
@@ -37,7 +37,7 @@ class ThinSvd:
 
 
 def thin_svd(matrix: np.ndarray) -> ThinSvd:
-    """Thin SVD of a dense real matrix; all returned arrays are read-only.
+    """Thin SVD of a dense real matrix: ``dgesdd``'s factors, bit for bit, read-only.
 
     Raises
     ------
@@ -61,11 +61,6 @@ def thin_svd(matrix: np.ndarray) -> ThinSvd:
         u, sigma, vt, info = dgesdd(m, full_matrices=0)
         if info:
             raise np.linalg.LinAlgError(f"dgesdd failed with info = {info}")
-        # Deterministic sign: largest-magnitude entry of each right vector > 0
-        # (the first such entry on ties; it is nonzero in a unit vector).
-        flip = np.copysign(1.0, vt[np.arange(len(vt)), np.abs(vt).argmax(axis=1)])
-        u *= flip
-        vt *= flip[:, None]
     v = vt.T
 
     for arr in (u, sigma, v):

@@ -303,7 +303,10 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
     is returned.
     """
     alpha = _OVER_RELAXATION
-    rhs, cut, n_x = work.rhs, work.cuts[1], work.n_x
+    # Loop invariants, bound at call time so that a patched kernel is seen.
+    rhs, cut, n_x, rho2, eps = work.rhs, work.cuts[1], work.n_x, work.rho2, work.eps
+    M, MT, solve_K = work.M, work.MT, work.solve_K
+    svt, box_clip, row_group_shrink = prox.svt, prox.box_clip, prox.row_group_shrink
     scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
     # so the slack w = rhs - v starts at zero. The stacked iterates and one
@@ -317,23 +320,23 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
 
     def rho_norm(v):    # ||diag(1, rho2) v||, from one dot product per block
         h, t = v[:n_x], v[n_x:]
-        return math.hypot(math.sqrt(h @ h), work.rho2 * math.sqrt(t @ t))
+        return math.hypot(math.sqrt(h @ h), rho2 * math.sqrt(t @ t))
 
     for iters in range(1, options.max_iters + 1):
         np.subtract(z, s, out=tmp)
-        tmp[n_x:] *= work.rho2      # the X block's starting weight is 1
-        x = work.solve_K(work.MT @ tmp)
-        Mx = work.M @ x
+        tmp[n_x:] *= rho2           # the X block's starting weight is 1
+        x = solve_K(MT @ tmp)
+        Mx = M @ x
         # The relaxed point plus the multiplier: q = z + alpha (Mx - z) + s.
         np.subtract(Mx, z, out=q)
         q *= alpha
         q += z
         q += s
-        w = prox.box_clip(np.subtract(rhs, q3, out=tmp[cut:]), work.eps)
+        w = box_clip(np.subtract(rhs, q3, out=tmp[cut:]), eps)
         Z1, Z2, z3 = new_blocks
-        Z1[...] = prox.svt(Q1, 1.0 / scale)
+        Z1[...] = svt(Q1, 1.0 / scale)
         if Q2.size:                 # the refine has no D X block
-            Z2[...] = prox.row_group_shrink(Q2, lam / (scale * work.rho2))
+            Z2[...] = row_group_shrink(Q2, lam / (scale * rho2))
         np.subtract(rhs, w, out=z3)
         np.subtract(q, z_new, out=s)
         z, z_new = z_new, z

@@ -122,6 +122,29 @@ class TestLeastSquaresArx:
         with pytest.raises(ValueError, match="equal length"):
             least_squares_arx(np.ones(10), np.ones(9), ArxOrders(n_a=0, n_b=1))
 
+    def test_exact_fit_far_from_the_input_scale(self):
+        # The u columns sit 2**-600 below the y columns; a rank cutoff
+        # relative to the largest singular value of the unscaled regressors
+        # called that rank deficient.
+        orders = ArxOrders(n_a=1, n_b=2)
+        u = np.repeat([1.0, -2.0, 3.0], 4)
+        z = simulate_arx([0.5], [1.0, -0.5], orders, u)
+        a_est, b_est = least_squares_arx(z * 2.0**600, u, orders)
+        assert a_est == pytest.approx([0.5], rel=1e-12)
+        assert np.ldexp(b_est, -600) == pytest.approx([1.0, -0.5], rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-900, -600, -1, 1, 600, 900])
+    def test_output_scale_covariance(self, k):
+        # y -> 2**k y leaves a and scales b by 2**k, bit for bit.
+        rng = np.random.default_rng(33)
+        orders = ArxOrders(n_a=2, n_b=2, n_k=1)
+        u = rng.normal(size=30)
+        y = simulate_arx((0.4, -0.2), (1.0, -0.5), orders, u) + 0.1 * rng.normal(size=30)
+        a_ref, b_ref = least_squares_arx(y, u, orders)
+        a_est, b_est = least_squares_arx(np.ldexp(y, k), u, orders)
+        assert np.array_equal(a_est, a_ref)
+        assert np.array_equal(np.ldexp(b_est, -k), b_ref)
+
 
 class TestNaiveIdentify:
     def test_fir_noisefree_recovers_b_direction(self):

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bilarx
 from bilarx import SolverOptions, refine_pipeline, scenario, solve_bil, solver
 from bilarx.cli import _CONFIG_TYPES, _load_config, main
 
@@ -496,6 +500,25 @@ class TestResultsOutOfRange:
             "data's units\n")
         assert not (tmp_path / "o.json").exists()
         assert not (tmp_path / "plots").exists()
+
+    @pytest.mark.parametrize("ys, code", [
+        ([0.0, 0.0, 0.0, 1.0, 6.571157014032351e93], 3),
+        ([0.0, 0.0, 1.0, 1.5, 1.75, 1.875, 1.9375, 1.96875], 0),
+    ], ids=["unstable_fit", "stable_fit"])
+    def test_plot_dir_stderr_is_the_message_alone(self, tmp_path, ys, code):
+        # Simulating an unstable estimate for --plot-dir warns and overflows;
+        # in a fresh interpreter, whose default filters print warnings, the
+        # error line is all of stderr, and a stable fit writes nothing there.
+        io = self.write(tmp_path, ys, n_a=1, n_b=1, **{"lambda": 1.0})
+        res = subprocess.run(
+            [sys.executable, "-m", "bilarx", "identify", *io,
+             "--plot-dir", str(tmp_path / "plots")],
+            env=dict(os.environ, PYTHONPATH=str(Path(bilarx.__file__).parent.parent)),
+            capture_output=True, text=True, timeout=120)
+        assert res.returncode == code
+        assert res.stderr == ("" if code == 0 else
+                              f"bilarx: {tmp_path / 'o.json'} not written: the model output "
+                              f"overflows floating-point range in the data's units\n")
 
 
 class TestBaselineScale:

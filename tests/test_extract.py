@@ -50,6 +50,42 @@ class TestFactorRank1:
         assert np.linalg.norm(model.b) == pytest.approx(1.0)
         assert model.b[np.argmax(np.abs(model.b))] > 0
 
+    def test_sign_convention(self):
+        rng = np.random.default_rng(7)
+        M = rng.uniform(-3.0, 3.0, size=(6, 3))
+        b = factor_rank1([M]).b
+        assert b[np.argmax(np.abs(b))] > 0
+        v = np.linalg.svd(M)[2][0]
+        assert np.array_equal(np.abs(b), np.abs(v))
+
+    def test_sign_convention_wide(self):
+        # Wide inputs sign b like tall ones.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            b = factor_rank1([rng.uniform(-3.0, 3.0, size=(3, 6))]).b
+            assert b[np.argmax(np.abs(b))] > 0
+
+    def test_sign_convention_ties(self):
+        # On an exact tie in magnitude the first of the tied entries is the
+        # positive one: b = (0, 1, -1)/sqrt(2) from either sign of the row.
+        for row in ([0.0, 1.0, -1.0], [0.0, -1.0, 1.0]):
+            b = factor_rank1([np.array([row])]).b
+            assert b[1] == -b[2] > 0
+        # Rows of rounded random matrices tie often; count the ties of
+        # opposite sign, where "first" decides.
+        rng = np.random.default_rng(5)
+        ties = 0
+        for _ in range(300):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(2, 5)))
+            M = np.round(rng.uniform(-2.0, 2.0, size=shape))
+            if not M.any():
+                continue
+            b = factor_rank1([M]).b
+            top = np.flatnonzero(np.abs(b) == np.max(np.abs(b)))
+            assert b[top[0]] > 0
+            ties += bool(np.any(b[top] < 0))
+        assert ties >= 10
+
     def test_outer_product_reconstruction_bound(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(10, 3))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgesdd
 
-from bilarx import prox
+from bilarx import factor_rank1, prox
 
 from _oracles import (
     gram_eigen_singular_values,
@@ -54,22 +55,6 @@ class TestThinSvd:
         assert dec.singular_values[1] <= 1e-12 * dec.singular_values[0]
         assert np.allclose(dec.left_vectors.T @ dec.left_vectors, np.eye(3), atol=1e-9)
 
-    def test_sign_convention(self):
-        rng = np.random.default_rng(7)
-        M = random_matrix(rng, (6, 3))
-        dec = prox.thin_svd(M)
-        for i in range(3):
-            col = dec.right_vectors[:, i]
-            assert col[np.argmax(np.abs(col))] > 0
-
-    def test_sign_convention_wide(self):
-        # Wide inputs sign their right vectors like tall ones.
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            dec = prox.thin_svd(random_matrix(rng, (3, 6)))
-            for col in dec.right_vectors.T:
-                assert col[np.argmax(np.abs(col))] > 0
-
     def test_zero_matrix(self):
         dec = prox.thin_svd(np.zeros((4, 2)))
         assert np.all(dec.singular_values == 0)
@@ -89,16 +74,26 @@ class TestThinSvd:
 
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (30, 3), (1, 4), (4, 4)])
     def test_same_bits_as_numpy_svd(self, shape):
-        # numpy.linalg.svd reaches the same LAPACK driver (gesdd, thin), so
-        # with the sign convention applied its factors agree bit for bit
+        # numpy.linalg.svd reaches the same LAPACK routine (gesdd, thin), so its
+        # factors agree bit for bit, signs included; factor_rank1's b is its
+        # first right vector with the largest-magnitude entry made positive
         rng = np.random.default_rng(10 * shape[0] + shape[1])
         M = random_matrix(rng, shape)
         u, sigma, vt = np.linalg.svd(M, full_matrices=False)
-        flip = np.copysign(1.0, vt[np.arange(len(vt)), np.abs(vt).argmax(axis=1)])
         dec = prox.thin_svd(M)
-        assert np.array_equal(dec.left_vectors, u * flip)
+        assert np.array_equal(dec.left_vectors, u)
         assert np.array_equal(dec.singular_values, sigma)
-        assert np.array_equal(dec.right_vectors, (vt * flip[:, None]).T)
+        assert np.array_equal(dec.right_vectors, vt.T)
+        v = vt[0]
+        assert np.array_equal(factor_rank1([M]).b,
+                              -v if v[np.argmax(np.abs(v))] < 0 else v)
+
+    def test_factors_read_only(self):
+        dec = prox.thin_svd(random_matrix(np.random.default_rng(9), (6, 3)))
+        for arr in (dec.left_vectors, dec.singular_values, dec.right_vectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
     @pytest.mark.parametrize("shape", [(5, 0), (0, 3)])
     def test_empty_input(self, capfd, shape):
@@ -172,6 +167,19 @@ class TestSvt:
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError, match="non-negative"):
             prox.svt(np.eye(2), -0.5)
+
+    @pytest.mark.parametrize("shape, rank", [((7, 3), 3), ((3, 7), 3), ((4, 4), 4),
+                                             ((8, 4), 2), ((4, 8), 1), ((5, 5), 3)])
+    def test_same_bits_as_lapack_shrinkage(self, shape, rank):
+        # U diag(max(s - tau, 0)) V^T straight from dgesdd's thin factors,
+        # whatever signs LAPACK gave the singular pairs
+        rng = np.random.default_rng(100 * shape[0] + 10 * shape[1] + rank)
+        M = random_matrix(rng, (shape[0], rank)) @ random_matrix(rng, (rank, shape[1]))
+        u, s, vt, info = dgesdd(M, full_matrices=0)
+        assert info == 0
+        for tau in (0.0, float(np.median(s)), float(s[0]) + 1.0):
+            expected = (u * np.maximum(s - tau, 0.0)) @ vt
+            assert np.array_equal(prox.svt(M, tau), expected)
 
 
 class TestRowGroupShrink:
