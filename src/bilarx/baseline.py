@@ -87,7 +87,9 @@ def _fit_arx(spec: ProblemSpec, u_blocks):
     input taps are divided by the power of two just above their largest
     entry, and the lagged outputs and targets by the one just above theirs,
     so the rank test sees the input and the output on one scale however far
-    apart their units are; both divisions, and scaling ``b`` back, are exact."""
+    apart their units are; both divisions, and scaling ``b`` back, are exact.
+    Raises ValueError when that scaling would overflow or flush a nonzero
+    entry of ``b`` to zero."""
     op = build_lifted_operator(spec)
     n_b = spec.orders.n_b
     taps = np.concatenate(u_blocks)[op.x_index // n_b]
@@ -100,7 +102,15 @@ def _fit_arx(spec: ProblemSpec, u_blocks):
             f"regressor matrix is rank deficient ({rank} < {phi.shape[1]}); "
             "the input does not excite all coefficients"
         )
-    return coef[n_b:], np.ldexp(coef[:n_b], e_y - e_u)
+    with np.errstate(over="ignore", under="ignore"):
+        b = np.ldexp(coef[:n_b], e_y - e_u)
+    if not np.all(np.isfinite(b)) or np.any((b == 0.0) & (coef[:n_b] != 0.0)):
+        info = np.finfo(float)
+        raise ValueError(
+            f"the least-squares b lies outside the floating-point range: a nonzero "
+            f"entry needs magnitude in [{info.smallest_subnormal:.4g}, {info.max:.4g}]"
+        )
+    return coef[n_b:], b
 
 
 def naive_identify(spec: ProblemSpec, max_segments: int):

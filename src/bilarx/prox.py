@@ -49,6 +49,9 @@ def thin_svd(matrix: np.ndarray) -> ThinSvd:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"thin_svd expects a 2-d array, got shape {m.shape}")
+    # dgesdd reports a NaN entry (info = -4) but may never return on an
+    # infinite one (on a 30 x 3 matrix with one inf entry it had not returned
+    # after 15 s), so this scan keeps a diverging iterate from hanging.
     if not np.isfinite(m).all():
         raise ValueError("thin_svd: input has non-finite entries")
 

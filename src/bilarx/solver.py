@@ -15,6 +15,12 @@ multiplier. ``Z1`` takes the nuclear prox, ``Z2`` the row-group prox, and the
 model output ``v`` is projected onto the tube ``|v - y| <= epsilon``, the
 slack being ``w = y - v``. The ``(X, a)`` update solves with
 ``K = Mᵀ diag(1, rho2) M`` at the two starting block weights, factored once.
+The iteration needs only ``M x = P (z - s)``, where ``P = M K^-1 Mᵀ diag(1,
+rho2)`` is the weighted projector onto range(M). When ``M`` has at most
+``_DENSE_MAX_ROWS`` rows, as at the paper's record lengths, ``P`` is formed
+once as a dense matrix and each iteration makes one matrix-vector product in
+place of ``Mᵀ``, the solve and ``M``; ``x`` itself is solved for once, at
+exit. Longer programs keep the banded solve in every iteration.
 
 The refinement solve has no D X block: its unknowns are the coefficients
 ``C`` of X in the orthonormal basis (segment indicator / sqrt(length)) of the
@@ -85,6 +91,16 @@ _RHO_MAX_CHANGES = 50
 # block drowns in the rounding of K, and well before that the balanced penalty
 # can walk into a blown-up iterate that the relative stopping test accepts.
 _MAX_BLOCK_RATIO = 1e8
+
+# Largest stacked map M (m rows) whose x-update and both products with M run
+# as one product with the dense m x m projector P (8 m^2 bytes, 0.8 MB here).
+# Per iteration on one series (n_a = 1, n_b = 3, lambda 1e7; 2-core x86_64,
+# one BLAS thread; best of 9 runs, in three sessions) dense against banded
+# took 34-40 against 45-51 us at m = 204 (N = 30), 42-52 against 47-58 at
+# m = 309, 46-60 against 49-60 at m = 344 and 54-77 against 50-56 at m = 379.
+# The limit sits below that crossover, as forming P costs 0.6-0.8 ms more per
+# solve than the banded setup.
+_DENSE_MAX_ROWS = 320
 
 
 @dataclass(frozen=True)
@@ -158,7 +174,9 @@ class _XSolve:
     positive definite through ``I_x``; it is factored once by a banded
     Cholesky. The ``a`` unknowns are eliminated through the Schur complement
     ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by eigendecomposition.
-    Every solve with ``Kxx`` is one LAPACK ``dpbtrs`` on the factor.
+    Every solve with ``Kxx`` is one LAPACK ``dpbtrs`` on the factor, for one
+    right-hand side in a banded iteration or for all the columns of ``Mᵀ``
+    when the workspace forms its dense projector.
     ``null(K) = {(0, v) : A_a v = 0}`` matches ``null(S)``, so a
     rank-deficient ``a`` block gets the minimum-norm solution.
     """
@@ -208,12 +226,26 @@ class _XSolve:
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         """``K^-1 rhs``, written over ``rhs`` and returned: ``dpbtrs`` solves
         in place on the contiguous view ``rhs[:n_x]``, with no copy."""
-        x = self._solve_xx(rhs[: self.n_x], overwrite=1)
-        if self._W is not None:
-            a = np.dot(self._S_pinv, rhs[self.n_x :] - np.dot(self._Kxa.T, x))
-            x -= np.dot(self._W, a)     # matmul skips BLAS for a one-column W
-            rhs[self.n_x :] = a
+        self._solve_parts(rhs[: self.n_x], rhs[self.n_x :])
         return rhs
+
+    def _solve_parts(self, head: np.ndarray, tail: np.ndarray) -> None:
+        """``K^-1 (head, tail)`` written over both parts, for vectors or for
+        matrices of right-hand-side columns. ``dpbtrs`` overwrites ``head``
+        only when it is Fortran-contiguous (a contiguous vector is)."""
+        x = self._solve_xx(head, overwrite=1)
+        if self._W is not None:
+            a = np.dot(self._S_pinv, tail - np.dot(self._Kxa.T, x))
+            x -= np.dot(self._W, a)     # matmul skips BLAS for a one-column W
+            tail[...] = a
+
+    def solve_columns(self, B: np.ndarray) -> np.ndarray:
+        """``K^-1 B`` for a dense matrix ``B`` of right-hand-side columns,
+        from one ``dpbtrs`` on all of them; ``B`` is overwritten."""
+        head = np.asfortranarray(B[: self.n_x])
+        self._solve_parts(head, B[self.n_x :])
+        B[: self.n_x] = head
+        return B
 
 
 def _segments(lengths, freeze) -> tuple:
@@ -232,7 +264,9 @@ class _Workspace:
     with two starting block weights: 1 on the X copy, ``rho2`` after it.
     ``M`` and ``MT = Mᵀ`` are CSR; a pair straddling two sequences is an empty row.
     With ``freeze``, row ``i`` of X is ``weight[i]`` times unknown row
-    ``segment[i]``, and there is no D X block."""
+    ``segment[i]``, and there is no D X block. ``P`` is the dense projector
+    ``M K^-1 Mᵀ diag(1, rho2)`` when ``M`` has at most ``_DENSE_MAX_ROWS``
+    rows, else None."""
 
     def __init__(self, spec: ProblemSpec, lam: float, freeze=None):
         self.spec = spec
@@ -268,6 +302,7 @@ class _Workspace:
         # Starting weights; _admm scales both together and keeps K's factor.
         self.rho2 = min(max(1.0, lam), _MAX_BLOCK_RATIO)
         self.solve_K = _XSolve(self)
+        self.P = self._projector() if self.M.shape[0] <= _DENSE_MAX_ROWS else None
 
     def _stacked_map(self):
         """``M`` in CSR form: the identity on X, D X row ``(i, k)`` = X entry
@@ -283,6 +318,14 @@ class _Workspace:
         vals = np.concatenate([np.ones(n_x), np.tile([1.0, -1.0], pairs.size),
                                np.hstack([self.tap_weights[:, ::-1], lagged]).ravel()])
         return scipy.sparse.csr_array((vals, cols, indptr), shape=(len(indptr) - 1, self.p))
+
+    def _projector(self) -> np.ndarray:
+        """The dense m x m map ``P = M K^-1 Mᵀ diag(1, rho2)`` from a copy to
+        ``M`` of its x-update: the projector onto range(M) that is orthogonal
+        in the block-weighted inner product."""
+        P = self.M @ self.solve_K.solve_columns(self.MT.toarray())
+        P[:, self.n_x :] *= self.rho2
+        return P
 
     def blocks(self, q):
         """Views of a stacked vector's X, D X and constraint blocks."""
@@ -305,14 +348,15 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
     alpha = _OVER_RELAXATION
     # Loop invariants, bound at call time so that a patched kernel is seen.
     rhs, cut, n_x, rho2, eps = work.rhs, work.cuts[1], work.n_x, work.rho2, work.eps
-    M, MT, solve_K = work.M, work.MT, work.solve_K
+    M, MT, solve_K, P = work.M, work.MT, work.solve_K, work.P
     svt, box_clip, row_group_shrink = prox.svt, prox.box_clip, prox.row_group_shrink
     scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
-    # so the slack w = rhs - v starts at zero. The stacked iterates and one
-    # scratch vector are allocated once per solve; z and z_new swap each step.
+    # so the slack w = rhs - v starts at zero. The stacked iterates, z - s,
+    # M x and one scratch vector are allocated once per solve (the banded
+    # step makes a fresh M x); z and z_new swap each step.
     z = np.concatenate([np.zeros(cut), rhs])
-    s, q, z_new, tmp = (np.zeros_like(z) for _ in range(4))
+    s, q, z_new, tmp, d, Mx = (np.zeros_like(z) for _ in range(6))
     Q1, Q2, q3 = work.blocks(q)
     new_blocks, old_blocks = work.blocks(z_new), work.blocks(z)
     floor_pri, floor_dual = 1e-14 * math.sqrt(z.size), 1e-14 * math.sqrt(work.p)
@@ -322,11 +366,17 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
         h, t = v[:n_x], v[n_x:]
         return math.hypot(math.sqrt(h @ h), rho2 * math.sqrt(t @ t))
 
+    def solve_x(v):     # K^-1 Mᵀ diag(1, rho2) v, scaling v in place
+        v[n_x:] *= rho2             # the X block's starting weight is 1
+        return solve_K(MT @ v)
+
     for iters in range(1, options.max_iters + 1):
-        np.subtract(z, s, out=tmp)
-        tmp[n_x:] *= rho2           # the X block's starting weight is 1
-        x = solve_K(MT @ tmp)
-        Mx = M @ x
+        np.subtract(z, s, out=d)
+        if P is None:
+            x = solve_x(d)
+            Mx = M @ x
+        else:
+            np.dot(P, d, out=Mx)
         # The relaxed point plus the multiplier: q = z + alpha (Mx - z) + s.
         np.subtract(Mx, z, out=q)
         q *= alpha
@@ -368,6 +418,8 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
                 scale *= step
                 s /= step
                 rho_changes += 1
+    if P is not None:               # d still holds the last step's z - s
+        x = solve_x(d)
     return x, w, SolverDiagnostics(iters, pri_norm, dual_norm, converged,
                                    scale, rho_changes)
 

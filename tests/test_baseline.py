@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,18 @@ class TestLeastSquaresArx:
         a_est, b_est = least_squares_arx(z * 2.0**600, u, orders)
         assert a_est == pytest.approx([0.5], rel=1e-12)
         assert np.ldexp(b_est, -600) == pytest.approx([1.0, -0.5], rel=1e-12)
+
+    @pytest.mark.parametrize("y_scale,u_scale", [(1e300, 1e-300), (1e-300, 1e300)],
+                             ids=["overflow", "underflow"])
+    def test_b_outside_float_range_rejected(self, y_scale, u_scale):
+        # The exact b is about 1e600 (or 1e-600) times [1, -0.5].
+        orders = ArxOrders(n_a=1, n_b=2)
+        u = np.repeat([1.0, -2.0, 3.0], 4)
+        z = simulate_arx([0.5], [1.0, -0.5], orders, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the floating-point range"):
+                least_squares_arx(z * y_scale, u * u_scale, orders)
 
     @pytest.mark.parametrize("k", [-900, -600, -1, 1, 600, 900])
     def test_output_scale_covariance(self, k):

@@ -69,8 +69,11 @@ class TestThinSvd:
         assert np.allclose(s1, s2, atol=1e-10 * max(s1[0], 1.0))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            prox.thin_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        # dgesdd returns on this 2 x 2 infinite entry (on a 30 x 3 one it may
+        # not), so a missing check fails here rather than hanging.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                prox.thin_svd(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (30, 3), (1, 4), (4, 4)])
     def test_same_bits_as_numpy_svd(self, shape):

@@ -210,8 +210,8 @@ class TestXUpdateSolve:
 
 class TestBandSolveLapack:
     """Every solve with the X block of ``K`` is one ``dpbtrs`` call: the
-    per-iteration one overwrites its right-hand side, and a non-zero
-    ``info`` from either call site raises."""
+    one the banded iteration makes overwrites its right-hand side, and a
+    non-zero ``info`` from any call site raises."""
 
     @staticmethod
     def failing(ab, b, **kwargs):
@@ -335,11 +335,90 @@ class TestStackedMap:
         assert checked >= 9      # n_b = 3, n_k = 1 needs 5 samples
 
 
+class TestDenseProjector:
+    """Up to ``_DENSE_MAX_ROWS`` rows the workspace holds ``P = M K^-1 Mᵀ
+    diag(w)``, ``w`` being 1 on the X copy and ``rho2`` after it, which maps
+    a copy to ``M`` of its x-update. It is the projector onto range(M) that
+    is orthogonal in the ``w``-weighted inner product: with ``U`` an
+    orthonormal basis of range(diag(w)^½ M) from an SVD of the dense oracle
+    ``M``, ``P = diag(w)^-½ U Uᵀ diag(w)^½``."""
+
+    @staticmethod
+    def dense_map(spec, freeze):
+        ys, orders = [s.samples for s in spec.sequences], spec.orders
+        if freeze is None:
+            return TestStackedMap.dense_oracle(ys, orders.n_a, orders.n_b, orders.n_k)
+        A, _ = arx_constraint_matrix(ys, orders.n_a, orders.n_b, orders.n_k)
+        A[:, A.shape[1] - orders.n_a:] /= max(float(np.max(np.abs(y))) for y in ys)
+        basis = scipy.linalg.block_diag(
+            *(segment_basis(n, orders.n_b, sorted(set(range(1, n)) - set(f)))
+              for n, f in zip(spec.lengths, freeze)), np.eye(orders.n_a))
+        n_c = basis.shape[1] - orders.n_a
+        return np.vstack([np.eye(n_c, basis.shape[1]), A @ basis])
+
+    @pytest.mark.parametrize("case", ["solve_bil", "refine", "constant_output"])
+    def test_matches_weighted_projector(self, case):
+        sc = scenario("scenario_arx_noisy")     # N = 30
+        spec, lam, freeze = sc.spec, 1e7, None
+        if case == "refine":
+            lam, freeze = 0.0, tuple(map(tuple, freeze_small_differences(sc.truth.u_blocks, 0.0)))
+        elif case == "constant_output":     # collinear lag columns: S is singular
+            spec = build_problem([np.full(30, 3.0)], ArxOrders(n_a=2, n_b=3), 0.1)
+        work = _Workspace(spec, lam, freeze)
+        M = self.dense_map(spec, freeze)
+        assert work.P is not None and work.P.shape == (M.shape[0],) * 2
+        root_w = np.sqrt(np.repeat([1.0, work.rho2], [work.n_x, M.shape[0] - work.n_x]))
+        U, sigma, _ = np.linalg.svd(root_w[:, None] * M, full_matrices=False)
+        U = U[:, sigma > 1e-10 * sigma[0]]
+        if case == "constant_output":
+            assert U.shape[1] < M.shape[1]
+        expected = (U @ U.T) / root_w[:, None] * root_w
+        # K's condition number grows with rho2, and so does the roundoff.
+        roundoff = 16 * np.finfo(float).eps * work.rho2
+        P, tol = work.P, roundoff * np.max(np.abs(expected))
+        assert np.allclose(P, expected, rtol=0, atol=tol)
+        assert np.allclose(P @ P, P, rtol=0, atol=tol)
+        WP = root_w[:, None] ** 2 * P
+        assert np.allclose(WP, WP.T, rtol=0, atol=tol)
+        assert np.allclose(P @ M, M, rtol=0, atol=roundoff * np.max(np.abs(M)))
+
+
+class TestDensePathParity:
+    """The dense projector and the banded solve run one iteration: forcing
+    the other path on either side of ``_DENSE_MAX_ROWS`` leaves every
+    iteration count and ``converged`` flag as it is and the objectives equal
+    to roundoff. The refine's workspace is far smaller than the solve's, so
+    it takes the dense path by default in both cases."""
+
+    @pytest.mark.parametrize("name,lam,limit", [
+        ("scenario_arx_noisy", 1e7, 0),             # m = 204: dense by default
+        ("scenario_two_sequences", 1e4, 10**6),     # m = 516: banded by default
+    ])
+    def test_forced_path_matches(self, monkeypatch, name, lam, limit):
+        spec = scenario(name).spec
+
+        def run():
+            sol = solve_bil(spec, lam)
+            return sol, refine_pipeline(spec, sol, 0.5)
+
+        default = run()
+        dense = _Workspace(spec, lam).P is not None
+        assert dense == (limit == 0)
+        monkeypatch.setattr(solver, "_DENSE_MAX_ROWS", limit)
+        assert (_Workspace(spec, lam).P is not None) != dense
+        for got, want in zip(run(), default):
+            assert got.diagnostics.iterations == want.diagnostics.iterations
+            assert got.diagnostics.converged == want.diagnostics.converged
+            assert abs(got.objective - want.objective) <= 1e-12 * abs(want.objective)
+
+
 class TestKernelCallCounts:
     """perfbench's per-layer split relies on one ``svt`` and one ``box_clip``
     per iteration, and on one more thin SVD for the objective and one for
     the rank-one factorization. A penalty change rescales ``K`` without
-    refactoring it, so each solve factors once. With ``n_a >= 1`` the Schur
+    refactoring it, so each solve factors once; the dense projector that
+    replaces the per-iteration solve at this size is formed from that same
+    factor and Schur pseudo-inverse. With ``n_a >= 1`` the Schur
     complement takes one ``scipy.linalg.eigh`` per solve, which perfbench's
     traced run counts through that name: a pseudo-inverse that reaches LAPACK
     another way would leave its x-solve invariant unchecked."""
