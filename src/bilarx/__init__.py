@@ -41,7 +41,6 @@ from .problem import (
     build_problem,
 )
 from .prox import (
-    ThinSvd,
     box_clip,
     row_group_norm,
     row_group_shrink,
@@ -78,7 +77,6 @@ __all__ = [
     "SolverDiagnostics",
     "SolverOptions",
     "SweepResult",
-    "ThinSvd",
     "add_uniform_noise",
     "box_clip",
     "brute_force_solve",

@@ -21,9 +21,12 @@ def fit_piecewise_constant(y, max_segments: int):
     takes the mean of its samples. Returns ``(u_hat, change_points)`` with
     1-based change points (last index of each segment but the final one).
     The fit runs on ``y`` divided by the power of two just above ``max |y|``,
-    which is exact and keeps the squares in floating-point range.
+    which is exact and keeps the squares in floating-point range. Raises
+    ValueError unless ``y`` is a non-empty, finite 1-d series.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or not y.size or not np.isfinite(y).all():
+        raise ValueError("fit_piecewise_constant needs a non-empty, finite 1-d series")
     N = y.shape[0]
     if max_segments < 1:
         raise ValueError(f"max_segments must be >= 1, got {max_segments}")
@@ -69,14 +72,17 @@ def fit_piecewise_constant(y, max_segments: int):
 def least_squares_arx(y, u, orders: ArxOrders):
     """Least-squares ARX fit given both signals.
 
-    Minimizes the summed equation errors over ``t = n..N``; rejects
-    rank-deficient regressor matrices (a constant-zero input is the usual
-    culprit).
+    Minimizes the summed equation errors over ``t = n..N``; rejects a
+    non-finite input and rank-deficient regressor matrices (a constant-zero
+    input is the usual culprit).
     """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     if y.shape != u.shape:
         raise ValueError(f"y and u must have equal length, got {y.shape} vs {u.shape}")
+    # LAPACK's least squares may never return on an infinite entry.
+    if not np.isfinite(u).all():
+        raise ValueError("the input u must be finite")
     return _fit_arx(build_problem([y], orders, 0.0), [u])
 
 

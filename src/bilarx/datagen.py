@@ -43,9 +43,9 @@ def gen_piecewise_input(N: int, change_points, levels) -> np.ndarray:
     """Piecewise-constant signal of length ``N``.
 
     ``change_points`` are ascending 1-based indices ``i`` with
-    ``u(i) != u(i+1)``; ``levels`` holds one value per segment. Adjacent
-    segments must have different levels so that the difference support is
-    exactly the change-point set.
+    ``u(i) != u(i+1)``; ``levels`` holds one finite value per segment.
+    Adjacent segments must have different levels so that the difference
+    support is exactly the change-point set.
     """
     change_points = [int(i) for i in change_points]
     levels = [float(v) for v in levels]
@@ -58,6 +58,8 @@ def gen_piecewise_input(N: int, change_points, levels) -> np.ndarray:
         raise ValueError(f"change points must lie in [1, {N - 1}]")
     if any(b <= a for a, b in zip(change_points, change_points[1:])):
         raise ValueError("change points must be strictly ascending")
+    if not np.isfinite(levels).all():
+        raise ValueError("segment levels must be finite")
     for a, b in zip(levels, levels[1:]):
         if a == b:
             raise ValueError("adjacent segment levels must differ")

@@ -40,23 +40,22 @@ def factor_rank1(X_blocks) -> FactoredModel:
     Raises
     ------
     ValueError
-        If every block is zero (no identifiable component; the penalties or
-        the noise bound drove the solution to zero).
+        If there is no block, a block is not a 2-d array with at least one
+        row and one column, the blocks' column counts differ, or every block
+        is zero (no identifiable component; the penalties or the noise bound
+        drove the solution to zero).
     """
     blocks = [np.asarray(x, dtype=float) for x in X_blocks]
     if not blocks:
         raise ValueError("factor_rank1 needs at least one block")
-    ncols = blocks[0].shape[1]
-    if any(b.ndim != 2 or b.shape[1] != ncols for b in blocks):
-        raise ValueError("all blocks must be 2-d with a common column count")
-    stacked = np.vstack(blocks)
-    dec = thin_svd(stacked)
-    sigma = dec.singular_values
+    if any(b.ndim != 2 or not b.size for b in blocks) or len({b.shape[1] for b in blocks}) > 1:
+        raise ValueError("all blocks must be non-empty 2-d arrays with a common column count")
+    _, sigma, vt = thin_svd(np.vstack(blocks))
     if sigma[0] == 0.0:
         raise ValueError(
             "lifted matrix is identically zero: no identifiable component"
         )
-    b = dec.right_vectors[:, 0].copy()
+    b = vt[0].copy()
     if b[np.argmax(np.abs(b))] < 0:
         b *= -1.0
     u_blocks = tuple(block @ b for block in blocks)

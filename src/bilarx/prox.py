@@ -1,14 +1,13 @@
 """Dense linear-algebra kernels and proximal operators.
 
 The singular value decomposition is LAPACK's divide-and-conquer driver
-``dgesdd``, called through ``scipy.linalg.lapack``, thin, with LAPACK's signs:
-a product of left and right vectors does not depend on them, and the one
-vector read on its own, ``extract.factor_rank1``'s ``b``, is signed there.
+``dgesdd``, called through ``scipy.linalg.lapack``: ``thin_svd`` returns its
+thin factors ``(u, s, vt)`` as they come, LAPACK's signs included. A product
+of left and right vectors does not depend on those signs, and the one vector
+read on its own, ``extract.factor_rank1``'s ``b``, is signed there.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd
@@ -16,28 +15,12 @@ from scipy.linalg.lapack import dgesdd
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
-@dataclass(frozen=True)
-class ThinSvd:
-    """Thin SVD ``M = U @ diag(s) @ V.T`` with ``r = min(M.shape)`` factors.
-
-    Attributes
-    ----------
-    left_vectors : (N, r) ndarray
-        Column-orthonormal left singular vectors.
-    singular_values : (r,) ndarray
-        Non-negative, sorted non-increasing.
-    right_vectors : (n, r) ndarray
-        Column-orthonormal right singular vectors. The sign of each pair
-        ``(left_vectors[:, i], right_vectors[:, i])`` is LAPACK's.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-
-def thin_svd(matrix: np.ndarray) -> ThinSvd:
-    """Thin SVD of a dense real matrix: ``dgesdd``'s factors, bit for bit, read-only.
+def thin_svd(matrix: np.ndarray) -> tuple:
+    """Thin SVD ``matrix = (u * s) @ vt`` of a dense real matrix: ``dgesdd``'s
+    ``(u, s, vt)``, bit for bit, as ``numpy.linalg.svd(matrix,
+    full_matrices=False)`` returns them. With ``r = min(matrix.shape)``,
+    ``u`` is (N, r), ``s`` holds the r singular values, non-increasing, and
+    ``vt`` is (r, n); the sign of each pair ``(u[:, i], vt[i])`` is LAPACK's.
 
     Raises
     ------
@@ -54,21 +37,15 @@ def thin_svd(matrix: np.ndarray) -> ThinSvd:
     # after 15 s), so this scan keeps a diverging iterate from hanging.
     if not np.isfinite(m).all():
         raise ValueError("thin_svd: input has non-finite entries")
-
     if m.size == 0:
         # LAPACK rejects an empty matrix (and reports it on stderr); its thin
         # factors are empty.
         r = min(m.shape)
-        u, sigma, vt = np.empty((m.shape[0], r)), np.empty(r), np.empty((r, m.shape[1]))
-    else:
-        u, sigma, vt, info = dgesdd(m, full_matrices=0)
-        if info:
-            raise np.linalg.LinAlgError(f"dgesdd failed with info = {info}")
-    v = vt.T
-
-    for arr in (u, sigma, v):
-        arr.setflags(write=False)
-    return ThinSvd(left_vectors=u, singular_values=sigma, right_vectors=v)
+        return np.empty((m.shape[0], r)), np.empty(r), np.empty((r, m.shape[1]))
+    u, s, vt, info = dgesdd(m, full_matrices=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dgesdd failed with info = {info}")
+    return u, s, vt
 
 
 def svt(matrix: np.ndarray, tau: float) -> np.ndarray:
@@ -78,9 +55,8 @@ def svt(matrix: np.ndarray, tau: float) -> np.ndarray:
     """
     if not tau >= 0:
         raise ValueError(f"svt: tau must be non-negative, got {tau}")
-    dec = thin_svd(matrix)
-    shrunk = np.maximum(dec.singular_values - tau, 0.0)
-    return (dec.left_vectors * shrunk) @ dec.right_vectors.T
+    u, s, vt = thin_svd(matrix)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
 def row_group_shrink(matrix: np.ndarray, kappa: float) -> np.ndarray:

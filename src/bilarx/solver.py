@@ -223,28 +223,19 @@ class _XSolve:
             raise np.linalg.LinAlgError(f"dpbtrs failed with info = {info}")
         return x
 
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        """``K^-1 rhs``, written over ``rhs`` and returned: ``dpbtrs`` solves
-        in place on the contiguous view ``rhs[:n_x]``, with no copy."""
-        self._solve_parts(rhs[: self.n_x], rhs[self.n_x :])
-        return rhs
-
-    def _solve_parts(self, head: np.ndarray, tail: np.ndarray) -> None:
-        """``K^-1 (head, tail)`` written over both parts, for vectors or for
-        matrices of right-hand-side columns. ``dpbtrs`` overwrites ``head``
-        only when it is Fortran-contiguous (a contiguous vector is)."""
+    def __call__(self, B: np.ndarray) -> np.ndarray:
+        """``K^-1 B`` for a vector or a matrix of right-hand-side columns,
+        written over ``B`` and returned. ``dpbtrs`` solves in place on
+        ``B[:n_x]`` when that is Fortran-contiguous (a contiguous vector is);
+        otherwise it solves on a copy, which is written back."""
+        head, tail = B[: self.n_x], B[self.n_x :]
         x = self._solve_xx(head, overwrite=1)
         if self._W is not None:
             a = np.dot(self._S_pinv, tail - np.dot(self._Kxa.T, x))
             x -= np.dot(self._W, a)     # matmul skips BLAS for a one-column W
             tail[...] = a
-
-    def solve_columns(self, B: np.ndarray) -> np.ndarray:
-        """``K^-1 B`` for a dense matrix ``B`` of right-hand-side columns,
-        from one ``dpbtrs`` on all of them; ``B`` is overwritten."""
-        head = np.asfortranarray(B[: self.n_x])
-        self._solve_parts(head, B[self.n_x :])
-        B[: self.n_x] = head
+        if x is not head:
+            head[...] = x
         return B
 
 
@@ -323,7 +314,7 @@ class _Workspace:
         """The dense m x m map ``P = M K^-1 Mᵀ diag(1, rho2)`` from a copy to
         ``M`` of its x-update: the projector onto range(M) that is orthogonal
         in the block-weighted inner product."""
-        P = self.M @ self.solve_K.solve_columns(self.MT.toarray())
+        P = self.M @ self.solve_K(self.MT.toarray())
         P[:, self.n_x :] *= self.rho2
         return P
 
@@ -432,8 +423,7 @@ def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
     w_blocks = tuple(np.split(work.y_scale * w, np.cumsum(w_rows)[:-1]))
     vars = LiftedVariables(X_blocks=X_blocks, a=x[work.n_x :], w_blocks=w_blocks)
 
-    dec = prox.thin_svd(stacked)
-    sigma = dec.singular_values
+    _, sigma, _ = prox.thin_svd(stacked)
     _, DX, _ = work.blocks(work.M @ x)
     # A zero D X term is exactly 0, also where lam * y_scale overflows.
     dx_norm = prox.row_group_norm(DX)

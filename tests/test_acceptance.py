@@ -181,7 +181,7 @@ def test_criterion_5_prox_kernels_against_oracles():
             m = int(rng.integers(1, 13))
             n = int(rng.integers(1, 13))
             M = rng.uniform(-5, 5, size=(m, n))
-            sigma = prox.thin_svd(M).singular_values
+            _, sigma, _ = prox.thin_svd(M)
             oracle = gram_eigen_singular_values(M)
             top = max(oracle[0], 1e-12)
             assert np.max(np.abs(sigma - oracle)) <= 1e-8 * top

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from bilarx import (
 )
 
 from _oracles import arx_constraint_matrix, exhaustive_segmentation_cost
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def segmentation_cost(y, u_hat):
@@ -76,6 +82,13 @@ class TestFitPiecewiseConstant:
         with pytest.raises(ValueError, match="max_segments"):
             fit_piecewise_constant(np.ones(5), 0)
 
+    @pytest.mark.parametrize("y", [[1.0, np.inf, 2.0, 3.0], [1.0, np.nan, 2.0],
+                                   np.ones((3, 2)), []],
+                             ids=["inf", "nan", "2d", "empty"])
+    def test_rejects_series_it_cannot_fit(self, y):
+        with pytest.raises(ValueError, match="non-empty, finite 1-d"):
+            fit_piecewise_constant(y, 2)
+
     def test_budget_above_length_is_clamped(self):
         y = np.random.default_rng(24).normal(size=7)
         u_big, cps_big = fit_piecewise_constant(y, len(y) + 5)
@@ -109,6 +122,26 @@ class TestLeastSquaresArx:
         with pytest.raises(ValueError, match="rank deficient"):
             least_squares_arx(np.random.default_rng(0).normal(size=15),
                               np.zeros(15), orders)
+
+    def test_nan_input_rejected(self):
+        u = np.cos(np.arange(10.0))
+        u[5] = np.nan
+        with pytest.raises(ValueError, match="u must be finite"):
+            least_squares_arx(np.arange(10.0), u, ArxOrders(n_a=1, n_b=2))
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf"])
+    def test_infinite_input_rejected(self, bad):
+        # LAPACK's least squares never returned on an infinite input (killed
+        # after minutes), so the call runs in a child process with a timeout.
+        script = ("import numpy as np\n"
+                  "from bilarx import ArxOrders, least_squares_arx\n"
+                  f"u = np.cos(np.arange(10.0)); u[5] = float('{bad}')\n"
+                  "least_squares_arx(np.arange(10.0), u, ArxOrders(n_a=1, n_b=2))\n")
+        res = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=SRC),
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 1
+        assert res.stderr.splitlines()[-1] == "ValueError: the input u must be finite"
 
     def test_residual_orthogonal_to_regressors(self):
         rng = np.random.default_rng(32)

@@ -31,6 +31,12 @@ class TestGenPiecewiseInput:
         with pytest.raises(ValueError, match="differ"):
             gen_piecewise_input(6, (3,), (2.0, 2.0))
 
+    @pytest.mark.parametrize("levels", [(np.nan, np.nan), (1.0, np.inf)],
+                             ids=["nan", "inf"])
+    def test_rejects_non_finite_levels(self, levels):
+        with pytest.raises(ValueError, match="finite"):
+            gen_piecewise_input(5, (2,), levels)
+
     def test_rejects_unsorted_or_out_of_range(self):
         with pytest.raises(ValueError, match="ascending"):
             gen_piecewise_input(8, (5, 3), (1.0, 2.0, 3.0))

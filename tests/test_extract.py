@@ -121,6 +121,14 @@ class TestFactorRank1:
         with pytest.raises(ValueError, match="common column"):
             factor_rank1([np.ones((3, 2)), np.ones((3, 3))])
 
+    @pytest.mark.parametrize("blocks", [
+        [np.ones(3)], [np.ones((3, 2)), np.ones(2)],
+        [np.zeros((0, 3))], [np.zeros((3, 0))],
+    ], ids=["1d", "1d_second", "no_rows", "no_columns"])
+    def test_rejects_malformed_blocks(self, blocks):
+        with pytest.raises(ValueError, match="non-empty 2-d"):
+            factor_rank1(blocks)
+
 
 class TestChangePoints:
     def test_constant_empty(self):

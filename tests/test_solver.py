@@ -184,10 +184,13 @@ class TestXUpdateSolve:
         spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b, n_k=n_k), 0.1)
         work = _Workspace(spec, 7.0)
         K = dense_x_update_matrix(spec, 7.0)
-        rhs = rng.normal(size=K.shape[0])
-        expected = np.linalg.solve(K, rhs)
-        assert np.allclose(work.solve_K(rhs), expected, rtol=0,
-                           atol=1e-10 * np.max(np.abs(expected)))
+        # a vector, solved in place, and a C-ordered block of columns, which
+        # the solve works on in a Fortran-ordered copy and writes back
+        for rhs in (rng.normal(size=K.shape[0]), rng.normal(size=(K.shape[0], 3))):
+            expected = np.linalg.solve(K, rhs)
+            assert work.solve_K(rhs) is rhs
+            assert np.allclose(rhs, expected, rtol=0,
+                               atol=1e-10 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("n_b", [1, 3])
     @pytest.mark.parametrize("levels,n_a", [
