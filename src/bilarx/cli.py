@@ -28,8 +28,7 @@ back bit-exact.
 Exit codes: 0 success, 1 usage, configuration, file-format or file-write
 error, 2 solver non-convergence, 3 invalid or infeasible input data (a
 series too short for the model orders, non-consecutive ``t``, a non-finite
-sample or refine estimate). The environment variable ``BILARX_SEED``
-overrides scenario seeds.
+sample or refine estimate).
 """
 
 from __future__ import annotations
@@ -395,15 +394,8 @@ def _cmd_ripcheck(args):
 
 
 def _cmd_simulate(args):
-    seed = args.seed
-    env_seed = os.environ.get("BILARX_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise _UsageError(f"BILARX_SEED={env_seed!r} is not an integer") from exc
     try:
-        scn = scenario(args.scenario, seed=seed)
+        scn = scenario(args.scenario, seed=args.seed)
     except ValueError as exc:
         raise _DataError(str(exc)) from exc
     multi = len(scn.spec.sequences) > 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ArxOrders, ProblemSpec, build_problem
+from .problem import ArxOrders, ProblemSpec, _is_integer, build_problem
 
 _MASK64 = (1 << 64) - 1
 
@@ -23,6 +23,12 @@ def _splitmix64(seed: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an integer other than a bool."""
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def _uniform_units(seed: int, size: int) -> list:
@@ -70,7 +76,9 @@ def simulate_arx(a, b, orders: ArxOrders, u) -> np.ndarray:
     """Noise-free ARX response to input ``u``.
 
     Outputs recurse from ``t = n`` on; the earlier samples are presample
-    values, all zero.
+    values, all zero. Raises ValueError on a non-finite entry of ``a``, ``b``
+    or ``u``; finite inputs whose recursion overflows warn of the unstable
+    pole and return what the recursion gives.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -79,6 +87,9 @@ def simulate_arx(a, b, orders: ArxOrders, u) -> np.ndarray:
         raise ValueError(f"a must have length {orders.n_a}, got {a.shape}")
     if b.shape != (orders.n_b,):
         raise ValueError(f"b must have length {orders.n_b}, got {b.shape}")
+    for name, values in (("a", a), ("b", b), ("u", u)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has non-finite entries")
     n = orders.n
     N = u.shape[0]
     if N < n:
@@ -107,9 +118,11 @@ def arx_poles(a) -> np.ndarray:
 
 
 def add_uniform_noise(z, bound: float, seed: int) -> np.ndarray:
-    """Add ``e(t) ~ U(-bound, bound)`` from the portable generator."""
-    if not bound >= 0:
-        raise ValueError(f"noise bound must be non-negative, got {bound}")
+    """Add ``e(t) ~ U(-bound, bound)`` from the portable generator; ``bound``
+    is finite and non-negative, ``seed`` an integer other than a bool."""
+    if not 0 <= bound < np.inf:
+        raise ValueError(f"noise bound must be finite and non-negative, got {bound}")
+    _check_seed(seed)
     z = np.asarray(z, dtype=float)
     if bound == 0:
         return z.copy()
@@ -184,8 +197,12 @@ def scenario(name: str, seed: int | None = None) -> Scenario:
     ``scenario_two_sequences``
         Two sequences driven by different inputs through one shared (a, b),
         lightly noisy.
+
+    ``seed``, an integer other than a bool, replaces the preset's noise seed.
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    if seed is not None:
+        _check_seed(seed)
     *preset, default_seed = _PRESETS[name]
     return _build_scenario(name, *preset, default_seed if seed is None else seed)

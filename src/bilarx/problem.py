@@ -30,10 +30,15 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _is_integer(value) -> bool:
+    """``numbers.Integral``, so numpy integers too, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ArxOrders:
     """Model orders: ``n_a`` output lags, ``n_b`` input taps, ``n_k`` delay;
-    integers, with ``n_b >= 1`` and ``n_a, n_k >= 0``."""
+    integers (not booleans), with ``n_b >= 1`` and ``n_a, n_k >= 0``."""
 
     n_a: int
     n_b: int
@@ -42,7 +47,7 @@ class ArxOrders:
     def __post_init__(self):
         for name, low in (("n_b", 1), ("n_a", 0), ("n_k", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if not (_is_integer(value) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
     @property
@@ -124,23 +129,18 @@ def build_problem(sequences, orders: ArxOrders, epsilon: float) -> ProblemSpec:
 class LiftedVariables:
     """Decision variables of the lifted program.
 
-    ``X_blocks[j]`` is the ``N_j x n_b`` lifted matrix of sequence ``j``,
-    ``a`` the autoregressive coefficients, and ``w_blocks[j]`` the slack for
-    the constrained rows ``t = n..N_j``.
+    ``X_blocks[j]`` is the ``N_j x n_b`` lifted matrix of sequence ``j`` and
+    ``a`` the autoregressive coefficients.
     """
 
     X_blocks: tuple
     a: np.ndarray
-    w_blocks: tuple
 
     def __post_init__(self):
         object.__setattr__(
             self, "X_blocks", tuple(_frozen_array(x) for x in self.X_blocks)
         )
         object.__setattr__(self, "a", _frozen_array(self.a))
-        object.__setattr__(
-            self, "w_blocks", tuple(_frozen_array(w) for w in self.w_blocks)
-        )
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def row_group_shrink(matrix: np.ndarray, kappa: float) -> np.ndarray:
     """Row-wise group soft threshold: prox of ``kappa * ||.||_{2,1}``.
 
     Each row ``m`` maps to ``m * max(1 - kappa/||m||_2, 0)``; zero rows stay
-    zero.
+    zero. Raises ValueError unless ``matrix`` is 2-d.
     """
     if not kappa >= 0:
         raise ValueError(f"row_group_shrink: kappa must be non-negative, got {kappa}")
@@ -71,18 +71,22 @@ def row_group_shrink(matrix: np.ndarray, kappa: float) -> np.ndarray:
     # kappa / max(||m||, kappa) is in [0, 1]: rows at or below kappa get 0, a row whose
     # squared norm overflows gets 1; the floor (kappa = 0) and clamp avoid 0/0 and inf/inf.
     kappa = min(kappa, _HUGE)
-    factor = 1.0 - kappa / np.maximum(_row_norms(m), kappa or _TINY)
+    factor = 1.0 - kappa / np.maximum(_row_norms(m, "row_group_shrink"), kappa or _TINY)
     return m * factor[:, None]
 
 
 def row_group_norm(matrix: np.ndarray) -> float:
-    """The (2,1) norm: sum of row 2-norms."""
-    return float(np.sum(_row_norms(np.asarray(matrix, dtype=float))))
+    """The (2,1) norm: sum of row 2-norms. Raises ValueError unless
+    ``matrix`` is 2-d."""
+    return float(np.sum(_row_norms(np.asarray(matrix, dtype=float), "row_group_norm")))
 
 
-def _row_norms(m: np.ndarray) -> np.ndarray:
+def _row_norms(m: np.ndarray, caller: str) -> np.ndarray:
     """``np.sqrt(np.add.reduce(m * m, axis=1))`` bit for bit: numpy adds a row of
-    2-7 entries in order, as these column sums do without its per-row loop."""
+    2-7 entries in order, as these column sums do without its per-row loop.
+    Raises ValueError, naming ``caller``, unless ``m`` is 2-d."""
+    if m.ndim != 2:
+        raise ValueError(f"{caller} expects a 2-d array, got shape {m.shape}")
     sq = m * m
     if not 2 <= sq.shape[1] < 8:    # numpy sums longer rows pairwise
         return np.sqrt(np.add.reduce(sq, axis=1))

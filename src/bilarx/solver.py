@@ -55,7 +55,7 @@ from scipy.linalg.lapack import dpbtrs
 
 from . import prox
 from .extract import change_points, factor_rank1
-from .problem import LiftedVariables, ProblemSpec, build_lifted_operator
+from .problem import LiftedVariables, ProblemSpec, _is_integer, build_lifted_operator
 
 
 # Over-relaxation factor of the ADMM iteration. Values in [1.5, 1.8] are the
@@ -105,13 +105,13 @@ _DENSE_MAX_ROWS = 320
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget of the ADMM, a positive integer; the penalty and the
-    stopping tolerance are the solver's own."""
+    """Iteration budget of the ADMM, a positive integer (not a boolean); the
+    penalty and the stopping tolerance are the solver's own."""
 
     max_iters: int = 5000
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+        if not (_is_integer(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
 
 
@@ -260,7 +260,6 @@ class _Workspace:
     rows, else None."""
 
     def __init__(self, spec: ProblemSpec, lam: float, freeze=None):
-        self.spec = spec
         self.n_b = spec.orders.n_b
         self.lengths = spec.lengths
         # First stacked row of every sequence block after the first.
@@ -325,7 +324,7 @@ class _Workspace:
 
 
 def _admm(work: _Workspace, lam: float, options: SolverOptions):
-    """Run the iteration at D X penalty ``lam``; returns (x, w, diagnostics)
+    """Run the iteration at D X penalty ``lam``; returns (x, diagnostics)
     in normalized units, with ``x`` packed as X entries, then ``a``.
 
     The block weights in force are ``scale`` on the X copy and ``scale *
@@ -411,17 +410,15 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
                 rho_changes += 1
     if P is not None:               # d still holds the last step's z - s
         x = solve_x(d)
-    return x, w, SolverDiagnostics(iters, pri_norm, dual_norm, converged,
-                                   scale, rho_changes)
+    return x, SolverDiagnostics(iters, pri_norm, dual_norm, converged,
+                                scale, rho_changes)
 
 
-def _package_solution(work: _Workspace, x, w, lam, diag, frozen_rows=None):
+def _package_solution(work: _Workspace, x, lam, diag, frozen_rows=None):
     stacked = work.y_scale * (work.weight[:, None]
                               * x[: work.n_x].reshape(-1, work.n_b)[work.segment])
     X_blocks = tuple(np.split(stacked, work.block_starts))
-    w_rows = np.subtract(work.lengths, work.spec.n - 1)    # one per time n..N_j
-    w_blocks = tuple(np.split(work.y_scale * w, np.cumsum(w_rows)[:-1]))
-    vars = LiftedVariables(X_blocks=X_blocks, a=x[work.n_x :], w_blocks=w_blocks)
+    vars = LiftedVariables(X_blocks=X_blocks, a=x[work.n_x :])
 
     _, sigma, _ = prox.thin_svd(stacked)
     _, DX, _ = work.blocks(work.M @ x)
@@ -458,8 +455,8 @@ def solve_bil(spec: ProblemSpec, lam: float,
                          f"floating-point range, got {lam}")
     options = options or SolverOptions()
     work = _Workspace(spec, lam)
-    x, w, diag = _admm(work, lam, options)
-    return _package_solution(work, x, w, lam, diag)
+    x, diag = _admm(work, lam, options)
+    return _package_solution(work, x, lam, diag)
 
 
 def _normalize_freeze(spec: ProblemSpec, freeze) -> tuple:
@@ -494,8 +491,8 @@ def solve_refined(spec: ProblemSpec, freeze,
     options = options or SolverOptions()
     freeze = _normalize_freeze(spec, freeze)
     work = _Workspace(spec, 0.0, freeze)
-    x, w, diag = _admm(work, 0.0, options)
-    return _package_solution(work, x, w, 0.0, diag, frozen_rows=freeze)
+    x, diag = _admm(work, 0.0, options)
+    return _package_solution(work, x, 0.0, diag, frozen_rows=freeze)
 
 
 def freeze_small_differences(u_blocks, gamma: float) -> list:

@@ -84,6 +84,22 @@ class TestSimulateArx:
         with pytest.raises(ValueError, match="shorter"):
             simulate_arx((), (1.0, 1.0, 1.0), ArxOrders(n_a=0, n_b=3), np.ones(2))
 
+    @pytest.mark.parametrize("a, b, u, name", [
+        ((np.inf,), (1.0, 2.0), np.ones(6), "a"),
+        ((np.nan,), (1.0, 2.0), np.ones(6), "a"),
+        ((0.5,), (1.0, np.nan), np.ones(6), "b"),
+        ((0.5,), (1.0, 2.0), np.array([1.0, 2.0, np.inf, 1.0, 1.0, 1.0]), "u"),
+    ], ids=["a_inf", "a_nan", "b_nan", "u_inf"])
+    def test_rejects_non_finite(self, a, b, u, name):
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+            simulate_arx(a, b, ArxOrders(n_a=1, n_b=2), u)
+
+    def test_finite_overflow_warns_and_returns_inf(self):
+        orders = ArxOrders(n_a=1, n_b=1, n_k=0)
+        with pytest.warns(UserWarning, match="pole"), np.errstate(over="ignore"):
+            z = simulate_arx((1e10,), (1.0,), orders, np.ones(40))
+        assert np.isinf(z[-1])
+
 
 class TestUniformNoise:
     def test_zero_bound_identity(self):
@@ -125,6 +141,17 @@ class TestUniformNoise:
         with pytest.raises(ValueError, match="non-negative"):
             add_uniform_noise(np.zeros(3), -1.0, 0)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "3", None],
+                             ids=["fraction", "integral_float", "bool", "str", "none"])
+    def test_rejects_non_integer_seed(self, seed):
+        for bound in (0.0, 1.0):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                add_uniform_noise(np.zeros(3), bound, seed)
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(add_uniform_noise(np.zeros(5), 1.0, np.int64(9)),
+                              add_uniform_noise(np.zeros(5), 1.0, 9))
+
 
 class TestScenarios:
     def test_fir_preset(self):
@@ -154,6 +181,14 @@ class TestScenarios:
         with pytest.raises(ValueError, match="unknown scenario"):
             scenario("scenario_missing")
         assert len(SCENARIO_NAMES) == 3
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "3"], ids=["bool", "float", "str"])
+    def test_rejects_non_integer_seed(self, seed):
+        # scenario adds the sequence index to the seed, which would turn
+        # True into 1 before add_uniform_noise sees it.
+        for name in SCENARIO_NAMES:
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                scenario(name, seed=seed)
 
     def test_seeded_regeneration_identical(self):
         a = scenario("scenario_arx_noisy", seed=3)

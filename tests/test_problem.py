@@ -93,17 +93,21 @@ def _ones_spec():
     (lambda: ArxOrders(n_a=0, n_b=2.5), "n_b must be an integer"),
     (lambda: ArxOrders(n_a=0.5, n_b=2), "n_a must be an integer"),
     (lambda: ArxOrders(n_a=1, n_b=2, n_k=1.0), "n_k must be an integer"),
+    (lambda: ArxOrders(n_a=True, n_b=3), "n_a must be an integer"),
+    (lambda: add_uniform_noise(np.zeros(3), INF, 1), "noise bound"),
 ], ids=["build_problem", "change_points", "svt", "row_group_shrink", "box_clip",
         "add_uniform_noise", "max_iters", "sweep_grid",
         "solve_bil_inf", "sweep_grid_inf", "lambda_huge",
         "lambda_square_overflow", "max_iters_fraction", "build_problem_inf",
-        "n_b_nan", "n_b_fraction", "n_a_fraction", "n_k_float"])
+        "n_b_nan", "n_b_fraction", "n_a_fraction", "n_k_float", "n_a_bool",
+        "add_uniform_noise_inf"])
 def test_nan_setting_is_rejected(call, match):
     # NaN fails every comparison, so a guard written as ``x < 0`` lets it by;
     # an infinite weight passes a sign check but breaks the factorization,
     # and so does a finite one whose square overflows. An infinite noise
     # bound is no bound. A fractional model order passes a sign check and
-    # fails inside the solve as an array index.
+    # fails inside the solve as an array index, and a bool passes the
+    # integer test as 0 or 1.
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -237,6 +237,13 @@ class TestRowGroupShrink:
         with pytest.raises(ValueError, match="non-negative"):
             prox.row_group_shrink(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_rejects_non_2d(self, shape):
+        with pytest.raises(ValueError, match="row_group_shrink expects a 2-d array"):
+            prox.row_group_shrink(np.ones(shape), 1.0)
+        with pytest.raises(ValueError, match="row_group_norm expects a 2-d array"):
+            prox.row_group_norm(np.ones(shape))
+
 
 class TestRowNormBits:
     """``row_group_shrink`` and ``row_group_norm`` use the bits of

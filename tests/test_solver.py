@@ -99,8 +99,6 @@ class TestSolveBil:
         assert sol.diagnostics.converged
         assert (max_constraint_residual(sc.spec, sol.vars.X_blocks, sol.vars.a)
                 <= sc.spec.epsilon + feasibility_slack(sc.spec))
-        for w in sol.vars.w_blocks:
-            assert np.max(np.abs(w)) <= sc.spec.epsilon + 1e-12
 
     def test_scale_covariance(self):
         sc = scenario("scenario_arx_noisy")
@@ -577,7 +575,7 @@ class TestSolverOptions:
         assert vars(SolverOptions()) == {"max_iters": 5000}
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_iters": 0}, {"max_iters": -1}, {"max_iters": 5000.0},
+        {"max_iters": 0}, {"max_iters": -1}, {"max_iters": 5000.0}, {"max_iters": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
