@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, build_lifted_operator
+from .problem import ProblemSpec, _check_integer, build_lifted_operator
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class MatrixOperator:
     """Linear map from ``n1 x n2`` matrices to vectors, stored densely.
 
     ``matrix`` has shape ``(n3, n1 * n2)`` and acts on the row-major
-    vectorization of its argument.
+    vectorization of its argument; ``n1`` and ``n2`` are integers >= 1.
     """
 
     matrix: np.ndarray
@@ -47,6 +47,8 @@ class MatrixOperator:
     n2: int
 
     def __post_init__(self):
+        _check_integer("n1", self.n1, 1)
+        _check_integer("n2", self.n2, 1)
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[1] != self.n1 * self.n2:
             raise ValueError(
@@ -169,8 +171,6 @@ def _pattern_chunks(n1: int, indices, size: int, chunk: int):
 
 def _walk(operator: MatrixOperator, k: int, stop: float) -> float:
     """The constant at ``k``, or the worst deviation so far once it reaches ``stop``."""
-    if k <= 0:
-        raise ValueError(f"sparsity level k must be positive, got {k}")
     n1 = operator.n1
     if n1 < 4:
         raise ValueError(f"need n1 >= 4 to pin the boundary differences, got {n1}")
@@ -208,13 +208,13 @@ def rip_constant(operator: MatrixOperator, k: int) -> float:
     The walk takes the patterns in chunks of one shape, each factored by one
     stacked SVD. A wide restriction has ``sigma_min = 0``.
     """
-    return _walk(operator, k, math.inf)
+    return _walk(operator, _check_integer("k", k, 1), math.inf)
 
 
 def rip_patterns_checked(operator: MatrixOperator, k: int) -> int:
     """How many patterns the constant at level ``k`` is a maximum over: every
     pattern of 1..k interior indices, the count checked against the budget."""
-    return _patterns(operator.n1, k, True, math.inf)[2]
+    return _patterns(operator.n1, _check_integer("k", k, 1), True, math.inf)[2]
 
 
 def certify_uniqueness(operator: MatrixOperator, k: int) -> bool:
@@ -228,7 +228,7 @@ def certify_uniqueness(operator: MatrixOperator, k: int) -> bool:
     one. With ``n2 >= 2`` an identification operator stops there: it maps the
     null direction ``1 v^T`` with ``sum(v) = 0``, in every subspace, to zero.
     """
-    return _walk(operator, 2 * k, 1.0) < 1.0
+    return _walk(operator, 2 * _check_integer("k", k, 1), 1.0) < 1.0
 
 
 def rip_report(operator: MatrixOperator, k: int) -> RipReport:
@@ -325,8 +325,7 @@ def brute_force_solve(problem, k_max: int, rhs=None) -> BruteForceResult:
 
     Returns every distinct solution with the minimal change count found.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    k_max = _check_integer("k_max", k_max, 0)
     if isinstance(problem, ProblemSpec):
         if len(problem.sequences) != 1:
             raise ValueError("brute force handles single-sequence instances")

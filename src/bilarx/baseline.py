@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import ArxOrders, ProblemSpec, build_lifted_operator, build_problem
+from .problem import ArxOrders, ProblemSpec, _check_integer, build_lifted_operator, build_problem
 
 
 def fit_piecewise_constant(y, max_segments: int):
@@ -28,10 +28,7 @@ def fit_piecewise_constant(y, max_segments: int):
     if y.ndim != 1 or not y.size or not np.isfinite(y).all():
         raise ValueError("fit_piecewise_constant needs a non-empty, finite 1-d series")
     N = y.shape[0]
-    if max_segments < 1:
-        raise ValueError(f"max_segments must be >= 1, got {max_segments}")
-    if max_segments > N:
-        max_segments = N
+    max_segments = min(_check_integer("max_segments", max_segments, 1), N)
     exponent = int(np.frexp(np.max(np.abs(y)))[1])
     y = np.ldexp(y, -exponent)
 
@@ -46,15 +43,17 @@ def fit_piecewise_constant(y, max_segments: int):
 
     # best[k][j]: optimal SSE for y[0:j] with exactly k+1 segments; the
     # last segment of cell (k, j) starts at split[k, j], the first minimizer.
+    # One pass per end j fills every count k at once: a last segment starting
+    # at m < k never wins, as best[k-1, m] is inf there (too few samples for
+    # k segments), so the minimizer is the one over m = k..j-1.
     best = np.full((max_segments, N + 1), np.inf)
     split = np.zeros((max_segments, N + 1), dtype=int)
     best[0, 1:] = seg_cost(0, np.arange(1, N + 1))
-    for k in range(1, max_segments):
-        for j in range(k + 1, N + 1):
-            costs = best[k - 1, k:j] + seg_cost(np.arange(k, j), j)
-            m_best = int(np.argmin(costs))
-            best[k, j] = costs[m_best]
-            split[k, j] = m_best + k
+    counts = np.arange(max_segments - 1)
+    for j in range(2, N + 1):
+        costs = best[:-1, :j] + seg_cost(np.arange(j), j)
+        split[1:, j] = np.argmin(costs, axis=1)
+        best[1:, j] = costs[counts, split[1:, j]]
 
     # Smallest segment count achieving the optimal cost (ties go to fewer).
     totals = best[:, N]

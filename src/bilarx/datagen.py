@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ArxOrders, ProblemSpec, _is_integer, build_problem
+from .problem import ArxOrders, ProblemSpec, _check_integer, build_problem
 
 _MASK64 = (1 << 64) - 1
 
@@ -25,17 +25,11 @@ def _splitmix64(seed: int) -> int:
     return z ^ (z >> 31)
 
 
-def _check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is an integer other than a bool."""
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-
-
 def _uniform_units(seed: int, size: int) -> list:
     """The first ``size`` doubles in ``[0, 1)`` of the xorshift64* stream of
     ``seed``; a seed that splitmix64 maps to 0, a fixed point of xorshift,
     starts from the golden-ratio constant instead."""
-    x = _splitmix64(int(seed) & _MASK64) or 0x9E3779B97F4A7C15
+    x = _splitmix64(seed & _MASK64) or 0x9E3779B97F4A7C15
     units = []
     for _ in range(size):
         x ^= x >> 12
@@ -46,14 +40,15 @@ def _uniform_units(seed: int, size: int) -> list:
 
 
 def gen_piecewise_input(N: int, change_points, levels) -> np.ndarray:
-    """Piecewise-constant signal of length ``N``.
+    """Piecewise-constant signal of length ``N >= 1``.
 
-    ``change_points`` are ascending 1-based indices ``i`` with
+    ``change_points`` are ascending 1-based integer indices ``i`` with
     ``u(i) != u(i+1)``; ``levels`` holds one finite value per segment.
     Adjacent segments must have different levels so that the difference
     support is exactly the change-point set.
     """
-    change_points = [int(i) for i in change_points]
+    N = _check_integer("N", N, 1)
+    change_points = [_check_integer("change point", i) for i in change_points]
     levels = [float(v) for v in levels]
     if len(levels) != len(change_points) + 1:
         raise ValueError(
@@ -122,7 +117,7 @@ def add_uniform_noise(z, bound: float, seed: int) -> np.ndarray:
     is finite and non-negative, ``seed`` an integer other than a bool."""
     if not 0 <= bound < np.inf:
         raise ValueError(f"noise bound must be finite and non-negative, got {bound}")
-    _check_seed(seed)
+    seed = _check_integer("seed", seed)
     z = np.asarray(z, dtype=float)
     if bound == 0:
         return z.copy()
@@ -203,6 +198,6 @@ def scenario(name: str, seed: int | None = None) -> Scenario:
     if name not in _PRESETS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
     if seed is not None:
-        _check_seed(seed)
+        seed = _check_integer("seed", seed)
     *preset, default_seed = _PRESETS[name]
     return _build_scenario(name, *preset, default_seed if seed is None else seed)

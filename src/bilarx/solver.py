@@ -45,7 +45,6 @@ factorization made at the starting penalty serves the whole solve.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ from scipy.linalg.lapack import dpbtrs
 
 from . import prox
 from .extract import change_points, factor_rank1
-from .problem import LiftedVariables, ProblemSpec, _is_integer, build_lifted_operator
+from .problem import LiftedVariables, ProblemSpec, _check_integer, build_lifted_operator
 
 
 # Over-relaxation factor of the ADMM iteration. Values in [1.5, 1.8] are the
@@ -105,14 +104,13 @@ _DENSE_MAX_ROWS = 320
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget of the ADMM, a positive integer (not a boolean); the
+    """Iteration budget of the ADMM, an integer >= 1 (not a boolean); the
     penalty and the stopping tolerance are the solver's own."""
 
     max_iters: int = 5000
 
     def __post_init__(self):
-        if not (_is_integer(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
+        _check_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -467,11 +465,9 @@ def _normalize_freeze(spec: ProblemSpec, freeze) -> tuple:
         )
     out = []
     for j, (idx_set, length) in enumerate(zip(freeze, spec.lengths)):
-        if not all(isinstance(i, numbers.Integral) or
-                   isinstance(i, numbers.Real) and float(i).is_integer() for i in idx_set):
-            raise ValueError(f"freeze indices for sequence {j} must be integers")
-        idx = sorted({int(i) for i in idx_set})
-        if any(i < 1 or i > length - 1 for i in idx):
+        name = f"freeze index of sequence {j}"
+        idx = sorted({_check_integer(name, i) for i in idx_set})
+        if idx and not 1 <= idx[0] <= idx[-1] <= length - 1:
             raise ValueError(
                 f"freeze indices for sequence {j} must lie in [1, {length - 1}]"
             )
@@ -484,9 +480,9 @@ def solve_refined(spec: ProblemSpec, freeze,
     """Minimize the nuclear norm alone with hard row equalities.
 
     ``freeze`` gives, per sequence, the 1-based difference indices ``i``
-    where ``X(i,:) = X(i+1,:)`` holds bit for bit (ints, or floats of
-    integer value). This is the bias-removal re-solve: the sparsity pattern
-    comes from a previous estimate, the penalty weight drops to zero.
+    where ``X(i,:) = X(i+1,:)`` holds bit for bit (integers, not booleans).
+    This is the bias-removal re-solve: the sparsity pattern comes from a
+    previous estimate, the penalty weight drops to zero.
     """
     options = options or SolverOptions()
     freeze = _normalize_freeze(spec, freeze)

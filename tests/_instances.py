@@ -1,8 +1,21 @@
-"""Seeded random problem instances shared by the solver tests."""
+"""Seeded random problem instances shared by the solver tests, and the
+non-integer values every count, index and seed of the package rejects."""
+
+import re
 
 import numpy as np
 
 from bilarx import ArxOrders, build_problem, gen_piecewise_input, simulate_arx
+
+# A bool of either kind, an integral and a fractional float, a numeric string.
+NON_INTEGERS = (True, np.True_, 2.0, 2.5, "3")
+NON_INTEGER_IDS = ("bool", "numpy_bool", "integral_float", "fraction", "str")
+
+
+def non_integer_message(name, value):
+    """The pattern of the one rejection message, ``<name> must be an
+    integer[ >= <low>], got <repr>``, anchored at both ends."""
+    return rf"^{re.escape(name)} must be an integer( >= -?\d+)?, got {re.escape(repr(value))}$"
 
 
 def random_tiny_instance(seed):

@@ -27,6 +27,7 @@ from bilarx.analysis import (
     rip_report,
 )
 
+from _instances import NON_INTEGER_IDS, NON_INTEGERS, non_integer_message
 from _oracles import (
     arx_constraint_matrix,
     gram_eigen_singular_values,
@@ -162,7 +163,7 @@ class TestRipConstant:
     def test_rejects_bad_k_and_small_n1(self):
         rng = np.random.default_rng(7)
         op = gaussian_operator(rng, 8, 1, 20)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
             rip_constant(op, 0)
         small = gaussian_operator(rng, 3, 1, 10)
         with pytest.raises(ValueError, match="n1 >= 4"):
@@ -622,3 +623,31 @@ class TestCorollaryAgreement:
         )
         assert cos >= 1.0 - 1e-6
         assert np.allclose(Z_bil, Z_bf, atol=1e-4 * np.max(np.abs(Z_bf)))
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=NON_INTEGER_IDS)
+@pytest.mark.parametrize("call,name", [
+    (lambda v: MatrixOperator(np.ones((3, 4)), v, 2), "n1"),
+    (lambda v: MatrixOperator(np.ones((3, 4)), 2, v), "n2"),
+    (lambda v: rip_constant(fir_operator(), v), "k"),
+    (lambda v: rip_patterns_checked(fir_operator(), v), "k"),
+    (lambda v: rip_report(fir_operator(), v), "k"),
+    # checked before it is doubled, so the message shows the value passed
+    (lambda v: certify_uniqueness(fir_operator(), v), "k"),
+    (lambda v: brute_force_solve(scenario("scenario_fir_noisefree").spec, v), "k_max"),
+], ids=["n1", "n2", "rip_constant", "rip_patterns_checked", "rip_report",
+        "certify_uniqueness", "brute_force_solve"])
+def test_non_integer_size_or_level_rejected(call, name, value):
+    with pytest.raises(ValueError, match=non_integer_message(name, value)):
+        call(value)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: MatrixOperator(np.ones((3, 0)), 0, 2), "n1"),
+    (lambda: MatrixOperator(np.ones((3, 0)), 2, 0), "n2"),
+    (lambda: rip_patterns_checked(fir_operator(), 0), "k"),
+    (lambda: certify_uniqueness(fir_operator(), 0), "k"),
+], ids=["n1", "n2", "rip_patterns_checked", "certify_uniqueness"])
+def test_zero_size_or_level_rejected(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got 0$"):
+        call()

@@ -17,6 +17,7 @@ from bilarx import (
     simulate_arx,
 )
 
+from _instances import NON_INTEGER_IDS, NON_INTEGERS, non_integer_message
 from _oracles import arx_constraint_matrix, exhaustive_segmentation_cost
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -230,3 +231,13 @@ class TestNaiveIdentify:
         coef = np.linalg.lstsq(phi, target, rcond=None)[0]
         assert np.max(np.abs(b_est - coef[:3])) <= 1e-12
         assert np.max(np.abs(a_est - coef[3:])) <= 1e-12
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=NON_INTEGER_IDS)
+@pytest.mark.parametrize("call", [
+    lambda v: fit_piecewise_constant(np.arange(6.0), v),
+    lambda v: naive_identify(scenario("scenario_arx_noisy").spec, v),
+], ids=["fit_piecewise_constant", "naive_identify"])
+def test_non_integer_segment_budget_rejected(call, value):
+    with pytest.raises(ValueError, match=non_integer_message("max_segments", value)):
+        call(value)

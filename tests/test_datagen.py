@@ -11,6 +11,7 @@ from bilarx import (
 )
 from bilarx.datagen import SCENARIO_NAMES, _uniform_units, arx_poles
 
+from _instances import NON_INTEGER_IDS, NON_INTEGERS, non_integer_message
 from _oracles import max_constraint_residual
 
 
@@ -42,6 +43,10 @@ class TestGenPiecewiseInput:
             gen_piecewise_input(8, (5, 3), (1.0, 2.0, 3.0))
         with pytest.raises(ValueError, match=r"\[1, 7\]"):
             gen_piecewise_input(8, (8,), (1.0, 2.0))
+
+    def test_rejects_empty_signal(self):
+        with pytest.raises(ValueError, match=non_integer_message("N", 0)):
+            gen_piecewise_input(0, (), (1.0,))
 
     def test_rejects_level_count_mismatch(self):
         with pytest.raises(ValueError, match="levels"):
@@ -204,3 +209,16 @@ class TestScenarios:
         noisy = scenario("scenario_arx_noisy")
         # equation error: e(t) - a e(t-1), within the bound for this preset
         assert planted_residual(noisy) <= noisy.spec.epsilon
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=NON_INTEGER_IDS)
+@pytest.mark.parametrize("call,name", [
+    (lambda v: gen_piecewise_input(v, (2,), (0.0, 1.0)), "N"),
+    (lambda v: gen_piecewise_input(6, (v,), (0.0, 1.0)), "change point"),
+    (lambda v: add_uniform_noise(np.zeros(3), 1.0, v), "seed"),
+    (lambda v: scenario("scenario_arx_noisy", seed=v), "seed"),
+], ids=["N", "change_point", "noise_seed", "scenario_seed"])
+def test_non_integer_count_index_or_seed_rejected(call, name, value):
+    # a float change point used to be truncated, a bool taken as 0 or 1
+    with pytest.raises(ValueError, match=non_integer_message(name, value)):
+        call(value)

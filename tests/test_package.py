@@ -14,3 +14,12 @@ def test_public_names_match_all():
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert {name for name in imported if not name.startswith("_")} <= set(bilarx.__all__)
+
+
+def test_integer_rule_lives_in_problem_only():
+    # every count, index and seed goes through problem._check_integer; a
+    # module with its own integer test would let the rules drift apart
+    package = Path(bilarx.__file__).parent
+    stray = [path.name for path in sorted(package.glob("*.py"))
+             if path.name != "problem.py" and "numbers.Integral" in path.read_text()]
+    assert stray == []

@@ -18,6 +18,7 @@ from bilarx import (
 )
 from bilarx.solver import check_sweep_grid
 
+from _instances import NON_INTEGER_IDS, NON_INTEGERS, non_integer_message
 from _oracles import arx_constraint_matrix, max_constraint_residual
 
 
@@ -110,6 +111,18 @@ def test_nan_setting_is_rejected(call, match):
     # integer test as 0 or 1.
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=NON_INTEGER_IDS)
+@pytest.mark.parametrize("call,name", [
+    (lambda v: ArxOrders(n_a=v, n_b=1), "n_a"),
+    (lambda v: ArxOrders(n_a=0, n_b=v), "n_b"),
+    (lambda v: ArxOrders(n_a=0, n_b=1, n_k=v), "n_k"),
+], ids=["n_a", "n_b", "n_k"])
+def test_non_integer_order_is_rejected(call, name, value):
+    # one message for every integer argument of the package, naming it
+    with pytest.raises(ValueError, match=non_integer_message(name, value)):
+        call(value)
 
 
 @pytest.mark.parametrize("call,match", [

@@ -28,7 +28,7 @@ from bilarx import (
 from bilarx import solver
 from bilarx.solver import _Workspace, freeze_small_differences
 
-from _instances import random_tiny_instance
+from _instances import NON_INTEGER_IDS, NON_INTEGERS, non_integer_message, random_tiny_instance
 from _oracles import arx_constraint_matrix, max_constraint_residual, segment_basis
 from _slowref import SegmentReference, SlowReference
 
@@ -650,18 +650,17 @@ class TestSolveRefined:
     @pytest.mark.parametrize("index", [2.5, 7.9, "3", math.inf, math.nan])
     def test_non_integral_freeze_index_rejected(self, index):
         spec = scenario("scenario_fir_noisefree").spec
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="freeze index of sequence 0 must be an integer"):
             solve_refined(spec, [{index}])
 
     def test_integral_freeze_indices_of_any_type(self):
         sc = scenario("scenario_fir_noisefree")
         opts = SolverOptions(max_iters=50)
         plain = solve_refined(sc.spec, [{2, 7}], opts)
-        for freeze in ({2.0, 7.0}, {np.int64(2), np.float32(7.0)}):
-            sol = solve_refined(sc.spec, [freeze], opts)
-            assert sol.frozen_rows == ((2, 7),)
-            assert all(type(i) is int for i in sol.frozen_rows[0])
-            assert np.array_equal(sol.vars.X_blocks[0], plain.vars.X_blocks[0])
+        sol = solve_refined(sc.spec, [{np.int64(2), np.int32(7)}], opts)
+        assert sol.frozen_rows == ((2, 7),)
+        assert all(type(i) is int for i in sol.frozen_rows[0])
+        assert np.array_equal(sol.vars.X_blocks[0], plain.vars.X_blocks[0])
 
     def test_freeze_sets_are_canonical(self):
         # a repeated or unordered index names the same frozen pair once
@@ -825,3 +824,15 @@ class TestSweepLambda:
         monkeypatch.setattr(solver, "solve_bil", lambda *args: pytest.fail("solved"))
         with pytest.raises(ValueError, match="finite squares"):
             sweep_lambda(spec, [1e2, 1e155], 0.5)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=NON_INTEGER_IDS)
+@pytest.mark.parametrize("call,name", [
+    (lambda v: SolverOptions(max_iters=v), "max_iters"),
+    (lambda v: solve_refined(scenario("scenario_fir_noisefree").spec, [{v, 2}]),
+     "freeze index of sequence 0"),
+], ids=["max_iters", "freeze_index"])
+def test_non_integer_count_or_index_rejected(call, name, value):
+    # a freeze index True used to freeze row 1, and 2.0 row 2
+    with pytest.raises(ValueError, match=non_integer_message(name, value)):
+        call(value)
