@@ -47,8 +47,8 @@ class MatrixOperator:
     n2: int
 
     def __post_init__(self):
-        _check_integer("n1", self.n1, 1)
-        _check_integer("n2", self.n2, 1)
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), 1))
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[1] != self.n1 * self.n2:
             raise ValueError(
@@ -236,7 +236,7 @@ def rip_report(operator: MatrixOperator, k: int) -> RipReport:
     eps = rip_constant(operator, k)
     certified = certify_uniqueness(operator, k)
     return RipReport(
-        k=k, rip_epsilon=eps,
+        k=_check_integer("k", k, 1), rip_epsilon=eps,
         patterns_checked=rip_patterns_checked(operator, k),
         certified_unique=certified,
     )

@@ -297,11 +297,12 @@ def _run_solve(args, cfg, gamma, solve):
         "diagnostics": dataclasses.asdict(sol.diagnostics),
         **extra,
     })
-    for seq, u, y_model in zip(spec.sequences, sol.u_est, fits):
-        _write_series_csv(args.plot_dir, _plot_name("fit", seq.label),
-                          ["y_measured", "y_model"], seq.samples, y_model)
+    for j, seq in enumerate(spec.sequences if args.plot_dir else ()):
+        if fits:                    # no model without b
+            _write_series_csv(args.plot_dir, _plot_name("fit", seq.label),
+                              ["y_measured", "y_model"], seq.samples, fits[j])
         _write_series_csv(args.plot_dir, _plot_name("input", seq.label),
-                          ["u_estimate"], u)
+                          ["u_estimate"], sol.u_est[j])
     return EXIT_OK if sol.diagnostics.converged else EXIT_NOT_CONVERGED
 
 

@@ -53,7 +53,7 @@ class ArxOrders:
 
     def __post_init__(self):
         for name, low in (("n_b", 1), ("n_a", 0), ("n_k", 0)):
-            _check_integer(name, getattr(self, name), low)
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
 
     @property
     def n(self) -> int:

@@ -9,6 +9,14 @@ where ``D`` takes consecutive row differences inside each sequence block and
 the nuclear norm acts on the row-wise stack of all blocks (which is what
 ties multiple sequences to one shared coefficient vector).
 
+The refinement holds its frozen row pairs equal: the unknowns are the
+coefficients ``C`` of X in the orthonormal basis (segment indicator / sqrt
+``len(s)``) of the segments those pairs join, so ``||X||_* = ||C||_*``. The
+D X block is present exactly when ``lambda > 0``, with row ``(s, k) = w_s
+C(s, k) - w_{s+1} C(s+1, k)``, ``w_s = 1 / sqrt(len(s))``, for adjacent
+segments of one sequence. With nothing frozen every ``w_s`` is 1, so
+``solve_bil`` at ``lambda = 0`` is the refinement with nothing frozen.
+
 Splitting: the first block holds ``(X, a)``; the second is one copy
 ``z = (Z1, Z2, v)`` of ``M(X, a) = (X, D X, A(X, a))`` with one scaled
 multiplier. ``Z1`` takes the nuclear prox, ``Z2`` the row-group prox, and the
@@ -21,11 +29,6 @@ rho2)`` is the weighted projector onto range(M). When ``M`` has at most
 once as a dense matrix and each iteration makes one matrix-vector product in
 place of ``Mᵀ``, the solve and ``M``; ``x`` itself is solved for once, at
 exit. Longer programs keep the banded solve in every iteration.
-
-The refinement solve has no D X block: its unknowns are the coefficients
-``C`` of X in the orthonormal basis (segment indicator / sqrt(length)) of the
-rows that the frozen pairs join, so ``||X||_* = ||C||_*`` and the iteration
-is the same; X is expanded once at the end.
 
 Two deterministic normalizations keep behavior uniform across data scales
 and penalty weights spanning many orders of magnitude: outputs are divided
@@ -110,7 +113,7 @@ class SolverOptions:
     max_iters: int = 5000
 
     def __post_init__(self):
-        _check_integer("max_iters", self.max_iters, 1)
+        object.__setattr__(self, "max_iters", _check_integer("max_iters", self.max_iters, 1))
 
 
 @dataclass(frozen=True)
@@ -165,8 +168,9 @@ class _XSolve:
 
     Tap ``k`` of constraint row ``r`` is ``tap_weights[r, k]`` times X unknown
     ``x_index[r, k]``. ``I_x`` and the row-difference Laplacian ``L = DᵀD``
-    act on the X unknowns only; ``link[i]`` is 1 when ``D`` joins row ``i``
-    to row ``i + 1`` (``link`` is empty without a D block). Taps ``k < k'``
+    act on the X unknowns only; ``L`` takes ``w_s²`` per link on its
+    diagonal and ``-w_s w_{s+1}`` off it, ``link[s]`` being 1 when ``D``
+    joins segment ``s`` to ``s + 1`` (empty without a D block). Taps ``k < k'``
     of one constraint row lie in rows at most ``k' - k`` apart, so the X
     block of ``K`` is banded with bandwidth ``max(n_b, (n_b - 1)^2)`` and
     positive definite through ``I_x``; it is factored once by a banded
@@ -186,10 +190,11 @@ class _XSolve:
         # LAPACK lower band form: ab[d, c] = Kxx[c + d, c].
         bandwidth = max(n_b, (n_b - 1) ** 2)
         ab = np.zeros((bandwidth + 1, self.n_x))
-        link = np.pad(work.link, (0, self.n_x // n_b - work.link.size))   # one entry per row
-        lap_diag = link + np.concatenate([[0.0], link[:-1]])
+        w = work.seg_weight
+        link = np.pad(work.link, (0, w.size - work.link.size))   # one entry per segment
+        lap_diag = (link + np.concatenate([[0.0], link[:-1]])) * (w * w)
         ab[0] = 1.0 + rho2 * np.repeat(lap_diag, n_b)
-        ab[n_b] = -rho2 * np.repeat(link, n_b)
+        ab[n_b] = -rho2 * np.repeat(link * w * np.append(w[1:], 0.0), n_b)
         # AᵀA, accumulated: taps of many constraint rows share a column pair.
         taps = x_index.ravel()
         np.add.at(ab[0], taps, rho2 * (weights * weights).ravel())
@@ -238,38 +243,40 @@ class _XSolve:
 
 
 def _segments(lengths, freeze) -> tuple:
-    """Segment of every stacked X row and ``1 / sqrt(segment length)``: only
-    frozen difference ``i`` of a sequence joins its rows ``i`` and ``i + 1``."""
+    """Segment of every stacked X row and ``1 / sqrt(length)`` per segment:
+    only frozen difference ``i`` of a sequence joins its rows ``i``, ``i + 1``."""
     joined = np.zeros(sum(lengths), dtype=bool)    # row continues the one above
     for start, idx in zip(np.cumsum(lengths) - lengths, freeze or ()):
         joined[start + np.asarray(idx, dtype=np.intp)] = True
     segment = np.cumsum(~joined) - 1
-    return segment, (1.0 / np.sqrt(np.bincount(segment)))[segment]
+    return segment, 1.0 / np.sqrt(np.bincount(segment))
 
 
 class _Workspace:
-    """Shared geometry for one ProblemSpec: operator, factorization, and the
-    map ``M x = (X, D X, A(X, a))`` of the packed ``x`` (X unknowns, then ``a``)
-    with two starting block weights: 1 on the X copy, ``rho2`` after it.
-    ``M`` and ``MT = Mᵀ`` are CSR; a pair straddling two sequences is an empty row.
-    With ``freeze``, row ``i`` of X is ``weight[i]`` times unknown row
-    ``segment[i]``, and there is no D X block. ``P`` is the dense projector
+    """Shared geometry for one ProblemSpec, ``lam`` and normalized ``freeze``:
+    operator, factorization, and the map ``M x = (X, D X, A(X, a))`` of the
+    packed ``x`` (X unknowns, then ``a``) with two starting block weights: 1
+    on the X copy, ``rho2`` after it. Row ``i`` of X is ``seg_weight[s]``
+    times unknown row ``s = segment[i]``; D X, present when ``lam > 0``, has
+    one row group per adjacent segment pair, empty where it straddles two
+    sequences. ``M`` and ``MT = Mᵀ`` are CSR. ``P`` is the dense projector
     ``M K^-1 Mᵀ diag(1, rho2)`` when ``M`` has at most ``_DENSE_MAX_ROWS``
     rows, else None."""
 
     def __init__(self, spec: ProblemSpec, lam: float, freeze=None):
+        self.lam, self.freeze = lam, freeze
         self.n_b = spec.orders.n_b
         self.lengths = spec.lengths
         # First stacked row of every sequence block after the first.
         self.block_starts = np.cumsum(self.lengths)[:-1]
-        self.segment, self.weight = _segments(self.lengths, freeze)
-        self.n_x = (int(self.segment[-1]) + 1) * self.n_b
+        self.segment, self.seg_weight = _segments(self.lengths, freeze)
+        self.n_x = self.seg_weight.size * self.n_b
         self.p = self.n_x + spec.orders.n_a
 
-        # D X pair i joins stacked row i to i + 1 unless a block ends there.
-        link = np.ones(self.segment.size - 1)
-        link[self.block_starts - 1] = 0.0
-        self.link = link if freeze is None else link[:0]
+        # D X pair s joins segment s to s + 1 unless a block ends there.
+        link = np.ones(self.seg_weight.size - 1)
+        link[self.segment[self.block_starts - 1]] = 0.0
+        self.link = link if lam > 0 else link[:0]
 
         self.y_scale = max(float(np.max(np.abs(s.samples))) for s in spec.sequences) or 1.0
         # The constraint operator the iteration solves with. Normalized units
@@ -279,7 +286,7 @@ class _Workspace:
         op = build_lifted_operator(spec)
         rows = op.x_index // self.n_b
         self.x_index = self.segment[rows] * self.n_b + op.x_index % self.n_b
-        self.tap_weights = self.weight[rows]
+        self.tap_weights = self.seg_weight[self.segment[rows]]
         self.lagged, self.rhs = op.lagged / self.y_scale, op.rhs / self.y_scale
         self.eps = spec.epsilon / self.y_scale
 
@@ -293,17 +300,18 @@ class _Workspace:
         self.P = self._projector() if self.M.shape[0] <= _DENSE_MAX_ROWS else None
 
     def _stacked_map(self):
-        """``M`` in CSR form: the identity on X, D X row ``(i, k)`` = X entry
-        ``(i, k)`` - X entry ``(i + 1, k)`` on linked pairs, then A's rows."""
-        n_x, n_b, lagged = self.n_x, self.n_b, self.lagged
+        """``M`` in CSR form: the identity on X, D X row ``(s, k)`` =
+        ``w_s C(s, k) - w_{s+1} C(s+1, k)`` on linked pairs, then A's rows."""
+        n_x, n_b, lagged, w = self.n_x, self.n_b, self.lagged, self.seg_weight
         linked = np.repeat(self.link.astype(np.intp), n_b)   # 1 on linked D X rows
         pairs = np.flatnonzero(linked)
+        seg = pairs // n_b
         taps = np.hstack([self.x_index[:, ::-1],
                           np.broadcast_to(n_x + np.arange(lagged.shape[1]), lagged.shape)])
         indptr = np.cumsum(np.concatenate([[0], np.ones(n_x, np.intp), 2 * linked,
                                            np.full(len(taps), taps.shape[1])]))
         cols = np.concatenate([np.arange(n_x), np.add.outer(pairs, [0, n_b]).ravel(), taps.ravel()])
-        vals = np.concatenate([np.ones(n_x), np.tile([1.0, -1.0], pairs.size),
+        vals = np.concatenate([np.ones(n_x), np.column_stack([w[seg], -w[seg + 1]]).ravel(),
                                np.hstack([self.tap_weights[:, ::-1], lagged]).ravel()])
         return scipy.sparse.csr_array((vals, cols, indptr), shape=(len(indptr) - 1, self.p))
 
@@ -321,8 +329,8 @@ class _Workspace:
         return q[:i].reshape(-1, self.n_b), q[i:j].reshape(-1, self.n_b), q[j:]
 
 
-def _admm(work: _Workspace, lam: float, options: SolverOptions):
-    """Run the iteration at D X penalty ``lam``; returns (x, diagnostics)
+def _admm(work: _Workspace, options: SolverOptions):
+    """Run the iteration at the workspace's ``lam``; returns (x, diagnostics)
     in normalized units, with ``x`` packed as X entries, then ``a``.
 
     The block weights in force are ``scale`` on the X copy and ``scale *
@@ -336,7 +344,7 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
     alpha = _OVER_RELAXATION
     # Loop invariants, bound at call time so that a patched kernel is seen.
     rhs, cut, n_x, rho2, eps = work.rhs, work.cuts[1], work.n_x, work.rho2, work.eps
-    M, MT, solve_K, P = work.M, work.MT, work.solve_K, work.P
+    lam, M, MT, solve_K, P = work.lam, work.M, work.MT, work.solve_K, work.P
     svt, box_clip, row_group_shrink = prox.svt, prox.box_clip, prox.row_group_shrink
     scale, rho_changes = 1.0, 0
     # The X and D X copies start at zero and the model output at the data,
@@ -373,7 +381,7 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
         w = box_clip(np.subtract(rhs, q3, out=tmp[cut:]), eps)
         Z1, Z2, z3 = new_blocks
         Z1[...] = svt(Q1, 1.0 / scale)
-        if Q2.size:                 # the refine has no D X block
+        if Q2.size:                 # no D X block at lam = 0
             Z2[...] = row_group_shrink(Q2, lam / (scale * rho2))
         np.subtract(rhs, w, out=z3)
         np.subtract(q, z_new, out=s)
@@ -412,9 +420,9 @@ def _admm(work: _Workspace, lam: float, options: SolverOptions):
                                 scale, rho_changes)
 
 
-def _package_solution(work: _Workspace, x, lam, diag, frozen_rows=None):
-    stacked = work.y_scale * (work.weight[:, None]
-                              * x[: work.n_x].reshape(-1, work.n_b)[work.segment])
+def _package_solution(work: _Workspace, x, diag):
+    stacked = work.y_scale * (work.seg_weight[:, None]
+                              * x[: work.n_x].reshape(-1, work.n_b))[work.segment]
     X_blocks = tuple(np.split(stacked, work.block_starts))
     vars = LiftedVariables(X_blocks=X_blocks, a=x[work.n_x :])
 
@@ -422,7 +430,7 @@ def _package_solution(work: _Workspace, x, lam, diag, frozen_rows=None):
     _, DX, _ = work.blocks(work.M @ x)
     # A zero D X term is exactly 0, also where lam * y_scale overflows.
     dx_norm = prox.row_group_norm(DX)
-    objective = float(np.sum(sigma)) + (lam * work.y_scale * dx_norm if dx_norm else 0.0)
+    objective = float(np.sum(sigma)) + (work.lam * work.y_scale * dx_norm if dx_norm else 0.0)
     if sigma[0] == 0.0:
         u_est = tuple(np.zeros(length) for length in work.lengths)
         b_est = None
@@ -431,10 +439,10 @@ def _package_solution(work: _Workspace, x, lam, diag, frozen_rows=None):
         model = factor_rank1(X_blocks)
         u_est, b_est, rank_gap = model.u_blocks, model.b, model.rank_gap
     return BilSolution(
-        vars=vars, lam=lam, objective=objective,
+        vars=vars, lam=work.lam, objective=objective,
         singular_values=sigma, u_est=u_est, b_est=b_est,
         a_est=vars.a, rank_gap=rank_gap, diagnostics=diag,
-        frozen_rows=frozen_rows,
+        frozen_rows=work.freeze,
     )
 
 
@@ -448,29 +456,29 @@ def solve_bil(spec: ProblemSpec, lam: float,
     non-negative with ``lam**2`` finite, the range in which the block
     weights and ``K`` are formed without overflow.
     """
+    return _solve(spec, lam, None, options)
+
+
+def _solve(spec: ProblemSpec, lam: float, freeze, options) -> BilSolution:
+    """The program at ``lam`` with the pairs of ``freeze`` (or None) held equal."""
     if not (lam >= 0 and lam * lam < math.inf):
         raise ValueError(f"lambda must be non-negative with its square in "
                          f"floating-point range, got {lam}")
-    options = options or SolverOptions()
-    work = _Workspace(spec, lam)
-    x, diag = _admm(work, lam, options)
-    return _package_solution(work, x, lam, diag)
+    work = _Workspace(spec, lam, None if freeze is None else _normalize_freeze(spec, freeze))
+    x, diag = _admm(work, options or SolverOptions())
+    return _package_solution(work, x, diag)
 
 
 def _normalize_freeze(spec: ProblemSpec, freeze) -> tuple:
     if len(freeze) != len(spec.sequences):
-        raise ValueError(
-            f"freeze needs one index set per sequence "
-            f"({len(spec.sequences)}), got {len(freeze)}"
-        )
+        raise ValueError(f"freeze needs one index set per sequence "
+                         f"({len(spec.sequences)}), got {len(freeze)}")
     out = []
     for j, (idx_set, length) in enumerate(zip(freeze, spec.lengths)):
         name = f"freeze index of sequence {j}"
         idx = sorted({_check_integer(name, i) for i in idx_set})
         if idx and not 1 <= idx[0] <= idx[-1] <= length - 1:
-            raise ValueError(
-                f"freeze indices for sequence {j} must lie in [1, {length - 1}]"
-            )
+            raise ValueError(f"freeze indices for sequence {j} must lie in [1, {length - 1}]")
         out.append(tuple(idx))
     return tuple(out)
 
@@ -484,11 +492,7 @@ def solve_refined(spec: ProblemSpec, freeze,
     This is the bias-removal re-solve: the sparsity pattern comes from a
     previous estimate, the penalty weight drops to zero.
     """
-    options = options or SolverOptions()
-    freeze = _normalize_freeze(spec, freeze)
-    work = _Workspace(spec, 0.0, freeze)
-    x, diag = _admm(work, 0.0, options)
-    return _package_solution(work, x, 0.0, diag, frozen_rows=freeze)
+    return _solve(spec, 0.0, freeze, options)
 
 
 def freeze_small_differences(u_blocks, gamma: float) -> list:

@@ -152,26 +152,37 @@ class SlowReference:
 
 
 class SegmentReference(SlowReference):
-    """The refinement's program for one sequence, on the same smoothed route:
-    minimize ``||X||_*`` (lambda = 0) over the tube with ``X = P C``, where
-    ``P`` is the orthonormal segment basis of the rows that the unfrozen
-    differences leave free. The unknowns are ``(C, a)``, so the constraint
-    matrix is ``A @ blockdiag(P, I)`` and ``total_rows`` counts segments;
-    ``||C||_* = ||X||_*`` because ``P`` has orthonormal columns. The rows of
-    ``A P`` need not be independent, so a least-squares correction can leave
-    a violation behind; :meth:`project_to_tube` solves an LP instead."""
+    """The program restricted to one sequence's frozen pairs, on the same
+    smoothed route: minimize ``||X||_* + lam ||D X||_{2,1}`` over the tube
+    with ``X = P C``, where ``P`` is the orthonormal segment basis of the rows
+    that the unfrozen differences leave free (lam = 0 is the refinement). The
+    unknowns are ``(C, a)``, so the constraint matrix is ``A @ blockdiag(P,
+    I)`` and ``total_rows`` counts segments; ``||C||_* = ||X||_*`` because
+    ``P`` has orthonormal columns, and the D term is the row difference of
+    the full ``X = P C``, whose norm ``||D P|| <= ||D||`` keeps the step size
+    valid. The rows of ``A P`` need not be independent, so a least-squares
+    correction can leave a violation behind; :meth:`project_to_tube` solves
+    an LP instead."""
 
-    def __init__(self, spec: ProblemSpec, frozen):
-        super().__init__(spec, 0.0)
+    def __init__(self, spec: ProblemSpec, frozen, lam: float = 0.0):
+        super().__init__(spec, lam)
         (N,) = self.lengths
         pattern = sorted(set(range(1, N)) - {int(i) for i in frozen})
         self.P = segment_basis(N, self.n_b, pattern)
         n_x = N * self.n_b
         self.A = np.hstack([self.A[:, :n_x] @ self.P, self.A[:, n_x:]])
         self.total_rows = len(pattern) + 1
-        self.lengths = (self.total_rows,)
-        self.pair_mask = np.ones((self.total_rows - 1, 1))
         self.A_norm2 = float(np.linalg.norm(self.A, 2)) ** 2
+
+    def _diff(self, C):
+        X = (self.P @ C.ravel()).reshape(-1, self.n_b)
+        return X[:-1] - X[1:]
+
+    def _diff_adjoint(self, d):
+        out = np.zeros((d.shape[0] + 1, self.n_b))
+        out[:-1] += d
+        out[1:] -= d
+        return (self.P.T @ out.ravel()).reshape(self.total_rows, self.n_b)
 
     def project_to_tube(self, v):
         """The point of the tube ``|A v - y| <= eps`` nearest to ``v`` in the

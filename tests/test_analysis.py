@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import tracemalloc
 from unittest import mock
 
@@ -640,6 +642,21 @@ class TestCorollaryAgreement:
 def test_non_integer_size_or_level_rejected(call, name, value):
     with pytest.raises(ValueError, match=non_integer_message(name, value)):
         call(value)
+
+
+@pytest.mark.parametrize("get", [
+    lambda: MatrixOperator(np.eye(12), np.int64(6), 2).n1,
+    lambda: MatrixOperator(np.eye(12), 6, np.int64(2)).n2,
+    lambda: rip_report(fir_operator(), np.int64(1)).k,
+], ids=["n1", "n2", "rip_report"])
+def test_numpy_integer_is_stored_as_int(get):
+    assert type(get()) is int
+
+
+def test_report_with_numpy_level_is_json_serializable():
+    # the CLI writes a report as dataclasses.asdict through json
+    report = rip_report(fir_operator(), np.int64(1))
+    assert json.loads(json.dumps(dataclasses.asdict(report)))["k"] == 1
 
 
 @pytest.mark.parametrize("call,name", [

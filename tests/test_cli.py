@@ -727,6 +727,7 @@ class TestAllZeroData:
         return tmp_path, data, cfg
 
     def test_identify_writes_null_b_and_no_fit(self, zeros):
+        # no model to simulate, but the input estimate is still written
         tmp, data, cfg = zeros
         plots = tmp / "plots"
         assert run_cli("identify", "--data", str(data), "--config", str(cfg),
@@ -735,6 +736,9 @@ class TestAllZeroData:
         assert got["b"] is None
         assert got["u"]["y1"] == [0.0] * 12
         assert not list(plots.glob("fit_*.csv"))
+        rows = list(csv.DictReader((plots / "input_y1.csv").read_text().splitlines()))
+        assert [(int(r["t"]), float(r["u_estimate"])) for r in rows] == [
+            (t, 0.0) for t in range(1, 13)]
 
     def test_baseline_exits_3(self, zeros, capsys):
         tmp, data, cfg = zeros

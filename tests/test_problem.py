@@ -125,6 +125,12 @@ def test_non_integer_order_is_rejected(call, name, value):
         call(value)
 
 
+@pytest.mark.parametrize("name", ["n_a", "n_b", "n_k"])
+def test_numpy_integer_order_is_stored_as_int(name):
+    orders = ArxOrders(**{"n_a": 0, "n_b": 1, name: np.int64(1)})
+    assert type(getattr(orders, name)) is int
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda: OutputSeries(np.ones((3, 2))), "1-d"),
     (lambda: thin_svd(np.ones(4)), "2-d"),

@@ -252,17 +252,19 @@ class TestBandSolveLapack:
 class TestSegmentSubspace:
     """With a freeze set the workspace's X unknowns are segment coefficients
     ``C``, ``X = P C`` for the orthonormal segment basis ``P``: ``M`` is
-    ``(C, A(P C, a))`` with no D X block, and ``K = I + (A P)ᵀ(A P)``."""
+    ``(C, D P C, A(P C, a))`` and ``K = I + rho2 ((A P)ᵀ(A P) + (D P)ᵀ(D P))``.
+    The D block, present only at ``lam > 0``, keeps the rows of ``D`` that
+    cross from the last row of one segment to the next, the frozen rows of
+    ``D P`` being zero."""
 
     @pytest.mark.parametrize("n_b", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_a", [0, 2])
     def test_matches_dense_restriction(self, n_b, n_a):
         rng = np.random.default_rng(10 * n_b + n_a)
-        lengths = (13, 9)
+        lengths = n1, n2 = (13, 9)
         ys = [rng.normal(size=length) for length in lengths]
         spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b, n_k=1), 0.1)
         freeze = ((1, 2, 5, 6, 7, 11, 12), (3, 4, 8))     # as solve_refined passes it
-        work = _Workspace(spec, 0.0, freeze)
         A, _ = arx_constraint_matrix(ys, n_a, n_b, 1)
         A[:, A.shape[1] - n_a:] /= max(float(np.max(np.abs(y))) for y in ys)
         P = scipy.linalg.block_diag(
@@ -270,17 +272,26 @@ class TestSegmentSubspace:
               for n, f in zip(lengths, freeze)), np.eye(n_a))
         AP = A @ P
         n_c = P.shape[1] - n_a
-        assert work.n_x == n_c == (6 + 6) * n_b
-        assert work.cuts == (n_c, n_c)
-        M = np.vstack([np.eye(n_c, P.shape[1]), AP])
-        assert np.allclose(work.M.toarray(), M, rtol=0, atol=1e-14)
-        assert np.allclose(work.MT.toarray(), M.T, rtol=0, atol=1e-14)
-        K = AP.T @ AP
-        K[:n_c, :n_c] += np.eye(n_c)
-        rhs = K @ rng.normal(size=K.shape[0])    # in range(K), as every x-update is
-        expected = np.linalg.pinv(K) @ rhs
-        assert np.allclose(work.solve_K(rhs), expected, rtol=0,
-                           atol=1e-10 * np.max(np.abs(expected)))
+        # D joins stacked row i to i + 1 inside a sequence; a segment ends at
+        # every unfrozen difference and at the end of the first sequence.
+        D = -np.diff(np.eye(n1 + n2), axis=0)
+        D[n1 - 1] = 0.0
+        ends = sorted([i - 1 for i in set(range(1, n1)) - set(freeze[0])] + [n1 - 1]
+                      + [n1 + i - 1 for i in set(range(1, n2)) - set(freeze[1])])
+        for lam in (0.0, 3.0):
+            work = _Workspace(spec, lam, freeze)
+            assert work.n_x == n_c == (6 + 6) * n_b
+            DP = np.kron(D[ends if lam else []], np.eye(n_b)) @ P[: A.shape[1] - n_a]
+            assert work.cuts == (n_c, n_c + DP.shape[0])
+            M = np.vstack([np.eye(n_c, P.shape[1]), DP, AP])
+            assert np.allclose(work.M.toarray(), M, rtol=0, atol=1e-14), lam
+            assert np.allclose(work.MT.toarray(), M.T, rtol=0, atol=1e-14), lam
+            K = max(1.0, lam) * (AP.T @ AP + DP.T @ DP)
+            K[:n_c, :n_c] += np.eye(n_c)
+            rhs = K @ rng.normal(size=K.shape[0])    # in range(K), as every x-update is
+            expected = np.linalg.pinv(K) @ rhs
+            assert np.allclose(work.solve_K(rhs), expected, rtol=0,
+                               atol=1e-10 * np.max(np.abs(expected))), lam
 
 
 class TestStackedMap:
@@ -672,15 +683,33 @@ class TestSolveRefined:
             assert sol.frozen_rows == ((1, 2),)
             assert np.array_equal(sol.vars.X_blocks[0], plain.vars.X_blocks[0])
 
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert np.array_equal(np.vstack(got.vars.X_blocks), np.vstack(want.vars.X_blocks))
+        assert np.array_equal(got.a_est, want.a_est)
+        assert got.objective == want.objective
+        assert got.diagnostics == want.diagnostics
+
     @pytest.mark.parametrize("name", ["scenario_arx_noisy", "scenario_two_sequences"])
     def test_nothing_frozen_matches_unpenalized_solve(self, name):
-        # every row is its own unit-weight segment: the program of solve_bil at 0
+        # every row is its own unit-weight segment and neither has a D X
+        # block: one program, one run of the iteration
         spec = scenario(name).spec
         opts = SolverOptions(max_iters=20000)
         free = solve_refined(spec, [set() for _ in spec.lengths], opts)
         ref = solve_bil(spec, 0.0, opts)
-        assert free.diagnostics.converged and ref.diagnostics.converged
-        assert abs(free.objective - ref.objective) <= 1e-6 * abs(ref.objective)
+        assert free.diagnostics.converged
+        self.assert_same_bits(free, ref)
+
+    @pytest.mark.parametrize("name,lam", [("scenario_arx_noisy", 1e7),
+                                          ("scenario_two_sequences", 1e4)])
+    def test_empty_freeze_matches_penalized_solve(self, name, lam):
+        spec = scenario(name).spec
+        opts = SolverOptions(max_iters=20000)
+        free = solver._solve(spec, lam, [()] * len(spec.lengths), opts)
+        ref = solve_bil(spec, lam, opts)
+        assert free.diagnostics.converged and free.lam == lam
+        self.assert_same_bits(free, ref)
 
     def test_frozen_pairs_hold_identical_rows(self):
         sc = scenario("scenario_arx_noisy")
@@ -705,18 +734,33 @@ class TestSolveRefined:
         assert refined.diagnostics.converged
         assert abs(refined.objective - objective) <= 1e-6 * objective
 
-    # Seeds fixed before any run; the refine shares no kernel with the
-    # reference, which solves the restricted program by smoothed gradients.
+    # Seeds fixed before any run; the restricted solve shares no kernel with
+    # the reference, which solves the restricted program by smoothed
+    # gradients and takes its D term on the full X = P C. Penalized, the
+    # program keeps the first solve's lambda on its frozen pairs.
     @pytest.mark.parametrize("seed", [2, 5, 8])
     def test_matches_segment_reference(self, seed):
+        self.check_segment_reference(seed, penalized=False)
+
+    @pytest.mark.parametrize("seed", [2, 5, 8])
+    def test_penalized_matches_segment_reference(self, seed):
+        self.check_segment_reference(seed, penalized=True)
+
+    @staticmethod
+    def check_segment_reference(seed, penalized):
         spec, lam = random_tiny_instance(seed)
         u = solve_bil(spec, lam).u_est[0]
         freeze = freeze_small_differences([u], 0.1 * np.max(np.abs(np.diff(u))))
-        refined = solve_refined(spec, freeze, SolverOptions(max_iters=40000))
+        opts, lam = SolverOptions(max_iters=40000), lam if penalized else 0.0
+        refined = (solver._solve(spec, lam, freeze, opts) if penalized
+                   else solve_refined(spec, freeze, opts))
         assert refined.diagnostics.converged
-        ref = SegmentReference(spec, freeze[0])
+        ref = SegmentReference(spec, freeze[0], lam)
         obj_ref, v_ref = ref.solve(total_iters=50_000)
-        v = ref.project_to_tube(ref.restrict(refined.vars.X_blocks[0], refined.a_est))
+        v = ref.restrict(refined.vars.X_blocks[0], refined.a_est)
+        # the reported objective is the program's at the returned point
+        assert abs(refined.objective - ref.objective(v)) <= 1e-9 * refined.objective
+        v = ref.project_to_tube(v)
         assert abs(ref.objective(v) - obj_ref) <= 1e-3 * max(abs(obj_ref), 1e-9)
         peak = np.max(np.abs(spec.sequences[0].samples))
         assert ref.tube_violation(v) <= 1e-6 * (1.0 + peak)
@@ -836,3 +880,7 @@ def test_non_integer_count_or_index_rejected(call, name, value):
     # a freeze index True used to freeze row 1, and 2.0 row 2
     with pytest.raises(ValueError, match=non_integer_message(name, value)):
         call(value)
+
+
+def test_numpy_integer_budget_is_stored_as_int():
+    assert type(SolverOptions(max_iters=np.int64(5)).max_iters) is int

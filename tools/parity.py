@@ -1,0 +1,66 @@
+"""Print one sha256 over a fixed set of solver answers, and their iteration total.
+
+    python3 tools/parity.py
+
+It imports ``src/`` of the checkout it lies in, so running the same file in
+two checkouts tells whether a change keeps those answers bit for bit. The hash
+covers X, ``a``, the singular values, ``u``, ``b``, the objective, the rank
+gap and the diagnostics of ``solve_bil`` and of its gamma = 0.5
+``refine_pipeline`` on the three presets, seeds default and 12, lambda 1e2,
+1e4 and 1e7, at caps 30 000 and 3 000; then of two 200-iteration solves at
+lambda 1e4 of an N = 2000 series (seeds 1 and 2) built as perfbench's
+``LongSeries`` builds it. BLAS runs on one thread, as in perfbench, since
+the rounding of a threaded product depends on how many threads share it.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import random  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import bilarx  # noqa: E402
+
+
+def long_series(seed, N=2000):
+    rng = random.Random(seed)
+    cps = sorted(rng.sample(range(1, N), max(1, N // 100)))
+    levels = [rng.uniform(-10.0, 10.0)]
+    for _ in cps:
+        step = rng.uniform(2.0, 8.0)
+        levels.append(levels[-1] + step if levels[-1] < 0 else levels[-1] - step)
+    ref = bilarx.scenario("scenario_arx_noisy")
+    z = bilarx.simulate_arx(ref.truth.a, ref.truth.b, ref.spec.orders,
+                            bilarx.gen_piecewise_input(N, cps, levels))
+    y = bilarx.add_uniform_noise(z, 0.5, seed)
+    return bilarx.build_problem([bilarx.OutputSeries(y, label="y1")], ref.spec.orders, 0.5)
+
+
+solutions = []
+for cap in (30_000, 3_000):
+    options = bilarx.SolverOptions(max_iters=cap)
+    for name in ("scenario_fir_noisefree", "scenario_arx_noisy", "scenario_two_sequences"):
+        for seed in (None, 12):
+            spec = bilarx.scenario(name, seed=seed).spec
+            for lam in (1e2, 1e4, 1e7):
+                sol = bilarx.solve_bil(spec, lam, options)
+                solutions += [sol, bilarx.refine_pipeline(spec, sol, 0.5, options)]
+for seed in (1, 2):
+    solutions.append(bilarx.solve_bil(long_series(seed), 1e4, bilarx.SolverOptions(max_iters=200)))
+
+digest = hashlib.sha256()
+for sol in solutions:
+    for array in (np.vstack(sol.vars.X_blocks), sol.a_est, sol.singular_values,
+                  *sol.u_est, np.zeros(0) if sol.b_est is None else sol.b_est):
+        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    digest.update(repr((sol.b_est is None, sol.objective, sol.rank_gap,
+                        dataclasses.astuple(sol.diagnostics))).encode())
+print(digest.hexdigest(), sum(sol.diagnostics.iterations for sol in solutions))
