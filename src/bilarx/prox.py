@@ -5,14 +5,36 @@ The singular value decomposition is LAPACK's divide-and-conquer driver
 thin factors ``(u, s, vt)`` as they come, LAPACK's signs included. A product
 of left and right vectors does not depend on those signs, and the one vector
 read on its own, ``extract.factor_rank1``'s ``b``, is signed there.
+
+``svt`` of a tall block, one with at least ``_SVT_QR_MIN_ROWS_PER_COLUMN``
+rows per column (the solver's X block of a long series), never forms the
+left factor. LAPACK's ``dgeqrf`` gives the block's n x n triangular factor
+``R`` (Q is not formed), ``thin_svd(R) = (., s, vt)`` gives the singular
+values and right vectors, and the result is ``matrix @ (V diag(max(1 -
+tau/s, 0)) Vᵀ)``, which is ``U diag(max(s - tau, 0)) Vᵀ``. The QR step is
+backward stable, so ``R`` carries the block's singular values to roundoff
+in the largest; the Gram matrix ``matrixᵀ matrix`` would square the
+condition number, and a singular value near 1e-9 of the largest would come
+back at about 1e-8 of it, at the ``sqrt(eps)`` floor. Below the limit
+``dgesdd`` on the block is faster, its thin U being short; at N = 2000 rows
+and 3 columns the R route takes about 29 us against 54 us (2-core x86_64,
+one BLAS thread).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
+from scipy.linalg.lapack import dgeqrf, dgesdd
 
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+# Fewest rows per column at which ``svt`` goes through the R factor. Per
+# iteration of a 200-iteration solve at lambda 1e4 on one series (n_a = 1,
+# n_b = 3; 2-core x86_64, one BLAS thread; median of 9 runs), the dgesdd
+# route against the R route took 88 against 91 us at 100 rows per column
+# (N = 300), 110 against 107 at 150, 131 against 126 at 200, 194 against
+# 182 at 333 and 356 against 348 at 667 (N = 2000).
+_SVT_QR_MIN_ROWS_PER_COLUMN = 150
 
 
 def thin_svd(matrix: np.ndarray) -> tuple:
@@ -51,11 +73,29 @@ def thin_svd(matrix: np.ndarray) -> tuple:
 def svt(matrix: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding: prox of ``tau * ||.||_*``.
 
-    Shrinks every singular value by ``tau``, clipping at zero.
+    Shrinks every singular value by ``tau``, clipping at zero. A block with
+    at least ``_SVT_QR_MIN_ROWS_PER_COLUMN`` rows per column goes through
+    its R factor (see the module docstring); either route makes one
+    ``thin_svd`` call and raises ValueError on an input that is not 2-d or
+    not finite.
     """
     if not tau >= 0:
         raise ValueError(f"svt: tau must be non-negative, got {tau}")
-    u, s, vt = thin_svd(matrix)
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim == 2 and m.shape[0] >= _SVT_QR_MIN_ROWS_PER_COLUMN * m.shape[1] > 0:
+        if not np.isfinite(m).all():
+            raise ValueError("svt: input has non-finite entries")
+        qr, _, _, info = dgeqrf(m)
+        if info:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
+        r = qr[: m.shape[1]]
+        for i in range(1, r.shape[0]):      # Householder vectors lie below R's diagonal
+            r[i, :i] = 0.0
+        _, s, vt = thin_svd(r)
+        # 1 - tau / max(s, tau) is max(1 - tau/s, 0); the floor (tau = 0) avoids 0/0.
+        tau = min(tau, _HUGE)
+        return m @ ((vt.T * (1.0 - tau / np.maximum(s, tau or _TINY))) @ vt)
+    u, s, vt = thin_svd(m)
     return (u * np.maximum(s - tau, 0.0)) @ vt
 
 

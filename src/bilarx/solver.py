@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrs
 
 from . import prox
@@ -176,9 +177,13 @@ class _XSolve:
     positive definite through ``I_x``; it is factored once by a banded
     Cholesky. The ``a`` unknowns are eliminated through the Schur complement
     ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by eigendecomposition.
-    Every solve with ``Kxx`` is one LAPACK ``dpbtrs`` on the factor, for one
-    right-hand side in a banded iteration or for all the columns of ``Mᵀ``
-    when the workspace forms its dense projector.
+    The lower factor ``L`` is held with ``U = Lᵀ`` in upper band form, so a
+    vector (each banded iteration's right-hand side and the final ``x``) is
+    solved in place by two non-transposed BLAS ``dtbsv`` sweeps, ``L`` then
+    ``U``: at n_x = 6000 they take about 100 us against 125 us for LAPACK's
+    ``dpbtrs``, whose second sweep runs with ``L`` transposed (2-core x86_64,
+    one BLAS thread). A block of columns (``Kxx^-1 Kxa`` and the columns of
+    ``Mᵀ`` when the workspace forms its dense projector) is one ``dpbtrs``.
     ``null(K) = {(0, v) : A_a v = 0}`` matches ``null(S)``, so a
     rank-deficient ``a`` block gets the minimum-norm solution.
     """
@@ -205,6 +210,11 @@ class _XSolve:
                 np.add.at(ab.reshape(-1), diff * self.n_x + cols,
                           rho2 * weights[:, hi] * weights[:, lo])
         self._factor = scipy.linalg.cholesky_banded(ab, lower=True)
+        self._bandwidth = bandwidth
+        # U = Lᵀ in upper band form, ub[bandwidth - d, c + d] = L[c + d, c].
+        self._upper = np.zeros_like(self._factor)
+        for d in range(min(bandwidth + 1, self.n_x)):
+            self._upper[bandwidth - d, d:] = self._factor[d, : self.n_x - d]
 
         self._Kxa = self._W = self._S_pinv = None
         if lagged.shape[1]:
@@ -220,7 +230,12 @@ class _XSolve:
 
     def _solve_xx(self, b: np.ndarray, overwrite: int = 0) -> np.ndarray:
         """``Kxx^-1 b`` on the held factor, for a vector or a matrix ``b``;
-        with ``overwrite=1`` a contiguous ``b`` is solved in place."""
+        with ``overwrite=1`` a contiguous ``b`` is solved in place. A vector
+        takes two non-transposed BLAS sweeps, L then U; a matrix one
+        ``dpbtrs``."""
+        if b.ndim == 1:
+            x = dtbsv(self._bandwidth, self._factor, b, lower=1, overwrite_x=overwrite)
+            return dtbsv(self._bandwidth, self._upper, x, overwrite_x=1)
         x, info = dpbtrs(self._factor, b, lower=1, overwrite_b=overwrite)
         if info:
             raise np.linalg.LinAlgError(f"dpbtrs failed with info = {info}")
@@ -228,9 +243,9 @@ class _XSolve:
 
     def __call__(self, B: np.ndarray) -> np.ndarray:
         """``K^-1 B`` for a vector or a matrix of right-hand-side columns,
-        written over ``B`` and returned. ``dpbtrs`` solves in place on
-        ``B[:n_x]`` when that is Fortran-contiguous (a contiguous vector is);
-        otherwise it solves on a copy, which is written back."""
+        written over ``B`` and returned. The solve runs in place on
+        ``B[:n_x]`` when that is contiguous (a vector) or Fortran-contiguous
+        (a matrix); otherwise it runs on a copy, which is written back."""
         head, tail = B[: self.n_x], B[self.n_x :]
         x = self._solve_xx(head, overwrite=1)
         if self._W is not None:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgesdd
+from scipy.linalg.lapack import dgeqrf, dgesdd
 
 from bilarx import factor_rank1, prox
 
@@ -13,6 +18,13 @@ from _oracles import (
     prox_objective_min,
     row_21_norm,
 )
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# Tall shapes on both sides of the limit at which svt goes through the R factor.
+QR_LIMIT = prox._SVT_QR_MIN_ROWS_PER_COLUMN
+TALL_SHAPES = [(QR_LIMIT * 3 - 1, 3), (QR_LIMIT * 3, 3), (QR_LIMIT - 1, 1), (QR_LIMIT, 1)]
+TALL_IDS = ["3col_dgesdd", "3col_qr", "1col_dgesdd", "1col_qr"]
 
 
 def random_matrix(rng, shape, scale=3.0):
@@ -175,6 +187,90 @@ class TestSvt:
         for tau in (0.0, float(np.median(s)), float(s[0]) + 1.0):
             expected = (u * np.maximum(s - tau, 0.0)) @ vt
             assert np.array_equal(prox.svt(M, tau), expected)
+
+
+class TestSvtTallRoute:
+    """On either side of ``prox._SVT_QR_MIN_ROWS_PER_COLUMN`` rows per
+    column (through ``dgesdd`` below it, through the R factor at and above
+    it) ``svt`` is the shrinkage of ``numpy.linalg.svd``'s factors of the
+    input to roundoff in the largest singular value, and it rejects the
+    inputs it rejected before."""
+
+    @staticmethod
+    def with_singular_values(rng, rows, sigma):
+        u, _ = np.linalg.qr(rng.normal(size=(rows, len(sigma))))
+        v, _ = np.linalg.qr(rng.normal(size=(len(sigma),) * 2))
+        return (u * sigma) @ v.T
+
+    @staticmethod
+    def check(m, tau, sigma1):
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        expected = (u * np.maximum(s - tau, 0.0)) @ vt
+        assert np.max(np.abs(prox.svt(m, tau) - expected), initial=0.0) <= 1e-13 * sigma1
+
+    def test_routes_split_at_the_limit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(prox, "dgeqrf", lambda m: calls.append(m.shape) or dgeqrf(m))
+        for shape in TALL_SHAPES:
+            prox.svt(np.ones(shape), 0.5)
+        assert calls == TALL_SHAPES[1::2]
+
+    @pytest.mark.parametrize("shape", TALL_SHAPES, ids=TALL_IDS)
+    @pytest.mark.parametrize("sigma", [(5.0, 2.0, 0.5), (4.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+                             ids=["rank3", "rank1", "zero"])
+    def test_matches_numpy_svd(self, shape, sigma):
+        rows, cols = shape
+        rng = np.random.default_rng(rows + cols)
+        m = self.with_singular_values(rng, rows, sigma[:cols])
+        for tau in (0.3, 1.0, 3.0):
+            self.check(m, tau, max(sigma[0], 1.0))
+
+    @pytest.mark.parametrize("shape", TALL_SHAPES[:2], ids=TALL_IDS[:2])
+    def test_near_rank_one(self, shape):
+        # sigma2 / sigma1 = 1e-9 with tau between them: the Gram matrix's
+        # eigenvalues would bury sigma2 under roundoff at sqrt(eps) sigma1 and
+        # miss this result by about 1e-10 sigma1
+        m = self.with_singular_values(np.random.default_rng(shape[0]), shape[0],
+                                      (7.0, 7e-9, 0.0))
+        self.check(m, 2.1e-8, 7.0)
+
+    @pytest.mark.parametrize("shape", TALL_SHAPES, ids=TALL_IDS)
+    def test_zero_tau_and_tau_past_sigma1(self, shape):
+        m = random_matrix(np.random.default_rng(shape[0]), shape)
+        assert np.max(np.abs(prox.svt(m, 0.0) - m)) <= 1e-13 * np.max(np.abs(m))
+        sigma1 = np.linalg.svd(m, compute_uv=False)[0]
+        for tau in (sigma1, 2.0 * sigma1, np.inf):
+            assert np.all(prox.svt(m, tau) == 0.0)
+
+    @pytest.mark.parametrize("shape", TALL_SHAPES[:2], ids=TALL_IDS[:2])
+    def test_rejects_non_2d_and_nan(self, shape):
+        for bad in (np.ones(shape[0] * shape[1]), np.ones((*shape, 2))):
+            with pytest.raises(ValueError, match="2-d"):
+                prox.svt(bad, 0.5)
+        m = np.ones(shape)
+        m[shape[0] // 2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            prox.svt(m, 0.5)
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf"])
+    @pytest.mark.parametrize("shape", TALL_SHAPES[:2], ids=TALL_IDS[:2])
+    def test_infinite_input_rejected(self, shape, bad):
+        # dgesdd may never return on an infinite entry, so the call runs in a
+        # child process with a timeout
+        script = ("import numpy as np\n"
+                  "from bilarx import prox\n"
+                  f"m = np.ones({shape}); m[{shape[0] // 2}, 1] = float('{bad}')\n"
+                  "prox.svt(m, 0.5)\n")
+        res = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=SRC),
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 1
+        assert res.stderr.splitlines()[-1].endswith("input has non-finite entries")
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(prox, "dgeqrf", lambda m: (m, None, None, -1))
+        with pytest.raises(np.linalg.LinAlgError, match="dgeqrf failed with info = -1"):
+            prox.svt(np.ones(TALL_SHAPES[1]), 0.5)
 
 
 class TestRowGroupShrink:

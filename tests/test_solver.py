@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.blas import dtbsv
 
 from bilarx import (
     ArxOrders,
@@ -171,6 +171,18 @@ def dense_x_update_matrix(spec, rho2):
     return K
 
 
+def tall_series(N=700):
+    """One noisy series of ``N`` samples with the noisy preset's orders (n_a =
+    1, n_b = 3), long enough that ``svt`` takes its R route and the solve its
+    banded path; returns the spec and the input's change points."""
+    ref = scenario("scenario_arx_noisy")
+    cps = list(range(50, N, 90))
+    levels = np.random.default_rng(N).uniform(-8.0, 8.0, len(cps) + 1)
+    u = gen_piecewise_input(N, cps, levels)
+    y = add_uniform_noise(simulate_arx(ref.truth.a, ref.truth.b, ref.spec.orders, u), 0.5, N)
+    return build_problem([OutputSeries(y)], ref.spec.orders, 0.5), cps
+
+
 class TestXUpdateSolve:
     @pytest.mark.parametrize("n_seq", [1, 2])
     @pytest.mark.parametrize("n_k", [0, 1])
@@ -185,6 +197,32 @@ class TestXUpdateSolve:
         # a vector, solved in place, and a C-ordered block of columns, which
         # the solve works on in a Fortran-ordered copy and writes back
         for rhs in (rng.normal(size=K.shape[0]), rng.normal(size=(K.shape[0], 3))):
+            expected = np.linalg.solve(K, rhs)
+            assert work.solve_K(rhs) is rhs
+            assert np.allclose(rhs, expected, rtol=0,
+                               atol=1e-10 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["solve_bil", "solve_refined"])
+    def test_tall_series_matches_dense_solve(self, refine):
+        # N = 700 on the banded path; the refine freezes runs of up to three
+        # rows, so the band accumulates many constraint rows per column pair
+        spec, cps = tall_series()
+        N, n_b = spec.lengths[0], spec.orders.n_b
+        if refine:
+            freeze = (tuple(i for i in range(1, N) if i % 3 and i not in cps),)
+            work = _Workspace(spec, 0.0, freeze)
+            A, _ = arx_constraint_matrix([spec.sequences[0].samples], 1, n_b, spec.orders.n_k)
+            A[:, -1] /= np.max(np.abs(spec.sequences[0].samples))
+            AP = A @ scipy.linalg.block_diag(
+                segment_basis(N, n_b, sorted(set(range(1, N)) - set(freeze[0]))), np.eye(1))
+            K = AP.T @ AP
+            K[: work.n_x, : work.n_x] += np.eye(work.n_x)
+        else:
+            work = _Workspace(spec, 1e4)
+            K = dense_x_update_matrix(spec, 1e4)
+        assert work.P is None and K.shape == (work.p,) * 2
+        rng = np.random.default_rng(N + refine)
+        for rhs in (rng.normal(size=work.p), rng.normal(size=(work.p, 3))):
             expected = np.linalg.solve(K, rhs)
             assert work.solve_K(rhs) is rhs
             assert np.allclose(rhs, expected, rtol=0,
@@ -210,26 +248,40 @@ class TestXUpdateSolve:
 
 
 class TestBandSolveLapack:
-    """Every solve with the X block of ``K`` is one ``dpbtrs`` call: the
-    one the banded iteration makes overwrites its right-hand side, and a
-    non-zero ``info`` from any call site raises."""
+    """A vector right-hand side, as every banded iteration and the final
+    ``x`` pass, is solved in place by two non-transposed BLAS ``dtbsv``
+    sweeps, the held lower factor and then its upper-band transpose; BLAS
+    returns no ``info``, so that path has none to check. A block of columns
+    (``Kxx^-1 Kxa`` and the dense projector's columns) is one ``dpbtrs``
+    call, and a non-zero ``info`` from it raises."""
 
     @staticmethod
     def failing(ab, b, **kwargs):
         return b, 2
 
-    def test_iteration_solve_failure_raises(self, monkeypatch):
+    def test_block_solve_failure_raises(self, monkeypatch):
         spec = build_problem([np.arange(9.0)], ArxOrders(n_a=0, n_b=2), 0.1)
         work = _Workspace(spec, 7.0)
         monkeypatch.setattr(solver, "dpbtrs", self.failing)
         with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
-            work.solve_K(np.ones(work.p))
+            work.solve_K(np.ones((work.p, 2)))
 
     def test_schur_setup_failure_raises(self, monkeypatch):
         spec = build_problem([np.arange(9.0)], ArxOrders(n_a=1, n_b=2), 0.1)
         monkeypatch.setattr(solver, "dpbtrs", self.failing)
         with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
             _Workspace(spec, 7.0)
+
+    def test_vector_solve_has_no_info(self, monkeypatch):
+        spec = build_problem([np.arange(9.0)], ArxOrders(n_a=1, n_b=2), 0.1)
+        work = _Workspace(spec, 7.0)
+        out = dtbsv(1, np.ones((2, 3)), np.ones(3), lower=1)
+        assert isinstance(out, np.ndarray) and out.shape == (3,)
+        monkeypatch.setattr(solver, "dpbtrs", self.failing)
+        rhs = np.ones(work.p)
+        expected = np.linalg.solve(dense_x_update_matrix(spec, 7.0), rhs)
+        assert np.allclose(work.solve_K(rhs), expected, rtol=0,
+                           atol=1e-10 * np.max(np.abs(expected)))
 
     def test_iteration_solve_is_in_place(self, monkeypatch):
         spec = build_problem([np.arange(9.0)], ArxOrders(n_a=1, n_b=2), 0.1)
@@ -238,14 +290,16 @@ class TestBandSolveLapack:
         expected = np.linalg.solve(dense_x_update_matrix(spec, 7.0), rhs)
         calls = []
 
-        def recording(ab, b, **kwargs):
-            calls.append((np.shares_memory(b, rhs), kwargs.get("overwrite_b")))
-            return dpbtrs(ab, b, **kwargs)
+        def recording(k, a, x, **kwargs):
+            calls.append((np.shares_memory(x, rhs), kwargs.get("lower", 0),
+                          kwargs.get("trans", 0), kwargs.get("overwrite_x")))
+            return dtbsv(k, a, x, **kwargs)
 
-        monkeypatch.setattr(solver, "dpbtrs", recording)
+        monkeypatch.setattr(solver, "dtbsv", recording)
+        monkeypatch.setattr(solver, "dpbtrs", self.failing)
         out = work.solve_K(rhs)
         assert out is rhs
-        assert calls == [(True, 1)]
+        assert calls == [(True, 1, 0, 1), (True, 0, 0, 1)]
         assert np.allclose(out, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
 
@@ -458,6 +512,25 @@ class TestKernelCallCounts:
         iters = sol.diagnostics.iterations
         assert counts == {"svt": iters, "box_clip": iters, "thin_svd": iters + 2,
                           "cholesky_banded": 1, "eigh": 1}
+
+    def test_tall_solve(self, monkeypatch):
+        # N = 700: every svt goes through the R factor (one dgeqrf, then one
+        # thin_svd of R), and every x-update takes the banded path
+        spec, _ = tall_series()
+        assert spec.lengths[0] >= prox._SVT_QR_MIN_ROWS_PER_COLUMN * spec.orders.n_b
+        assert _Workspace(spec, 1e4).P is None
+        counts = {}
+        for module, name in ((prox, "svt"), (prox, "box_clip"), (prox, "thin_svd"),
+                             (prox, "dgeqrf"), (extract, "thin_svd"),
+                             (scipy.linalg, "cholesky_banded"), (scipy.linalg, "eigh")):
+            def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        sol = solve_bil(spec, 1e4, SolverOptions(max_iters=60))
+        iters = sol.diagnostics.iterations
+        assert counts == {"svt": iters, "box_clip": iters, "dgeqrf": iters,
+                          "thin_svd": iters + 2, "cholesky_banded": 1, "eigh": 1}
 
 
 class TestReferenceWorkPins:

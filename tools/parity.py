@@ -1,4 +1,5 @@
-"""Print one sha256 over a fixed set of solver answers, and their iteration total.
+"""Print one sha256 over a fixed set of solver answers, and their iteration
+total; then, on its own line, a sha256 over their behaviour alone.
 
     python3 tools/parity.py
 
@@ -11,6 +12,9 @@ gap and the diagnostics of ``solve_bil`` and of its gamma = 0.5
 lambda 1e4 of an N = 2000 series (seeds 1 and 2) built as perfbench's
 ``LongSeries`` builds it. BLAS runs on one thread, as in perfbench, since
 the rounding of a threaded product depends on how many threads share it.
+The second digest covers only each solve's ``iterations``, ``converged``,
+``rho`` and ``rho_changes``: a change that moves roundoff alone changes the
+first line and keeps the second.
 """
 
 import os
@@ -56,11 +60,15 @@ for cap in (30_000, 3_000):
 for seed in (1, 2):
     solutions.append(bilarx.solve_bil(long_series(seed), 1e4, bilarx.SolverOptions(max_iters=200)))
 
-digest = hashlib.sha256()
+digest, behaviour = hashlib.sha256(), hashlib.sha256()
 for sol in solutions:
     for array in (np.vstack(sol.vars.X_blocks), sol.a_est, sol.singular_values,
                   *sol.u_est, np.zeros(0) if sol.b_est is None else sol.b_est):
         digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
     digest.update(repr((sol.b_est is None, sol.objective, sol.rank_gap,
                         dataclasses.astuple(sol.diagnostics))).encode())
+    diag = sol.diagnostics
+    behaviour.update(repr((diag.iterations, diag.converged, diag.rho,
+                           diag.rho_changes)).encode())
 print(digest.hexdigest(), sum(sol.diagnostics.iterations for sol in solutions))
+print(behaviour.hexdigest())
