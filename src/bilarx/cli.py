@@ -21,9 +21,9 @@ gamma, max_iters``, the fields of ``ArxOrders`` and ``SolverOptions``
 (their defaults fill absent keys) and three reals; any other key, ``rho``
 and ``tol`` among them, is a configuration error. ``n_a, n_b, n_k,
 max_iters`` take integers or integral floats such as ``1e4``, the others
-any number. ``epsilon`` must be finite. Results are JSON and CSV; every
-float is written in its shortest round-trip representation, so it parses
-back bit-exact.
+real numbers >= 0 (not booleans), ``epsilon`` a finite one. Results are
+JSON and CSV; every float is written in its shortest round-trip
+representation, so it parses back bit-exact.
 
 Exit codes: 0 success, 1 usage, configuration, file-format or file-write
 error, 2 solver non-convergence, 3 invalid or infeasible input data (a
@@ -40,7 +40,6 @@ import dataclasses
 import json
 import os
 import sys
-import typing
 import warnings
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from .analysis import operator_from_problem, rip_report
 from .baseline import naive_identify
 from .datagen import SCENARIO_NAMES, scenario, simulate_arx
 from .extract import change_points
-from .problem import ArxOrders, OutputSeries, build_problem
+from .problem import ArxOrders, OutputSeries, _check_integer, _check_real, build_problem
 from .solver import (
     SolverOptions,
     check_sweep_grid,
@@ -65,12 +64,9 @@ EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BAD_DATA = 3
 
-# Every config key and the type of its value.
-_CONFIG_TYPES = {
-    **typing.get_type_hints(ArxOrders),
-    **typing.get_type_hints(SolverOptions),
-    "epsilon": float, "lambda": float, "gamma": float,
-}
+# The integer config keys, and each real key with its checker's (low, finite).
+_CONFIG_INTEGERS = {f.name for cls in (ArxOrders, SolverOptions) for f in dataclasses.fields(cls)}
+_CONFIG_REALS = {"epsilon": (0, True), "lambda": (0, False), "gamma": (0, False)}
 
 
 # Longest file name, in bytes, that common file systems accept.
@@ -139,17 +135,15 @@ def _load_json(path):
 
 
 def _typed(path, key, value):
-    """``value`` as the type of config key ``key``: an int key takes an integer
-    or an integral float, a float key any number; else a usage error."""
-    if key not in _CONFIG_TYPES:
-        raise _UsageError(f"{path}: unknown config key {key!r}")
-    kind = _CONFIG_TYPES[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or kind is int and isinstance(value, float) and not value.is_integer()):
-        what = "an integer" if kind is int else "a number"
-        raise _UsageError(f"{path}: {key} must be {what}, got {value!r}")
+    """``value`` as config key ``key`` takes it: an integer key an integer or an
+    integral float, a real key a real in its range; else a usage error."""
     with _usage_errors(path):
-        return kind(value)
+        if key in _CONFIG_REALS:
+            return _check_real(key, value, *_CONFIG_REALS[key])
+        if key in _CONFIG_INTEGERS:
+            return _check_integer(key, int(value) if isinstance(value, float)
+                                  and value.is_integer() else value)
+    raise _UsageError(f"{path}: unknown config key {key!r}")
 
 
 def _load_config(path):
@@ -169,15 +163,6 @@ def _from_config(cls, path, cfg):
     with _usage_errors(path):
         return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)
                       if f.name in cfg})
-
-
-def _non_negative(where, name, value, finite=False) -> float:
-    """``value`` checked to be >= 0 (so not NaN), and below infinity if
-    ``finite``; a bad value is a usage error."""
-    if not (value >= 0 and not (finite and value == float("inf"))):
-        what = "non-negative and finite" if finite else "non-negative"
-        raise _UsageError(f"{where}: {name} must be {what}, got {value}")
-    return value
 
 
 def _load_series_csv(path):
@@ -224,7 +209,6 @@ def _build_spec(args, cfg, plot_prefixes=()):
     series label must make plain file names with ``plot_prefixes``, the
     per-figure files the command writes there."""
     orders = _from_config(ArxOrders, args.config, cfg)
-    epsilon = _non_negative(args.config, "epsilon", cfg.get("epsilon", 0.0), finite=True)
     series = _load_series_csv(args.data)
     # Checked before any solve or write, so a rejected label leaves no file.
     for label in (seq.label for seq in series) if args.plot_dir else ():
@@ -234,7 +218,7 @@ def _build_spec(args, cfg, plot_prefixes=()):
             raise _UsageError(f"{args.data}: series label {label!r} cannot name a file "
                               f"in --plot-dir")
     try:
-        return build_problem(series, orders, epsilon)
+        return build_problem(series, orders, cfg.get("epsilon", 0.0))
     except ValueError as exc:
         raise _DataError(str(exc)) from exc
 
@@ -259,7 +243,7 @@ def _write_series_csv(directory, name, columns, *series):
                 writer.writerow([t, *map(_fmt, values)])
 
 
-def _run_solve(args, cfg, gamma, solve):
+def _run_solve(args, cfg, solve):
     """Build the problem, run ``solve(spec, options)`` and write its results.
 
     ``solve`` returns the solution and a dict of extra top-level result
@@ -273,7 +257,7 @@ def _run_solve(args, cfg, gamma, solve):
     spec = _build_spec(args, cfg, ("fit", "input"))
     with _usage_errors(args.config):
         sol, extra = solve(spec, options)
-    inputs, cps = _inputs(spec, sol.u_est, gamma)
+    inputs, cps = _inputs(spec, sol.u_est, cfg.get("gamma", 0.0))
     # An unstable estimate warns and may overflow; the check below makes that
     # the one error line.
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
@@ -310,18 +294,16 @@ def _cmd_identify(args):
     cfg = _load_config(args.config)
     if "lambda" not in cfg:
         raise _UsageError("identify needs 'lambda' in the config")
-    gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
-    return _run_solve(args, cfg, gamma, lambda spec, options: (
+    return _run_solve(args, cfg, lambda spec, options: (
         solve_bil(spec, cfg["lambda"], options), {}))
 
 
 def _cmd_refine(args):
     cfg = _load_config(args.config)
-    gamma = args.gamma if args.gamma is not None else cfg.get("gamma")
-    if gamma is None:
+    if args.gamma is not None:
+        cfg["gamma"] = _typed("--gamma", "gamma", args.gamma)
+    if "gamma" not in cfg:
         raise _UsageError("refine needs --gamma or 'gamma' in the config")
-    gamma = _non_negative(args.config if args.gamma is None else "--gamma",
-                          "gamma", gamma)
 
     def solve(spec, options):
         prior = _load_json(args.result)
@@ -342,18 +324,18 @@ def _cmd_refine(args):
             if not np.all(np.isfinite(u)):
                 raise _DataError(f"series {seq.label!r}: estimate must be finite")
             estimates.append(u)
-        freeze = freeze_small_differences(estimates, gamma)
+        freeze = freeze_small_differences(estimates, cfg["gamma"])
         return solve_refined(spec, freeze, options), {}
-    return _run_solve(args, cfg, gamma, solve)
+    return _run_solve(args, cfg, solve)
 
 
 def _cmd_sweep(args):
     cfg = _load_config(args.config)
+    with _usage_errors("--lambdas"):
+        grid = [float(v) for v in args.lambdas.split(",") if v.strip()]
     # check_sweep_grid checks the gap target first, then the grid.
     with _usage_errors("--lambdas" if 0.0 < args.gap_target < 1.0 else "--gap-target"):
-        grid = check_sweep_grid(
-            [v for v in args.lambdas.split(",") if v.strip()], args.gap_target)
-    gamma = _non_negative(args.config, "gamma", cfg.get("gamma", 0.0))
+        grid = check_sweep_grid(grid, args.gap_target)
 
     def solve(spec, options):
         result = sweep_lambda(spec, grid, args.gap_target, options)
@@ -362,7 +344,7 @@ def _cmd_sweep(args):
             "qualified": result.qualified,
             "trace": [{"lambda": lam, "rank_gap": gap} for lam, gap in result.trace],
         }}
-    return _run_solve(args, cfg, gamma, solve)
+    return _run_solve(args, cfg, solve)
 
 
 def _cmd_baseline(args):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ArxOrders, ProblemSpec, _check_integer, build_problem
+from .problem import ArxOrders, ProblemSpec, _check_integer, _check_real, build_problem
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,7 +49,7 @@ def gen_piecewise_input(N: int, change_points, levels) -> np.ndarray:
     """
     N = _check_integer("N", N, 1)
     change_points = [_check_integer("change point", i) for i in change_points]
-    levels = [float(v) for v in levels]
+    levels = [_check_real("segment level", v, finite=True) for v in levels]
     if len(levels) != len(change_points) + 1:
         raise ValueError(
             f"need {len(change_points) + 1} levels for {len(change_points)} "
@@ -59,11 +59,8 @@ def gen_piecewise_input(N: int, change_points, levels) -> np.ndarray:
         raise ValueError(f"change points must lie in [1, {N - 1}]")
     if any(b <= a for a, b in zip(change_points, change_points[1:])):
         raise ValueError("change points must be strictly ascending")
-    if not np.isfinite(levels).all():
-        raise ValueError("segment levels must be finite")
-    for a, b in zip(levels, levels[1:]):
-        if a == b:
-            raise ValueError("adjacent segment levels must differ")
+    if any(a == b for a, b in zip(levels, levels[1:])):
+        raise ValueError("adjacent segment levels must differ")
     return np.repeat(levels, np.diff([0, *change_points, N]))
 
 
@@ -71,13 +68,15 @@ def simulate_arx(a, b, orders: ArxOrders, u) -> np.ndarray:
     """Noise-free ARX response to input ``u``.
 
     Outputs recurse from ``t = n`` on; the earlier samples are presample
-    values, all zero. Raises ValueError on a non-finite entry of ``a``, ``b``
-    or ``u``; finite inputs whose recursion overflows warn of the unstable
-    pole and return what the recursion gives.
+    values, all zero. Raises ValueError on a ``u`` that is not 1-d and on a
+    non-finite entry of ``a``, ``b`` or ``u``; finite inputs whose recursion
+    overflows warn of the unstable pole and return what the recursion gives.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"u must be a 1-d signal, got shape {u.shape}")
     if a.shape != (orders.n_a,):
         raise ValueError(f"a must have length {orders.n_a}, got {a.shape}")
     if b.shape != (orders.n_b,):
@@ -113,12 +112,13 @@ def arx_poles(a) -> np.ndarray:
 
 
 def add_uniform_noise(z, bound: float, seed: int) -> np.ndarray:
-    """Add ``e(t) ~ U(-bound, bound)`` from the portable generator; ``bound``
-    is finite and non-negative, ``seed`` an integer other than a bool."""
-    if not 0 <= bound < np.inf:
-        raise ValueError(f"noise bound must be finite and non-negative, got {bound}")
+    """Add ``e(t) ~ U(-bound, bound)`` to 1-d ``z`` from the portable generator;
+    ``bound`` is finite and >= 0, ``seed`` an integer other than a bool."""
+    bound = _check_real("noise bound", bound, 0, finite=True)
     seed = _check_integer("seed", seed)
     z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"z must be a 1-d signal, got shape {z.shape}")
     if bound == 0:
         return z.copy()
     return z + (-bound + 2 * bound * np.array(_uniform_units(seed, z.shape[0])))

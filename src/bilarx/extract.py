@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import _check_real
 from .prox import thin_svd
 
 
@@ -73,11 +74,8 @@ def change_points(u, gamma: float = 0.0):
     """Indices ``i`` (1-based) where ``|u(i) - u(i+1)| > gamma``; ValueError
     unless ``u`` is a finite 1-d signal of length >= 2 and ``gamma >= 0``."""
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] < 2:
-        raise ValueError("change_points needs a 1-d signal of length >= 2")
-    if not np.isfinite(u).all():
-        raise ValueError("change_points needs a finite signal")
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    if u.ndim != 1 or u.shape[0] < 2 or not np.isfinite(u).all():
+        raise ValueError("change_points needs a finite 1-d signal of length >= 2")
+    gamma = _check_real("gamma", gamma, 0)
     deltas = np.abs(u[:-1] - u[1:])
     return [int(i) + 1 for i in np.nonzero(deltas > gamma)[0]]

@@ -42,6 +42,22 @@ def _check_integer(name: str, value, low=None) -> int:
     raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def _check_real(name: str, value, low=None, finite=False) -> float:
+    """``value`` as a ``float`` if it is a ``numbers.Real`` (numpy's too) other
+    than a bool of either kind, not NaN, ``>= low`` when given and finite when
+    ``finite``; else ValueError naming ``name``. Every real setting from outside
+    goes through here; the per-iteration prox kernels keep a cheaper sign test."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            real = float(value)
+        except OverflowError:       # an integer beyond floating-point range
+            real = np.inf if value > 0 else -np.inf
+        if real == real and (low is None or real >= low) and not (finite and abs(real) == np.inf):
+            return real
+    kind = "a finite real number" if finite else "a real number"
+    raise ValueError(f"{name} must be {kind}{'' if low is None else f' >= {low}'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArxOrders:
     """Model orders: ``n_a`` output lags, ``n_b`` input taps, ``n_k`` delay;
@@ -111,8 +127,7 @@ def build_problem(sequences, orders: ArxOrders, epsilon: float) -> ProblemSpec:
     ``sequences`` may be raw 1-d arrays or :class:`OutputSeries`; raw arrays
     get labels ``y1, y2, ...``. ``epsilon`` must be non-negative and finite.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
+    epsilon = _check_real("epsilon", epsilon, 0, finite=True)
     seqs = []
     for j, seq in enumerate(sequences):
         if not isinstance(seq, OutputSeries):
@@ -127,7 +142,7 @@ def build_problem(sequences, orders: ArxOrders, epsilon: float) -> ProblemSpec:
                 f"series {seq.label!r} has {len(seq)} samples but the orders "
                 f"require at least n = {n}"
             )
-    return ProblemSpec(sequences=tuple(seqs), orders=orders, epsilon=float(epsilon))
+    return ProblemSpec(sequences=tuple(seqs), orders=orders, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,8 @@ from scipy.linalg.lapack import dpbtrs
 
 from . import prox
 from .extract import change_points, factor_rank1
-from .problem import LiftedVariables, ProblemSpec, _check_integer, build_lifted_operator
+from .problem import (LiftedVariables, ProblemSpec, _check_integer, _check_real,
+                      build_lifted_operator)
 
 
 # Over-relaxation factor of the ADMM iteration. Values in [1.5, 1.8] are the
@@ -467,18 +468,23 @@ def solve_bil(spec: ProblemSpec, lam: float,
 
     Non-convergence inside ``max_iters`` is not an exception: the best
     iterate comes back with ``diagnostics.converged`` False and the final
-    residual norms filled in. Raises ValueError unless ``lam`` is
-    non-negative with ``lam**2`` finite, the range in which the block
-    weights and ``K`` are formed without overflow.
+    residual norms filled in. Raises ValueError unless ``lam`` is a
+    non-negative real (not a bool) with ``lam**2`` finite.
     """
-    return _solve(spec, lam, None, options)
+    return _solve(spec, _check_lambda("lambda", lam), None, options)
+
+
+def _check_lambda(name: str, value) -> float:
+    """``value`` as a float if it is a real >= 0 with a finite square, so that the
+    block weights and ``K`` form without overflow; else ValueError naming ``name``."""
+    lam = _check_real(name, value, 0)
+    if lam * lam == math.inf:
+        raise ValueError(f"{name} must have its square in floating-point range, got {value!r}")
+    return lam
 
 
 def _solve(spec: ProblemSpec, lam: float, freeze, options) -> BilSolution:
     """The program at ``lam`` with the pairs of ``freeze`` (or None) held equal."""
-    if not (lam >= 0 and lam * lam < math.inf):
-        raise ValueError(f"lambda must be non-negative with its square in "
-                         f"floating-point range, got {lam}")
     work = _Workspace(spec, lam, None if freeze is None else _normalize_freeze(spec, freeze))
     x, diag = _admm(work, options or SolverOptions())
     return _package_solution(work, x, diag)
@@ -523,26 +529,24 @@ def refine_pipeline(spec: ProblemSpec, bil_solution: BilSolution, gamma: float,
 
     Differences of each estimated input with ``|delta u(i)| <= gamma`` become
     hard row equalities; the re-solve then removes the shrinkage bias from
-    the surviving changes.
+    the surviving changes. Each estimate must be as long as its series.
     """
+    for seq, u in zip(spec.sequences, bil_solution.u_est):
+        if len(u) != len(seq):
+            raise ValueError(f"series {seq.label!r}: estimate length {len(u)} is not {len(seq)}")
     return solve_refined(spec, freeze_small_differences(bil_solution.u_est, gamma),
                          options)
 
 
 def check_sweep_grid(grid, gap_target: float) -> list:
     """The penalty grid as floats; raises ValueError unless ``0 < gap_target <
-    1`` and the grid is non-empty, strictly ascending and positive with every
-    square finite, the range in which :func:`solve_bil` accepts ``lam``."""
-    if not 0.0 < gap_target < 1.0:
-        raise ValueError(f"gap_target must lie in (0, 1), got {gap_target}")
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("lambda grid must be non-empty")
-    if any(not (g > 0 and g * g < math.inf) for g in grid):
-        raise ValueError("lambda grid entries must be positive and finite, "
-                         "with finite squares")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("lambda grid must be strictly ascending")
+    1`` and the grid is non-empty, strictly ascending and positive, each entry
+    in the range in which :func:`solve_bil` accepts ``lam``."""
+    if not 0.0 < _check_real("gap_target", gap_target) < 1.0:
+        raise ValueError(f"gap_target must lie in (0, 1), got {gap_target!r}")
+    grid = [_check_lambda("lambda grid entry", g) for g in grid]
+    if not grid or grid[0] == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("lambda grid must be non-empty, positive and strictly ascending")
     return grid
 
 

@@ -1,5 +1,6 @@
-"""Seeded random problem instances shared by the solver tests, and the
-non-integer values every count, index and seed of the package rejects."""
+"""Seeded random problem instances shared by the solver tests, the
+non-integer values every count, index and seed of the package rejects, and
+the non-real values every real setting rejects."""
 
 import re
 
@@ -16,6 +17,18 @@ def non_integer_message(name, value):
     """The pattern of the one rejection message, ``<name> must be an
     integer[ >= <low>], got <repr>``, anchored at both ends."""
     return rf"^{re.escape(name)} must be an integer( >= -?\d+)?, got {re.escape(repr(value))}$"
+
+
+# A bool of either kind, a numeric string, None.
+NON_REALS = (True, np.True_, "1.5", None)
+NON_REAL_IDS = ("bool", "numpy_bool", "str", "none")
+
+
+def non_real_message(name, value):
+    """The pattern of the one rejection message, ``<name> must be a [finite
+    ]real number[ >= <low>], got <repr>``, anchored at both ends."""
+    return (rf"^{re.escape(name)} must be a (finite )?real number( >= -?\d+)?, "
+            rf"got {re.escape(repr(value))}$")
 
 
 def random_tiny_instance(seed):

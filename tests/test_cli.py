@@ -11,7 +11,9 @@ import pytest
 
 import bilarx
 from bilarx import SolverOptions, refine_pipeline, scenario, solve_bil, solver
-from bilarx.cli import _CONFIG_TYPES, _load_config, main
+from bilarx.cli import _CONFIG_INTEGERS, _CONFIG_REALS, _load_config, main
+
+from _instances import NON_REAL_IDS, NON_REALS, non_real_message
 
 
 def run_cli(*args):
@@ -122,7 +124,7 @@ class TestIdentify:
                             readme, re.S).group(1)
         cfg = tmp_path / "readme.json"
         cfg.write_text(example)
-        assert set(_load_config(cfg)) == set(_CONFIG_TYPES)
+        assert set(_load_config(cfg)) == _CONFIG_INTEGERS | set(_CONFIG_REALS)
 
     def test_missing_lambda_exits_1(self, workdir):
         tmp, data, _ = workdir
@@ -211,11 +213,16 @@ class TestBadSettings:
         ("identify", {"tol": float("inf")}, []),
         ("identify", {"epsilon": float("inf")}, []),
         ("sweep", {}, ["--lambdas", "1e2,1e155"]),
+        ("sweep", {}, ["--lambdas", "1e2,1e3x"]),
+        ("sweep", {}, ["--lambdas", "1e2,nan"]),
+        ("refine", {}, ["--gamma", "nan"]),
+        ("sweep", {"gamma": -0.5}, ["--lambdas", "1e2"]),
     ], ids=["rho", "lambda", "max_iters", "lambdas", "gap_target", "gamma",
             "n_a", "n_b", "epsilon", "lambda_inf", "max_iters_overflow", "rho_inf",
             "lambdas_inf", "lambda_huge", "lambda_square_overflow", "rho_huge",
             "rho_tiny", "rho_tiny_refine", "lambdas_huge", "tol_inf", "epsilon_inf",
-            "lambdas_square_overflow"])
+            "lambdas_square_overflow", "lambdas_text", "lambdas_nan", "gamma_nan",
+            "config_gamma_negative"])
     def test_exits_1_without_traceback(self, workdir, capsys, command,
                                        cfg_overrides, flags):
         tmp, data, _ = workdir
@@ -242,16 +249,17 @@ class TestBadSettings:
         code = run_cli("sweep", "--data", str(data), "--config", str(cfg),
                        "--out", str(tmp / "o.json"), "--lambdas", "1e2,1e155")
         assert code == 1
-        assert capsys.readouterr().err == ("bilarx: --lambdas: lambda grid entries must "
-                                           "be positive and finite, with finite squares\n")
+        assert capsys.readouterr().err == ("bilarx: --lambdas: lambda grid entry must "
+                                           "have its square in floating-point range, "
+                                           "got 1e+155\n")
         assert not (tmp / "o.json").exists()
 
     @pytest.mark.parametrize("cfg_overrides, message", [
         ({"n_b": 2.9}, "n_b must be an integer, got 2.9"),
         ({"max_iters": 50.9}, "max_iters must be an integer, got 50.9"),
         ({"n_a": True}, "n_a must be an integer, got True"),
-        ({"lambda": True}, "lambda must be a number, got True"),
-        ({"epsilon": "2"}, "epsilon must be a number, got '2'"),
+        ({"lambda": True}, "lambda must be a real number >= 0, got True"),
+        ({"epsilon": "2"}, "epsilon must be a finite real number >= 0, got '2'"),
         ({"n_k": "0"}, "n_k must be an integer, got '0'"),
         ({"tol": None}, "unknown config key 'tol'"),
     ], ids=["n_b_fraction", "max_iters_fraction", "n_a_bool", "lambda_bool",
@@ -264,6 +272,23 @@ class TestBadSettings:
                        "--out", str(tmp / "o.json"))
         assert code == 1
         assert capsys.readouterr().err == f"bilarx: {cfg}: {message}\n"
+        assert not (tmp / "o.json").exists()
+
+    # every non-real value that JSON can hold, so all but the numpy bool
+    @pytest.mark.parametrize("value", [pytest.param(v, id=i) for v, i in zip(NON_REALS, NON_REAL_IDS)
+                                       if not isinstance(v, np.bool_)])
+    @pytest.mark.parametrize("key", ["epsilon", "lambda", "gamma"])
+    def test_non_real_config_exits_1(self, workdir, capsys, key, value):
+        # the library's one message for a real setting, after the config's path
+        tmp, data, _ = workdir
+        cfg = write_config(tmp / "bad.json", **{key: value})
+        capsys.readouterr()
+        code = run_cli("identify", "--data", str(data), "--config", str(cfg),
+                       "--out", str(tmp / "o.json"))
+        assert code == 1
+        prefix, err = f"bilarx: {cfg}: ", capsys.readouterr().err
+        assert err.startswith(prefix) and err.endswith("\n")
+        assert re.match(non_real_message(key, value), err[len(prefix):-1])
         assert not (tmp / "o.json").exists()
 
     def test_integral_float_accepted_as_integer(self, workdir):

@@ -143,7 +143,7 @@ class TestUniformNoise:
         assert len(set(first)) == 50
 
     def test_rejects_negative_bound(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="noise bound must be a finite real number >= 0"):
             add_uniform_noise(np.zeros(3), -1.0, 0)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, "3", None],

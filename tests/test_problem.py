@@ -10,15 +10,24 @@ from bilarx import (
     build_lifted_operator,
     build_problem,
     change_points,
+    gen_piecewise_input,
     prox,
+    refine_pipeline,
     scenario,
     simulate_arx,
     solve_bil,
     thin_svd,
 )
-from bilarx.solver import check_sweep_grid
+from bilarx.solver import check_sweep_grid, freeze_small_differences
 
-from _instances import NON_INTEGER_IDS, NON_INTEGERS, non_integer_message
+from _instances import (
+    NON_INTEGER_IDS,
+    NON_INTEGERS,
+    NON_REAL_IDS,
+    NON_REALS,
+    non_integer_message,
+    non_real_message,
+)
 from _oracles import arx_constraint_matrix, max_constraint_residual
 
 
@@ -82,10 +91,10 @@ def _ones_spec():
     (lambda: prox.box_clip(np.ones(3), NAN), "bound"),
     (lambda: add_uniform_noise(np.zeros(4), NAN, 1), "noise bound"),
     (lambda: SolverOptions(max_iters=NAN), "max_iters"),
-    (lambda: check_sweep_grid([NAN], 0.5), "positive"),
+    (lambda: check_sweep_grid([NAN], 0.5), "lambda grid entry"),
     (lambda: solve_bil(build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), 0.0),
                        INF), "lambda"),
-    (lambda: check_sweep_grid([1.0, INF], 0.5), "finite"),
+    (lambda: check_sweep_grid([1.0, INF], 0.5), "floating-point range"),
     (lambda: solve_bil(_ones_spec(), 1e300), "floating-point range"),
     (lambda: solve_bil(_ones_spec(), 1e200), "floating-point range"),
     (lambda: SolverOptions(max_iters=2.5), "max_iters"),
@@ -96,12 +105,18 @@ def _ones_spec():
     (lambda: ArxOrders(n_a=1, n_b=2, n_k=1.0), "n_k must be an integer"),
     (lambda: ArxOrders(n_a=True, n_b=3), "n_a must be an integer"),
     (lambda: add_uniform_noise(np.zeros(3), INF, 1), "noise bound"),
+    (lambda: gen_piecewise_input(4, (2,), (0.0, NAN)), "segment level"),
+    (lambda: gen_piecewise_input(4, (2,), (INF, 0.0)), "segment level"),
+    (lambda: solve_bil(_ones_spec(), NAN), "lambda"),
+    (lambda: check_sweep_grid([1.0], NAN), "gap_target"),
+    (lambda: freeze_small_differences([np.arange(4.0)], NAN), "gamma"),
 ], ids=["build_problem", "change_points", "svt", "row_group_shrink", "box_clip",
         "add_uniform_noise", "max_iters", "sweep_grid",
         "solve_bil_inf", "sweep_grid_inf", "lambda_huge",
         "lambda_square_overflow", "max_iters_fraction", "build_problem_inf",
         "n_b_nan", "n_b_fraction", "n_a_fraction", "n_k_float", "n_a_bool",
-        "add_uniform_noise_inf"])
+        "add_uniform_noise_inf", "level_nan", "level_inf", "solve_bil_nan",
+        "gap_target_nan", "freeze_gamma_nan"])
 def test_nan_setting_is_rejected(call, match):
     # NaN fails every comparison, so a guard written as ``x < 0`` lets it by;
     # an infinite weight passes a sign check but breaks the factorization,
@@ -125,6 +140,42 @@ def test_non_integer_order_is_rejected(call, name, value):
         call(value)
 
 
+def _refine_ones(gamma):
+    spec = _ones_spec()
+    return refine_pipeline(spec, solve_bil(spec, 1.0, SolverOptions(max_iters=5)), gamma)
+
+
+@pytest.mark.parametrize("value", NON_REALS, ids=NON_REAL_IDS)
+@pytest.mark.parametrize("call,name", [
+    (lambda v: build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), v), "epsilon"),
+    (lambda v: add_uniform_noise(np.zeros(4), v, 1), "noise bound"),
+    (lambda v: gen_piecewise_input(4, (2,), (0.0, v)), "segment level"),
+    (lambda v: change_points(np.arange(5.0), v), "gamma"),
+    (lambda v: freeze_small_differences([np.arange(5.0)], v), "gamma"),
+    (_refine_ones, "gamma"),
+    (lambda v: solve_bil(_ones_spec(), v), "lambda"),
+    (lambda v: check_sweep_grid([v], 0.5), "lambda grid entry"),
+    (lambda v: check_sweep_grid([1.0], v), "gap_target"),
+], ids=["epsilon", "noise_bound", "level", "change_points", "freeze", "refine",
+        "solve_bil", "grid_entry", "gap_target"])
+def test_non_real_setting_is_rejected(call, name, value):
+    # one message for every real setting of the package, naming it; a bool
+    # used to read as 0 or 1 and a numeric string was parsed at some sites
+    with pytest.raises(ValueError, match=non_real_message(name, value)):
+        call(value)
+
+
+def test_integer_beyond_float_range_reads_as_infinite():
+    # float() of such an integer raises OverflowError; the checker takes it as
+    # the infinity of its sign, so only a bound that must be finite rejects it
+    huge = 10**400
+    assert change_points(np.arange(5.0), huge) == []
+    with pytest.raises(ValueError, match=non_real_message("gamma", -huge)):
+        change_points(np.arange(5.0), -huge)
+    with pytest.raises(ValueError, match=non_real_message("epsilon", huge)):
+        build_problem([np.ones(10)], ArxOrders(n_a=0, n_b=1), huge)
+
+
 @pytest.mark.parametrize("name", ["n_a", "n_b", "n_k"])
 def test_numpy_integer_order_is_stored_as_int(name):
     orders = ArxOrders(**{"n_a": 0, "n_b": 1, name: np.int64(1)})
@@ -139,7 +190,16 @@ def test_numpy_integer_order_is_stored_as_int(name):
     (lambda: simulate_arx((0.5,), (1.0,), ArxOrders(n_a=1, n_b=2), np.ones(6)),
      "b must have length 2"),
     (lambda: MatrixOperator(np.eye(6), 3, 2).apply(np.ones((2, 3))), "3 x 2"),
-], ids=["series_2d", "thin_svd_1d", "simulate_a", "simulate_b", "operator_apply"])
+    (lambda: simulate_arx((), (1.0,), ArxOrders(n_a=0, n_b=1), np.float64(1.0)),
+     r"^u must be a 1-d signal, got shape \(\)$"),
+    (lambda: simulate_arx((), (1.0,), ArxOrders(n_a=0, n_b=1), np.ones((6, 2))),
+     r"^u must be a 1-d signal, got shape \(6, 2\)$"),
+    (lambda: add_uniform_noise(np.float64(1.0), 0.5, 1),
+     r"^z must be a 1-d signal, got shape \(\)$"),
+    (lambda: add_uniform_noise(np.ones((6, 2)), 0.5, 1),
+     r"^z must be a 1-d signal, got shape \(6, 2\)$"),
+], ids=["series_2d", "thin_svd_1d", "simulate_a", "simulate_b", "operator_apply",
+        "simulate_u_0d", "simulate_u_2d", "noise_z_0d", "noise_z_2d"])
 def test_malformed_array_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -868,6 +868,17 @@ class TestRefinePipeline:
         expected = tuple(sorted(set(range(1, 30)) - {8, 15, 23}))
         assert refined.frozen_rows == (expected,)
 
+    def test_estimate_of_wrong_length_is_rejected(self):
+        # a 10-sample estimate of the 30-sample series used to refine with
+        # nothing frozen
+        import dataclasses
+
+        sc = scenario("scenario_arx_noisy")
+        sol = solve_bil(sc.spec, 1e4, SolverOptions(max_iters=20))
+        short = dataclasses.replace(sol, u_est=(sol.u_est[0][:10],))
+        with pytest.raises(ValueError, match=r"^series 'y1': estimate length 10 is not 30$"):
+            refine_pipeline(sc.spec, short, 0.5)
+
     def test_gamma_dominating_freezes_everything(self):
         spec, _ = TestSolveRefined.constant_input_spec()
         opts = SolverOptions(max_iters=20000)
@@ -929,8 +940,10 @@ class TestSweepLambda:
             sweep_lambda(spec, [], 0.5)
         with pytest.raises(ValueError, match="ascending"):
             sweep_lambda(spec, [10.0, 1.0], 0.5)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="lambda grid entry must be a real number >= 0"):
             sweep_lambda(spec, [-1.0, 2.0], 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            sweep_lambda(spec, [0.0, 2.0], 0.5)
         with pytest.raises(ValueError, match="gap_target"):
             sweep_lambda(spec, [1.0], 1.5)
 
@@ -939,7 +952,7 @@ class TestSweepLambda:
         spec = scenario("scenario_fir_noisefree").spec
         assert solver.check_sweep_grid([1e2, 1e154], 0.5) == [1e2, 1e154]
         monkeypatch.setattr(solver, "solve_bil", lambda *args: pytest.fail("solved"))
-        with pytest.raises(ValueError, match="finite squares"):
+        with pytest.raises(ValueError, match="floating-point range"):
             sweep_lambda(spec, [1e2, 1e155], 0.5)
 
 
@@ -957,3 +970,16 @@ def test_non_integer_count_or_index_rejected(call, name, value):
 
 def test_numpy_integer_budget_is_stored_as_int():
     assert type(SolverOptions(max_iters=np.int64(5)).max_iters) is int
+
+
+def test_numpy_float_lambda_is_stored_as_float():
+    # a float32 weight used to come back as the solution's lam and to turn the
+    # objective into a float32, 9e-8 away from the float answer
+    spec = scenario("scenario_two_sequences").spec
+    opts = SolverOptions(max_iters=200)
+    as_float = solve_bil(spec, 1e4, opts)
+    as_float32 = solve_bil(spec, np.float32(1e4), opts)
+    assert type(as_float32.lam) is float and as_float32.lam == 1e4
+    assert type(as_float32.objective) is float
+    assert as_float32.objective == as_float.objective
+    assert np.array_equal(np.vstack(as_float32.vars.X_blocks), np.vstack(as_float.vars.X_blocks))

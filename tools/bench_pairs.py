@@ -17,8 +17,11 @@ the change's median is at most the parent's median times ``1 + bound``, and
 its median and not every change run beats every parent run. It also
 records the parent's interquartile range and the gain verdict ``claim_met``:
 the change won at least nine tenths of all pairs (ties count for neither
-side) and its median lies below the parent's by more than that range. The
-verdicts are printed per workload. Each workload's
+side) and its median lies below the parent's by more than that range. Beside
+them, ungated, stand the quartiles of the per-pair ratios change / parent:
+drift in machine speed that both sides of a pair share widens the parent's
+interquartile range but cancels in these ratios. The verdicts and the ratio
+quartiles are printed per workload. Each workload's
 summary also counts, per side, the runs that report ``correct: false``. A
 run that exits non-zero stops the command with the workload, side, pair and
 the tail of that run's stderr.
@@ -85,6 +88,8 @@ def compare(parent: list, change: list) -> dict:
             "within_bound": c_median <= p_median * (1.0 + bound),
             "unresolved": p_iqr > bound * p_median and not max(c) < min(p),
             "claim_met": 10 * wins >= 9 * len(p) and p_median - c_median > p_iqr,
+            "pair_ratio_quartiles": statistics.quantiles(
+                [b / a for a, b in zip(p, c)], n=4)[::2],
         }
     return out
 
@@ -123,7 +128,9 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {s['relative_change']:+.1%}, change lower in "
                   f"{s['change_lower_pairs']}/{args.pairs} pairs, within_bound "
                   f"{s['within_bound']}, unresolved {s['unresolved']}, "
-                  f"claim_met {s['claim_met']}", file=sys.stderr)
+                  f"claim_met {s['claim_met']}, pair ratio quartiles "
+                  f"{s['pair_ratio_quartiles'][0]:.3f}-{s['pair_ratio_quartiles'][1]:.3f}",
+                  file=sys.stderr)
         bench["workloads"][workload] = dict(
             runs, summary=dict(summary, incorrect_runs=incorrect))
     args.out.write_text(json.dumps(bench, indent=1) + "\n")

@@ -9,8 +9,8 @@ covers X, ``a``, the singular values, ``u``, ``b``, the objective, the rank
 gap and the diagnostics of ``solve_bil`` and of its gamma = 0.5
 ``refine_pipeline`` on the three presets, seeds default and 12, lambda 1e2,
 1e4 and 1e7, at caps 30 000 and 3 000; then of two 200-iteration solves at
-lambda 1e4 of an N = 2000 series (seeds 1 and 2) built as perfbench's
-``LongSeries`` builds it. BLAS runs on one thread, as in perfbench, since
+lambda 1e4 of the N = 2000 series that perfbench's ``LongSeries`` builds for
+seeds 1 and 2. BLAS runs on one thread, as in perfbench, since
 the rounding of a threaded product depends on how many threads share it.
 The second digest covers only each solve's ``iterations``, ``converged``,
 ``rho`` and ``rho_changes``: a change that moves roundoff alone changes the
@@ -24,28 +24,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
-import random  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "perfbench")]
 import bilarx  # noqa: E402
-
-
-def long_series(seed, N=2000):
-    rng = random.Random(seed)
-    cps = sorted(rng.sample(range(1, N), max(1, N // 100)))
-    levels = [rng.uniform(-10.0, 10.0)]
-    for _ in cps:
-        step = rng.uniform(2.0, 8.0)
-        levels.append(levels[-1] + step if levels[-1] < 0 else levels[-1] - step)
-    ref = bilarx.scenario("scenario_arx_noisy")
-    z = bilarx.simulate_arx(ref.truth.a, ref.truth.b, ref.spec.orders,
-                            bilarx.gen_piecewise_input(N, cps, levels))
-    y = bilarx.add_uniform_noise(z, 0.5, seed)
-    return bilarx.build_problem([bilarx.OutputSeries(y, label="y1")], ref.spec.orders, 0.5)
+from workloads import LongSeries  # noqa: E402
 
 
 solutions = []
@@ -58,7 +45,8 @@ for cap in (30_000, 3_000):
                 sol = bilarx.solve_bil(spec, lam, options)
                 solutions += [sol, bilarx.refine_pipeline(spec, sol, 0.5, options)]
 for seed in (1, 2):
-    solutions.append(bilarx.solve_bil(long_series(seed), 1e4, bilarx.SolverOptions(max_iters=200)))
+    solutions.append(bilarx.solve_bil(LongSeries(seed).setup()[0], 1e4,
+                                      bilarx.SolverOptions(max_iters=200)))
 
 digest, behaviour = hashlib.sha256(), hashlib.sha256()
 for sol in solutions:
