@@ -65,6 +65,8 @@ class MatrixOperator:
         Z = np.asarray(Z, dtype=float)
         if Z.shape != (self.n1, self.n2):
             raise ValueError(f"expected {self.n1} x {self.n2} matrix, got {Z.shape}")
+        if not np.isfinite(Z).all():
+            raise ValueError("Z has non-finite entries")
         return self.matrix @ Z.ravel()
 
 

@@ -112,13 +112,15 @@ def arx_poles(a) -> np.ndarray:
 
 
 def add_uniform_noise(z, bound: float, seed: int) -> np.ndarray:
-    """Add ``e(t) ~ U(-bound, bound)`` to 1-d ``z`` from the portable generator;
+    """Add ``e(t) ~ U(-bound, bound)`` to finite 1-d ``z`` from the portable generator;
     ``bound`` is finite and >= 0, ``seed`` an integer other than a bool."""
     bound = _check_real("noise bound", bound, 0, finite=True)
     seed = _check_integer("seed", seed)
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"z must be a 1-d signal, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("z has non-finite entries")
     if bound == 0:
         return z.copy()
     return z + (-bound + 2 * bound * np.array(_uniform_units(seed, z.shape[0])))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import _check_real
-from .prox import thin_svd
+from .prox import _tall_r, thin_svd
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def factor_rank1(X_blocks) -> FactoredModel:
         raise ValueError("factor_rank1 needs at least one block")
     if any(b.ndim != 2 or not b.size for b in blocks) or len({b.shape[1] for b in blocks}) > 1:
         raise ValueError("all blocks must be non-empty 2-d arrays with a common column count")
-    _, sigma, vt = thin_svd(np.vstack(blocks))
+    _, sigma, vt = thin_svd(_tall_r(np.vstack(blocks), "factor_rank1"))
     if sigma[0] == 0.0:
         raise ValueError(
             "lifted matrix is identically zero: no identifiable component"
@@ -72,10 +72,10 @@ def factor_rank1(X_blocks) -> FactoredModel:
 
 def change_points(u, gamma: float = 0.0):
     """Indices ``i`` (1-based) where ``|u(i) - u(i+1)| > gamma``; ValueError
-    unless ``u`` is a finite 1-d signal of length >= 2 and ``gamma >= 0``."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] < 2 or not np.isfinite(u).all():
-        raise ValueError("change_points needs a finite 1-d signal of length >= 2")
+    unless ``u`` is a finite real 1-d signal of length >= 2 and ``gamma >= 0``."""
+    u = np.asarray(u)
+    if u.ndim != 1 or u.shape[0] < 2 or u.dtype.kind not in "biuf" or not np.isfinite(u).all():
+        raise ValueError("change_points needs u to be a finite real 1-d signal of length >= 2")
     gamma = _check_real("gamma", gamma, 0)
-    deltas = np.abs(u[:-1] - u[1:])
+    deltas = np.abs(np.diff(u.astype(float)))
     return [int(i) + 1 for i in np.nonzero(deltas > gamma)[0]]

@@ -18,7 +18,8 @@ condition number, and a singular value near 1e-9 of the largest would come
 back at about 1e-8 of it, at the ``sqrt(eps)`` floor. Below the limit
 ``dgesdd`` on the block is faster, its thin U being short; at N = 2000 rows
 and 3 columns the R route takes about 29 us against 54 us (2-core x86_64,
-one BLAS thread).
+one BLAS thread). The solver's objective and ``extract.factor_rank1`` take
+``s`` and ``vt`` of a tall X the same way, with ``dgesdd``'s own bits.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ def thin_svd(matrix: np.ndarray) -> tuple:
     return u, s, vt
 
 
-def svt(matrix: np.ndarray, tau: float) -> np.ndarray:
-    """Singular value thresholding: prox of ``tau * ||.||_*``.
+def svt(matrix: np.ndarray, tau: float, out=None) -> np.ndarray:
+    """Singular value thresholding: prox of ``tau * ||.||_*``, into ``out``
+    when given, with the bits of the returned form.
 
     Shrinks every singular value by ``tau``, clipping at zero. A block with
     at least ``_SVT_QR_MIN_ROWS_PER_COLUMN`` rows per column goes through
@@ -82,28 +84,37 @@ def svt(matrix: np.ndarray, tau: float) -> np.ndarray:
     if not tau >= 0:
         raise ValueError(f"svt: tau must be non-negative, got {tau}")
     m = np.asarray(matrix, dtype=float)
-    if m.ndim == 2 and m.shape[0] >= _SVT_QR_MIN_ROWS_PER_COLUMN * m.shape[1] > 0:
-        if not np.isfinite(m).all():
-            raise ValueError("svt: input has non-finite entries")
-        qr, _, _, info = dgeqrf(m)
-        if info:
-            raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
-        r = qr[: m.shape[1]]
-        for i in range(1, r.shape[0]):      # Householder vectors lie below R's diagonal
-            r[i, :i] = 0.0
-        _, s, vt = thin_svd(r)
+    r = _tall_r(m, "svt")
+    u, s, vt = thin_svd(r)
+    if r is not m:
         # 1 - tau / max(s, tau) is max(1 - tau/s, 0); the floor (tau = 0) avoids 0/0.
         tau = min(tau, _HUGE)
-        return m @ ((vt.T * (1.0 - tau / np.maximum(s, tau or _TINY))) @ vt)
-    u, s, vt = thin_svd(m)
-    return (u * np.maximum(s - tau, 0.0)) @ vt
+        return np.matmul(m, (vt.T * (1.0 - tau / np.maximum(s, tau or _TINY))) @ vt, out=out)
+    return np.matmul(u * np.maximum(s - tau, 0.0), vt, out=out)
 
 
-def row_group_shrink(matrix: np.ndarray, kappa: float) -> np.ndarray:
+def _tall_r(m: np.ndarray, caller: str) -> np.ndarray:
+    """``dgeqrf``'s n x n factor ``R`` of a tall ``m`` (see ``svt``), else ``m``:
+    either has ``m``'s singular values and right vectors. A non-finite tall
+    ``m`` raises ValueError naming ``caller`` before any LAPACK call."""
+    if not (m.ndim == 2 and m.shape[0] >= _SVT_QR_MIN_ROWS_PER_COLUMN * m.shape[1] > 0):
+        return m
+    if not np.isfinite(m).all():
+        raise ValueError(f"{caller}: input has non-finite entries")
+    qr, _, _, info = dgeqrf(m)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
+    r = qr[: m.shape[1]]
+    for i in range(1, r.shape[0]):      # Householder vectors lie below R's diagonal
+        r[i, :i] = 0.0
+    return r
+
+
+def row_group_shrink(matrix: np.ndarray, kappa: float, out=None) -> np.ndarray:
     """Row-wise group soft threshold: prox of ``kappa * ||.||_{2,1}``.
 
-    Each row ``m`` maps to ``m * max(1 - kappa/||m||_2, 0)``; zero rows stay
-    zero. Raises ValueError unless ``matrix`` is 2-d.
+    Each row ``m`` maps to ``m * max(1 - kappa/||m||_2, 0)`` (into ``out`` when
+    given); zero rows stay zero. Raises ValueError unless ``matrix`` is 2-d.
     """
     if not kappa >= 0:
         raise ValueError(f"row_group_shrink: kappa must be non-negative, got {kappa}")
@@ -112,7 +123,7 @@ def row_group_shrink(matrix: np.ndarray, kappa: float) -> np.ndarray:
     # squared norm overflows gets 1; the floor (kappa = 0) and clamp avoid 0/0 and inf/inf.
     kappa = min(kappa, _HUGE)
     factor = 1.0 - kappa / np.maximum(_row_norms(m, "row_group_shrink"), kappa or _TINY)
-    return m * factor[:, None]
+    return np.multiply(m, factor[:, None], out=out)
 
 
 def row_group_norm(matrix: np.ndarray) -> float:

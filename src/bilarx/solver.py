@@ -23,12 +23,13 @@ multiplier. ``Z1`` takes the nuclear prox, ``Z2`` the row-group prox, and the
 model output ``v`` is projected onto the tube ``|v - y| <= epsilon``, the
 slack being ``w = y - v``. The ``(X, a)`` update solves with
 ``K = Mᵀ diag(1, rho2) M`` at the two starting block weights, factored once.
-The iteration needs only ``M x = P (z - s)``, where ``P = M K^-1 Mᵀ diag(1,
-rho2)`` is the weighted projector onto range(M). When ``M`` has at most
-``_DENSE_MAX_ROWS`` rows, as at the paper's record lengths, ``P`` is formed
-once as a dense matrix and each iteration makes one matrix-vector product in
-place of ``Mᵀ``, the solve and ``M``; ``x`` itself is solved for once, at
-exit. Longer programs keep the banded solve in every iteration.
+Over-relaxed ADMM runs on the prox input ``q`` (the multiplier is ``q - z``):
+``M x = P (2 z - q)``, ``q += alpha (M x - z)``, ``z = prox(q)``, with ``P =
+M K^-1 Mᵀ diag(1, rho2)`` the weighted projector onto range(M). Up to
+``_DENSE_MAX_ROWS`` rows of ``M``, as at the paper's record lengths, ``P`` is
+a dense matrix formed once, and each iteration makes one matrix-vector
+product in place of ``Mᵀ``, the solve and ``M``; ``x`` itself is solved for
+once, at exit. Longer programs keep the banded solve in every iteration.
 
 Two deterministic normalizations keep behavior uniform across data scales
 and penalty weights spanning many orders of magnitude: outputs are divided
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import dtbsv
+from scipy.linalg.blas import daxpy, dtbsv
 from scipy.linalg.lapack import dpbtrs
 
 from . import prox
@@ -210,7 +211,8 @@ class _XSolve:
                 cols = np.minimum(x_index[:, hi], x_index[:, lo])
                 np.add.at(ab.reshape(-1), diff * self.n_x + cols,
                           rho2 * weights[:, hi] * weights[:, lo])
-        self._factor = scipy.linalg.cholesky_banded(ab, lower=True)
+        self._factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                                    check_finite=False)  # from checked data
         self._bandwidth = bandwidth
         # U = Lᵀ in upper band form, ub[bandwidth - d, c + d] = L[c + d, c].
         self._upper = np.zeros_like(self._factor)
@@ -275,9 +277,9 @@ class _Workspace:
     on the X copy, ``rho2`` after it. Row ``i`` of X is ``seg_weight[s]``
     times unknown row ``s = segment[i]``; D X, present when ``lam > 0``, has
     one row group per adjacent segment pair, empty where it straddles two
-    sequences. ``M`` and ``MT = Mᵀ`` are CSR. ``P`` is the dense projector
-    ``M K^-1 Mᵀ diag(1, rho2)`` when ``M`` has at most ``_DENSE_MAX_ROWS``
-    rows, else None."""
+    sequences. ``M`` is CSR with int32 indices, ``MT = Mᵀ`` a CSC view on its
+    arrays, and ``P`` the dense projector ``M K^-1 Mᵀ diag(1, rho2)`` when
+    ``M`` has at most ``_DENSE_MAX_ROWS`` rows, else None."""
 
     def __init__(self, spec: ProblemSpec, lam: float, freeze=None):
         self.lam, self.freeze = lam, freeze
@@ -309,7 +311,7 @@ class _Workspace:
         # Ends of the X and D X blocks in a stacked vector.
         self.cuts = (self.n_x, self.n_x + self.link.size * self.n_b)
         self.M = self._stacked_map()
-        self.MT = self.M.T.tocsr()
+        self.MT = self.M.T
         # Starting weights; _admm scales both together and keeps K's factor.
         self.rho2 = min(max(1.0, lam), _MAX_BLOCK_RATIO)
         self.solve_K = _XSolve(self)
@@ -325,8 +327,9 @@ class _Workspace:
         taps = np.hstack([self.x_index[:, ::-1],
                           np.broadcast_to(n_x + np.arange(lagged.shape[1]), lagged.shape)])
         indptr = np.cumsum(np.concatenate([[0], np.ones(n_x, np.intp), 2 * linked,
-                                           np.full(len(taps), taps.shape[1])]))
-        cols = np.concatenate([np.arange(n_x), np.add.outer(pairs, [0, n_b]).ravel(), taps.ravel()])
+                                           np.full(len(taps), taps.shape[1])]), dtype=np.int32)
+        cols = np.concatenate([np.arange(n_x), np.add.outer(pairs, [0, n_b]).ravel(), taps.ravel()],
+                              dtype=np.int32)
         vals = np.concatenate([np.ones(n_x), np.column_stack([w[seg], -w[seg + 1]]).ravel(),
                                np.hstack([self.tap_weights[:, ::-1], lagged]).ravel()])
         return scipy.sparse.csr_array((vals, cols, indptr), shape=(len(indptr) - 1, self.p))
@@ -352,10 +355,11 @@ def _admm(work: _Workspace, options: SolverOptions):
     The block weights in force are ``scale`` on the X copy and ``scale *
     work.rho2`` after it; the x-update uses them at ``scale = 1``, since
     scaling ``K`` and its right-hand side alike leaves the solution
-    unchanged. Every iteration makes the same updates; only at iteration 1,
-    every ``_CHECK_EVERY`` iterations and at ``max_iters`` are the residuals
-    formed and the stopping test applied, and the first iterate that passes
-    is returned.
+    unchanged. Each iteration maps ``d = 2 z - q`` (``z - s``) to ``M x``,
+    relaxes ``q += alpha (M x - z)`` and writes ``prox(q)`` into the next z's
+    blocks. ``s = q - z`` is formed only for the stopping test (at iteration
+    1, every ``_CHECK_EVERY`` iterations and at ``max_iters``; the first
+    iterate that passes is returned) and at a penalty change, which resets q.
     """
     alpha = _OVER_RELAXATION
     # Loop invariants, bound at call time so that a patched kernel is seen.
@@ -363,12 +367,10 @@ def _admm(work: _Workspace, options: SolverOptions):
     lam, M, MT, solve_K, P = work.lam, work.M, work.MT, work.solve_K, work.P
     svt, box_clip, row_group_shrink = prox.svt, prox.box_clip, prox.row_group_shrink
     scale, rho_changes = 1.0, 0
-    # The X and D X copies start at zero and the model output at the data,
-    # so the slack w = rhs - v starts at zero. The stacked iterates, z - s,
-    # M x and one scratch vector are allocated once per solve (the banded
-    # step makes a fresh M x); z and z_new swap each step.
+    # z starts at (0, 0, rhs), the slack w = rhs - v at zero and q at z (a zero multiplier).
+    # The stacked vectors are allocated once per solve (the banded step makes a fresh M x).
     z = np.concatenate([np.zeros(cut), rhs])
-    s, q, z_new, tmp, d, Mx = (np.zeros_like(z) for _ in range(6))
+    q, z_new, tmp, d, Mx = z.copy(), *(np.empty_like(z) for _ in range(4))
     Q1, Q2, q3 = work.blocks(q)
     new_blocks, old_blocks = work.blocks(z_new), work.blocks(z)
     floor_pri, floor_dual = 1e-14 * math.sqrt(z.size), 1e-14 * math.sqrt(work.p)
@@ -383,24 +385,20 @@ def _admm(work: _Workspace, options: SolverOptions):
         return solve_K(MT @ v)
 
     for iters in range(1, options.max_iters + 1):
-        np.subtract(z, s, out=d)
+        np.subtract(z, q, out=d)
+        d += z
         if P is None:
             x = solve_x(d)
             Mx = M @ x
         else:
             np.dot(P, d, out=Mx)
-        # The relaxed point plus the multiplier: q = z + alpha (Mx - z) + s.
-        np.subtract(Mx, z, out=q)
-        q *= alpha
-        q += z
-        q += s
+        daxpy(np.subtract(Mx, z, out=tmp), q, a=alpha)   # q += alpha (Mx - z) in one pass
         w = box_clip(np.subtract(rhs, q3, out=tmp[cut:]), eps)
         Z1, Z2, z3 = new_blocks
-        Z1[...] = svt(Q1, 1.0 / scale)
+        svt(Q1, 1.0 / scale, out=Z1)
         if Q2.size:                 # no D X block at lam = 0
-            Z2[...] = row_group_shrink(Q2, lam / (scale * rho2))
+            row_group_shrink(Q2, lam / (scale * rho2), out=Z2)
         np.subtract(rhs, w, out=z3)
-        np.subtract(q, z_new, out=s)
         z, z_new = z_new, z
         new_blocks, old_blocks = old_blocks, new_blocks
         if iters % _CHECK_EVERY and iters != 1 and iters != options.max_iters:
@@ -414,6 +412,7 @@ def _admm(work: _Workspace, options: SolverOptions):
         dual_norm = scale * rho_norm(np.subtract(z, z_new, out=tmp))
         bz_norm = math.sqrt(z[:cut] @ z[:cut] + w @ w)
         eps_pri = _TOL * max(math.sqrt(Mx @ Mx), bz_norm, c_norm) + floor_pri
+        s = np.subtract(q, z, out=tmp)
         eps_dual = _TOL * (1.0 + scale * rho_norm(s)) + floor_dual
         converged = pri_norm <= eps_pri and dual_norm <= eps_dual
         if converged:
@@ -428,9 +427,9 @@ def _admm(work: _Workspace, options: SolverOptions):
             if step != 1.0:
                 # The scaled multiplier s follows 1/rho, so y = rho * s stays.
                 scale *= step
-                s /= step
+                np.add(z, np.divide(s, step, out=s), out=q)
                 rho_changes += 1
-    if P is not None:               # d still holds the last step's z - s
+    if P is not None:               # d still holds the last step's 2 z - q
         x = solve_x(d)
     return x, SolverDiagnostics(iters, pri_norm, dual_norm, converged,
                                 scale, rho_changes)
@@ -442,7 +441,7 @@ def _package_solution(work: _Workspace, x, diag):
     X_blocks = tuple(np.split(stacked, work.block_starts))
     vars = LiftedVariables(X_blocks=X_blocks, a=x[work.n_x :])
 
-    _, sigma, _ = prox.thin_svd(stacked)
+    _, sigma, _ = prox.thin_svd(prox._tall_r(stacked, "thin_svd"))
     _, DX, _ = work.blocks(work.M @ x)
     # A zero D X term is exactly 0, also where lam * y_scale overflows.
     dx_norm = prox.row_group_norm(DX)
@@ -491,9 +490,10 @@ def _solve(spec: ProblemSpec, lam: float, freeze, options) -> BilSolution:
 
 
 def _normalize_freeze(spec: ProblemSpec, freeze) -> tuple:
-    if len(freeze) != len(spec.sequences):
+    if not np.iterable(freeze) or len(freeze) != len(spec.sequences) or not all(
+            map(np.iterable, freeze)):
         raise ValueError(f"freeze needs one index set per sequence "
-                         f"({len(spec.sequences)}), got {len(freeze)}")
+                         f"({len(spec.sequences)}), got {freeze!r}")
     out = []
     for j, (idx_set, length) in enumerate(zip(freeze, spec.lengths)):
         name = f"freeze index of sequence {j}"

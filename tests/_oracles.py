@@ -5,8 +5,9 @@ values come from numpy's LAPACK eigensolver on the Gram matrix, proximal
 minimizers from direct search over the small dense parameter space,
 segmentations from explicit enumeration, the lifted constraint matrix
 from the model equation entry by entry (and feasibility residuals from that
-matrix), and isometry constants from an explicit basis of each pattern's
-subspace.
+matrix), isometry constants from an explicit basis of each pattern's
+subspace, and the first ADMM iterations from the textbook (z, s) recurrence
+with a sparse LU x-update and numpy's SVD.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 
 def gram_eigen_singular_values(M) -> np.ndarray:
@@ -168,3 +171,55 @@ def rip_constant_by_basis(matrix, n1: int, n2: int, k: int) -> float:
             smin = sigma[-1] if restricted.shape[0] >= restricted.shape[1] else 0.0
             worst = max(worst, sigma[0] ** 2 - 1.0, 1.0 - smin**2)
     return float(worst)
+
+
+def relaxed_admm(y, orders, epsilon: float, lam: float, iters: int, alpha: float) -> tuple:
+    """``iters`` steps of over-relaxed scaled ADMM (Boyd et al. 2011, sections
+    3.1.1 and 3.4.3) on the lifted program of one series, in the (z, s) form::
+
+        x = argmin_x ||diag(w)^1/2 (M x - z + s)||^2
+        q = alpha M x + (1 - alpha) z + s,   z+ = prox(q),   s+ = q - z+
+
+    ``M x = (X, D X, A(X, a))`` with ``A`` from :func:`arx_constraint_matrix`
+    and ``D`` the row difference; outputs are divided by ``max |y|``, and the
+    block weights ``w`` are 1 on the X copy and ``rho2 = min(max(1, lam),
+    1e8)`` after it, as before any penalty change. ``z`` starts at ``(0, 0,
+    y)`` and ``s`` at zero. The prox takes singular values from numpy's SVD
+    down by 1, the rows of ``D X`` by ``lam / rho2`` in norm, and clips the
+    slack ``y - v`` to ``[-epsilon, epsilon]``.
+
+    Returns the last ``x`` (X entries row-major, then ``a``), the primal
+    residual ``||M x - z+||`` and the dual residual ``||diag(w) (z+ - z)||`` of
+    the last step, and ``K = Mᵀ diag(w) M``.
+    """
+    y = np.asarray(y, dtype=float)
+    scale = float(np.max(np.abs(y)))
+    A, rhs = arx_constraint_matrix([y], orders.n_a, orders.n_b, orders.n_k)
+    n_x = A.shape[1] - orders.n_a
+    A[:, n_x:] /= scale
+    rhs, eps = rhs / scale, epsilon / scale
+    diff = scipy.sparse.diags([1.0, -1.0], [0, 1], shape=(len(y) - 1, len(y)))
+    lift = scipy.sparse.eye(n_x, A.shape[1])
+    M = scipy.sparse.vstack([lift, scipy.sparse.kron(diff, np.eye(orders.n_b)) @ lift,
+                             scipy.sparse.csr_array(A)]).tocsr()
+    cuts = (n_x, n_x + diff.shape[0] * orders.n_b)
+    rho2 = min(max(1.0, lam), 1e8)
+    w = np.repeat([1.0, rho2], [n_x, M.shape[0] - n_x])
+    K = (M.T @ scipy.sparse.diags(w) @ M).tocsc()
+    lu = scipy.sparse.linalg.splu(K)
+    z = np.concatenate([np.zeros(cuts[1]), rhs])
+    s = np.zeros_like(z)
+    for _ in range(iters):
+        x = lu.solve(M.T @ (w * (z - s)))
+        Mx = M @ x
+        q = alpha * Mx + (1.0 - alpha) * z + s
+        U, sigma, Vt = np.linalg.svd(q[:n_x].reshape(-1, orders.n_b), full_matrices=False)
+        rows = q[n_x:cuts[1]].reshape(-1, orders.n_b)
+        kappa, norms = lam / rho2, np.linalg.norm(rows, axis=1)
+        shrink = np.where(norms > kappa, 1.0 - kappa / np.where(norms > 0, norms, 1.0), 0.0)
+        z_new = np.concatenate([((U * np.maximum(sigma - 1.0, 0.0)) @ Vt).ravel(),
+                                (rows * shrink[:, None]).ravel(),
+                                rhs - np.clip(rhs - q[cuts[1]:], -eps, eps)])
+        primal, dual = np.linalg.norm(Mx - z_new), np.linalg.norm(w * (z_new - z))
+        z, s = z_new, q - z_new
+    return x, primal, dual, K

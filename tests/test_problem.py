@@ -16,6 +16,7 @@ from bilarx import (
     scenario,
     simulate_arx,
     solve_bil,
+    solve_refined,
     thin_svd,
 )
 from bilarx.solver import check_sweep_grid, freeze_small_differences
@@ -198,8 +199,16 @@ def test_numpy_integer_order_is_stored_as_int(name):
      r"^z must be a 1-d signal, got shape \(\)$"),
     (lambda: add_uniform_noise(np.ones((6, 2)), 0.5, 1),
      r"^z must be a 1-d signal, got shape \(6, 2\)$"),
+    (lambda: add_uniform_noise(np.array([0.0, NAN, 1.0]), 0.5, 1),
+     "^z has non-finite entries$"),
+    (lambda: MatrixOperator(np.eye(6), 3, 2).apply(np.full((3, 2), NAN)),
+     "^Z has non-finite entries$"),
+    (lambda: change_points("abc"), "change_points needs u to be a finite real"),
+    (lambda: solve_refined(_ones_spec(), [3]),
+     r"^freeze needs one index set per sequence \(1\), got \[3\]$"),
 ], ids=["series_2d", "thin_svd_1d", "simulate_a", "simulate_b", "operator_apply",
-        "simulate_u_0d", "simulate_u_2d", "noise_z_0d", "noise_z_2d"])
+        "simulate_u_0d", "simulate_u_2d", "noise_z_0d", "noise_z_2d", "noise_z_nan",
+        "operator_apply_nan", "change_points_string", "freeze_entry_not_a_set"])
 def test_malformed_array_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -235,6 +235,15 @@ class TestSvtTallRoute:
         self.check(m, 2.1e-8, 7.0)
 
     @pytest.mark.parametrize("shape", TALL_SHAPES, ids=TALL_IDS)
+    def test_out_gets_the_returned_bits(self, shape):
+        # the solver writes each step's result into a block of its next iterate
+        m = random_matrix(np.random.default_rng(shape[0] + 1), shape)
+        out = np.full(shape, np.nan)
+        for tau in (0.0, 0.7, 1e300):
+            assert prox.svt(m, tau, out=out) is out
+            assert np.array_equal(out, prox.svt(m, tau)), tau
+
+    @pytest.mark.parametrize("shape", TALL_SHAPES, ids=TALL_IDS)
     def test_zero_tau_and_tau_past_sigma1(self, shape):
         m = random_matrix(np.random.default_rng(shape[0]), shape)
         assert np.max(np.abs(prox.svt(m, 0.0) - m)) <= 1e-13 * np.max(np.abs(m))
@@ -332,6 +341,15 @@ class TestRowGroupShrink:
     def test_rejects_negative_kappa(self):
         with pytest.raises(ValueError, match="non-negative"):
             prox.row_group_shrink(np.eye(2), -1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (600, 3), (40, 9)])
+    def test_out_gets_the_returned_bits(self, shape):
+        M = random_matrix(np.random.default_rng(shape[0]), shape)
+        M[0] = 0.0
+        out = np.full(shape, np.nan)
+        for kappa in (0.0, 1.5, 1e300):
+            assert prox.row_group_shrink(M, kappa, out=out) is out
+            assert np.array_equal(out, prox.row_group_shrink(M, kappa)), kappa
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
     def test_rejects_non_2d(self, shape):

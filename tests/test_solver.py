@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.blas import dtbsv
+from scipy.sparse.linalg import eigsh
 
 from bilarx import (
     ArxOrders,
@@ -29,7 +30,7 @@ from bilarx import solver
 from bilarx.solver import _Workspace, freeze_small_differences
 
 from _instances import NON_INTEGER_IDS, NON_INTEGERS, non_integer_message, random_tiny_instance
-from _oracles import arx_constraint_matrix, max_constraint_residual, segment_basis
+from _oracles import arx_constraint_matrix, max_constraint_residual, relaxed_admm, segment_basis
 from _slowref import SegmentReference, SlowReference
 
 
@@ -350,9 +351,10 @@ class TestSegmentSubspace:
 
 class TestStackedMap:
     """``M x = (X, D X, A(X, a))`` on the packed ``x``, held as the CSR
-    matrix ``work.M`` with its CSR transpose ``work.MT``: ``D`` is the row
-    difference inside each sequence (a row pair that straddles two sequences
-    is an empty row) and ``A`` is the normalized constraint operator."""
+    matrix ``work.M`` with its transpose ``work.MT``, a CSC view on the same
+    arrays: ``D`` is the row difference inside each sequence (a row pair that
+    straddles two sequences is an empty row) and ``A`` is the normalized
+    constraint operator."""
 
     @staticmethod
     def dense_oracle(ys, n_a, n_b, n_k):
@@ -380,7 +382,8 @@ class TestStackedMap:
             spec = build_problem(ys, orders, 0.1)
             work = _Workspace(spec, 3.0)
             M = self.dense_oracle(ys, n_a, n_b, n_k)
-            assert work.M.format == work.MT.format == "csr", case
+            assert (work.M.format, work.MT.format) == ("csr", "csc"), case
+            assert np.shares_memory(work.MT.data, work.M.data), case
 
             columns = np.eye(M.shape[1])
             assert np.allclose(np.column_stack([work.M @ e for e in columns]), M,
@@ -478,6 +481,36 @@ class TestDensePathParity:
             assert abs(got.objective - want.objective) <= 1e-12 * abs(want.objective)
 
 
+class TestRelaxedRecurrence:
+    """The loop runs over-relaxed scaled ADMM. Before the first penalty check
+    (iteration 25) the returned ``x`` and the last step's primal and dual
+    residuals are those of the textbook (z, s) recurrence in
+    ``_oracles.relaxed_admm``, to within ``eps * cond(K)``, on the dense path
+    (N = 30) and on the banded one (N = 600)."""
+
+    @pytest.mark.parametrize("iters", [1, 5, 20])
+    @pytest.mark.parametrize("path", ["dense", "banded"])
+    def test_matches_textbook_admm(self, path, iters):
+        if path == "dense":
+            spec, lam = scenario("scenario_arx_noisy").spec, 1e7
+        else:
+            spec, lam = tall_series(600)[0], 1e4
+        assert (_Workspace(spec, lam).P is None) == (path == "banded")
+        assert iters < solver._RHO_CHECK_EVERY
+        y = spec.sequences[0].samples
+        x, primal, dual, K = relaxed_admm(y, spec.orders, spec.epsilon, lam, iters,
+                                          solver._OVER_RELAXATION)
+        sol = solve_bil(spec, lam, SolverOptions(max_iters=iters))
+        assert sol.diagnostics.iterations == iters and sol.diagnostics.rho == 1.0
+        largest = eigsh(K, k=1, which="LA", return_eigenvectors=False)[0]
+        smallest = eigsh(K, k=1, sigma=0, which="LM", return_eigenvectors=False)[0]
+        tol = np.finfo(float).eps * largest / smallest
+        got = np.append(np.vstack(sol.vars.X_blocks) / np.max(np.abs(y)), sol.a_est)
+        assert np.max(np.abs(got - x)) <= tol * np.max(np.abs(x))
+        assert abs(sol.diagnostics.primal_residual - primal) <= tol * primal
+        assert abs(sol.diagnostics.dual_residual - dual) <= tol * dual
+
+
 class TestKernelCallCounts:
     """perfbench's per-layer split relies on one ``svt`` and one ``box_clip``
     per iteration, and on one more thin SVD for the objective and one for
@@ -514,8 +547,9 @@ class TestKernelCallCounts:
                           "cholesky_banded": 1, "eigh": 1}
 
     def test_tall_solve(self, monkeypatch):
-        # N = 700: every svt goes through the R factor (one dgeqrf, then one
-        # thin_svd of R), and every x-update takes the banded path
+        # N = 700: every svt, the objective's SVD and factor_rank1's go
+        # through the R factor (one dgeqrf, then one thin_svd of R), and
+        # every x-update takes the banded path
         spec, _ = tall_series()
         assert spec.lengths[0] >= prox._SVT_QR_MIN_ROWS_PER_COLUMN * spec.orders.n_b
         assert _Workspace(spec, 1e4).P is None
@@ -529,7 +563,7 @@ class TestKernelCallCounts:
             monkeypatch.setattr(module, name, wrapper)
         sol = solve_bil(spec, 1e4, SolverOptions(max_iters=60))
         iters = sol.diagnostics.iterations
-        assert counts == {"svt": iters, "box_clip": iters, "dgeqrf": iters,
+        assert counts == {"svt": iters, "box_clip": iters, "dgeqrf": iters + 2,
                           "thin_svd": iters + 2, "cholesky_banded": 1, "eigh": 1}
 
 

@@ -15,6 +15,15 @@ the rounding of a threaded product depends on how many threads share it.
 The second digest covers only each solve's ``iterations``, ``converged``,
 ``rho`` and ``rho_changes``: a change that moves roundoff alone changes the
 first line and keeps the second.
+
+    python3 tools/parity.py --save FILE
+    python3 tools/parity.py --against FILE
+
+``--save`` writes every solution's objective, stacked X and ``a`` to FILE
+(numpy ``.npz``); ``--against`` reads such a file, made in another checkout,
+and prints on a third line how far this checkout's answers lie from it: the
+largest relative objective change, the largest ``max |X - X'|`` over
+``max |X'|``, ``X'`` being the saved X, and the largest ``|a - a'|``.
 """
 
 import os
@@ -22,6 +31,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
@@ -34,6 +44,10 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "perfbench")]
 import bilarx  # noqa: E402
 from workloads import LongSeries  # noqa: E402
 
+parser = argparse.ArgumentParser(description="Digest a fixed set of solver answers.")
+parser.add_argument("--save", metavar="FILE", help="write the answers to FILE (.npz)")
+parser.add_argument("--against", metavar="FILE", help="compare with answers saved in FILE")
+args = parser.parse_args()
 
 solutions = []
 for cap in (30_000, 3_000):
@@ -60,3 +74,23 @@ for sol in solutions:
                            diag.rho_changes)).encode())
 print(digest.hexdigest(), sum(sol.diagnostics.iterations for sol in solutions))
 print(behaviour.hexdigest())
+
+answers = {"objective": np.array([sol.objective for sol in solutions])}
+for i, sol in enumerate(solutions):
+    answers[f"X{i}"], answers[f"a{i}"] = np.vstack(sol.vars.X_blocks), sol.a_est
+if args.save:
+    with open(args.save, "wb") as f:
+        np.savez(f, **answers)
+if args.against:
+    with np.load(args.against) as file:
+        saved = dict(file)
+    if saved.keys() != answers.keys():
+        raise SystemExit(f"{args.against} holds other answers than this set of {len(solutions)}")
+    objective = max(abs(b - a) / abs(a) if a else abs(b)
+                    for a, b in zip(saved["objective"], answers["objective"]))
+    lifted = max(np.max(np.abs(answers[f"X{i}"] - saved[f"X{i}"]))
+                 / (np.max(np.abs(saved[f"X{i}"])) or 1.0) for i in range(len(solutions)))
+    coef = max(np.max(np.abs(answers[f"a{i}"] - saved[f"a{i}"]), initial=0.0)
+               for i in range(len(solutions)))
+    print(f"against {args.against}: objective max rel change {objective:.3g}, "
+          f"X max |dX|/max|X| {lifted:.3g}, a max |da| {coef:.3g}")
