@@ -22,7 +22,9 @@ Splitting: the first block holds ``(X, a)``; the second is one copy
 multiplier. ``Z1`` takes the nuclear prox, ``Z2`` the row-group prox, and the
 model output ``v`` is projected onto the tube ``|v - y| <= epsilon``, the
 slack being ``w = y - v``. The ``(X, a)`` update solves with
-``K = Mᵀ diag(1, rho2) M`` at the two starting block weights, factored once.
+``K = Mᵀ diag(1, rho2) M`` at the two starting block weights, factored once;
+the banded X block is held as a unit-diagonal ``L' D L'ᵀ``, so that its
+triangular sweeps divide by nothing.
 Over-relaxed ADMM runs on the prox input ``q`` (the multiplier is ``q - z``):
 ``M x = P (2 z - q)``, ``q += alpha (M x - z)``, ``z = prox(q)``, with ``P =
 M K^-1 Mᵀ diag(1, rho2)`` the weighted projector onto range(M). Up to
@@ -55,7 +57,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import daxpy, dtbsv
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dtbtrs
 
 from . import prox
 from .extract import change_points, factor_rank1
@@ -100,11 +102,12 @@ _MAX_BLOCK_RATIO = 1e8
 # Largest stacked map M (m rows) whose x-update and both products with M run
 # as one product with the dense m x m projector P (8 m^2 bytes, 0.8 MB here).
 # Per iteration on one series (n_a = 1, n_b = 3, lambda 1e7; 2-core x86_64,
-# one BLAS thread; best of 9 runs, in three sessions) dense against banded
-# took 34-40 against 45-51 us at m = 204 (N = 30), 42-52 against 47-58 at
-# m = 309, 46-60 against 49-60 at m = 344 and 54-77 against 50-56 at m = 379.
-# The limit sits below that crossover, as forming P costs 0.6-0.8 ms more per
-# solve than the banded setup.
+# one BLAS thread; best of 9 runs, three times over) dense against banded
+# took 29-32 against 42-43 us at m = 204 (N = 30), 39-40 against 45-48 at
+# m = 309, 45-48 against 45-48 at m = 344 and 48-50 against 46-49 at m = 379.
+# The limit sits below that crossover, as forming P costs more per solve
+# than the banded setup: 0.31-0.33 ms at m = 204 and 0.69-1.08 ms at m = 309
+# (min to median of 15 builds, twice over).
 _DENSE_MAX_ROWS = 320
 
 
@@ -177,15 +180,22 @@ class _XSolve:
     of one constraint row lie in rows at most ``k' - k`` apart, so the X
     block of ``K`` is banded with bandwidth ``max(n_b, (n_b - 1)^2)`` and
     positive definite through ``I_x``; it is factored once by a banded
-    Cholesky. The ``a`` unknowns are eliminated through the Schur complement
-    ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by eigendecomposition.
-    The lower factor ``L`` is held with ``U = Lᵀ`` in upper band form, so a
-    vector (each banded iteration's right-hand side and the final ``x``) is
-    solved in place by two non-transposed BLAS ``dtbsv`` sweeps, ``L`` then
-    ``U``: at n_x = 6000 they take about 100 us against 125 us for LAPACK's
-    ``dpbtrs``, whose second sweep runs with ``L`` transposed (2-core x86_64,
-    one BLAS thread). A block of columns (``Kxx^-1 Kxa`` and the columns of
-    ``Mᵀ`` when the workspace forms its dense projector) is one ``dpbtrs``.
+    Cholesky ``Kxx = L Lᵀ``. The ``a`` unknowns are eliminated through the
+    Schur complement ``S = Kaa - Kax Kxx^-1 Kxa``, pseudo-inverted by
+    eigendecomposition. The factor is held in unit form, ``Kxx = L' D
+    L'ᵀ`` with ``L' = L diag(L)^-1`` and ``D = diag(L)²``: ``L'`` in lower
+    band form, ``L'ᵀ`` in upper band form and the reciprocal pivots
+    ``1 / diag(L)²``, which ``Kxx ⪰ I`` keeps at or below 1. A sweep with
+    a unit diagonal divides by nothing, so no column waits on a division
+    by the previous pivot. A vector (each banded iteration's right-hand
+    side, the final ``x`` and ``Kxx^-1 Kxa`` for one lagged column) is
+    solved in place by a non-transposed BLAS ``dtbsv`` sweep with ``L'``,
+    a multiply by the reciprocal pivots and a ``dtbsv`` sweep with
+    ``L'ᵀ``: at n_x = 6000 that takes 56-61 us against 102-117 us for the
+    two sweeps of the non-unit ``L`` and ``Lᵀ`` (2-core x86_64, one BLAS
+    thread). A block of columns (``Kxx^-1 Kxa`` for ``n_a >= 2`` and the
+    columns of ``Mᵀ`` when the workspace forms its dense projector) takes
+    the same three steps, the sweeps being LAPACK ``dtbtrs`` calls.
     ``null(K) = {(0, v) : A_a v = 0}`` matches ``null(S)``, so a
     rank-deficient ``a`` block gets the minimum-norm solution.
     """
@@ -211,20 +221,26 @@ class _XSolve:
                 cols = np.minimum(x_index[:, hi], x_index[:, lo])
                 np.add.at(ab.reshape(-1), diff * self.n_x + cols,
                           rho2 * weights[:, hi] * weights[:, lo])
-        self._factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
-                                                    check_finite=False)  # from checked data
-        self._bandwidth = bandwidth
-        # U = Lᵀ in upper band form, ub[bandwidth - d, c + d] = L[c + d, c].
-        self._upper = np.zeros_like(self._factor)
+        factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                              check_finite=False)  # from checked data
+        # Kxx = L' D L'ᵀ with unit lower L' = L diag(L)^-1 and D = diag(L)²;
+        # Kxx ⪰ I, so every pivot diag(L)² is at least 1.
+        self._inv_pivots = 1.0 / (factor[0] * factor[0])
+        factor /= factor[0]
+        self._factor, self._bandwidth = factor, bandwidth
+        # L'ᵀ in upper band form, ub[bandwidth - d, c + d] = L'[c + d, c].
+        self._upper = np.zeros_like(factor)
         for d in range(min(bandwidth + 1, self.n_x)):
-            self._upper[bandwidth - d, d:] = self._factor[d, : self.n_x - d]
+            self._upper[bandwidth - d, d:] = factor[d, : self.n_x - d]
 
         self._Kxa = self._W = self._S_pinv = None
         if lagged.shape[1]:
             self._Kxa = Kxa = np.column_stack([
                 np.bincount(taps, rho2 * weights.ravel() * lag, minlength=self.n_x)
                 for lag in np.repeat(lagged, n_b, axis=0).T])
-            self._W = self._solve_xx(Kxa)
+            # One lagged column takes the vector path, faster than a one-column block.
+            self._W = (self._solve_xx(Kxa[:, 0])[:, None] if Kxa.shape[1] == 1
+                       else self._solve_xx(Kxa))
             S = rho2 * (lagged.T @ lagged) - Kxa.T @ self._W
             vals, vecs = scipy.linalg.eigh(S)
             cutoff = np.max(np.abs(vals)) * S.shape[0] * np.finfo(float).eps
@@ -233,15 +249,20 @@ class _XSolve:
 
     def _solve_xx(self, b: np.ndarray, overwrite: int = 0) -> np.ndarray:
         """``Kxx^-1 b`` on the held factor, for a vector or a matrix ``b``;
-        with ``overwrite=1`` a contiguous ``b`` is solved in place. A vector
-        takes two non-transposed BLAS sweeps, L then U; a matrix one
-        ``dpbtrs``."""
+        with ``overwrite=1`` a contiguous ``b`` is solved in place. Both
+        take a unit-diagonal sweep with ``L'``, a multiply by the reciprocal
+        pivots and a unit-diagonal sweep with ``L'ᵀ``: a vector by BLAS
+        ``dtbsv``, a matrix by LAPACK ``dtbtrs``."""
         if b.ndim == 1:
-            x = dtbsv(self._bandwidth, self._factor, b, lower=1, overwrite_x=overwrite)
-            return dtbsv(self._bandwidth, self._upper, x, overwrite_x=1)
-        x, info = dpbtrs(self._factor, b, lower=1, overwrite_b=overwrite)
+            x = dtbsv(self._bandwidth, self._factor, b, lower=1, diag=1, overwrite_x=overwrite)
+            x *= self._inv_pivots
+            return dtbsv(self._bandwidth, self._upper, x, diag=1, overwrite_x=1)
+        x, info = dtbtrs(self._factor, b, uplo="L", diag="U", overwrite_b=overwrite)
+        if not info:
+            x *= self._inv_pivots[:, None]
+            x, info = dtbtrs(self._upper, x, diag="U", overwrite_b=1)
         if info:
-            raise np.linalg.LinAlgError(f"dpbtrs failed with info = {info}")
+            raise np.linalg.LinAlgError(f"dtbtrs failed with info = {info}")
         return x
 
     def __call__(self, B: np.ndarray) -> np.ndarray:
@@ -349,8 +370,11 @@ class _Workspace:
 
 
 def _admm(work: _Workspace, options: SolverOptions):
-    """Run the iteration at the workspace's ``lam``; returns (x, diagnostics)
-    in normalized units, with ``x`` packed as X entries, then ``a``.
+    """Run the iteration at the workspace's ``lam``; returns (x, M x,
+    diagnostics) in normalized units, with ``x`` packed as X entries, then
+    ``a``. The banded path hands back its last step's ``M x``, the product
+    of the returned ``x``; the dense path, whose loop never forms ``x``,
+    makes that product once, after its final solve.
 
     The block weights in force are ``scale`` on the X copy and ``scale *
     work.rho2`` after it; the x-update uses them at ``scale = 1``, since
@@ -431,18 +455,19 @@ def _admm(work: _Workspace, options: SolverOptions):
                 rho_changes += 1
     if P is not None:               # d still holds the last step's 2 z - q
         x = solve_x(d)
-    return x, SolverDiagnostics(iters, pri_norm, dual_norm, converged,
-                                scale, rho_changes)
+        Mx = M @ x
+    return x, Mx, SolverDiagnostics(iters, pri_norm, dual_norm, converged,
+                                    scale, rho_changes)
 
 
-def _package_solution(work: _Workspace, x, diag):
+def _package_solution(work: _Workspace, x, Mx, diag):
     stacked = work.y_scale * (work.seg_weight[:, None]
                               * x[: work.n_x].reshape(-1, work.n_b))[work.segment]
     X_blocks = tuple(np.split(stacked, work.block_starts))
     vars = LiftedVariables(X_blocks=X_blocks, a=x[work.n_x :])
 
     _, sigma, _ = prox.thin_svd(prox._tall_r(stacked, "thin_svd"))
-    _, DX, _ = work.blocks(work.M @ x)
+    _, DX, _ = work.blocks(Mx)
     # A zero D X term is exactly 0, also where lam * y_scale overflows.
     dx_norm = prox.row_group_norm(DX)
     objective = float(np.sum(sigma)) + (work.lam * work.y_scale * dx_norm if dx_norm else 0.0)
@@ -485,8 +510,8 @@ def _check_lambda(name: str, value) -> float:
 def _solve(spec: ProblemSpec, lam: float, freeze, options) -> BilSolution:
     """The program at ``lam`` with the pairs of ``freeze`` (or None) held equal."""
     work = _Workspace(spec, lam, None if freeze is None else _normalize_freeze(spec, freeze))
-    x, diag = _admm(work, options or SolverOptions())
-    return _package_solution(work, x, diag)
+    x, Mx, diag = _admm(work, options or SolverOptions())
+    return _package_solution(work, x, Mx, diag)
 
 
 def _normalize_freeze(spec: ProblemSpec, freeze) -> tuple:

@@ -510,13 +510,18 @@ class TestResultsOutOfRange:
                        f"floating-point range in the data's units\n")
         assert not (tmp_path / "o.json").exists()
 
+    # y(t) = 2 y(t-1) + u(t-1) with u at -8e306 throughout, from y(1) = 4e306:
+    # at lambda 1 the fit is that pole of 2 and that constant input (any
+    # other pole costs more total variation than it saves in norm). Its
+    # simulation from zero presamples misses y(1), and that miss, doubled
+    # at every step, takes the last sample from -1.2e308 to -2.48e308.
+    UNSTABLE = [4e306, 0.0, -8e306, -2.4e307, -5.6e307, -1.2e308]
+
     @pytest.mark.filterwarnings("ignore:autoregressive polynomial", "ignore:overflow encountered")
     def test_model_output_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys):
-        # The estimate fits the data, but simulating it from zero presamples
-        # runs its pole of 6.6e93 past the float range: the fit file would
-        # hold inf, so no file is written.
-        io = self.write(tmp_path, [0.0, 0.0, 0.0, 1.0, 6.571157014032351e93],
-                        n_a=1, n_b=1, **{"lambda": 1.0})
+        # The estimate fits the data, but its simulation overflows: the fit
+        # file would hold inf, so no file is written.
+        io = self.write(tmp_path, self.UNSTABLE, n_a=1, n_b=1, **{"lambda": 1.0})
         assert run_cli("identify", *io) == 0
         (tmp_path / "o.json").unlink()
         capsys.readouterr()
@@ -528,7 +533,7 @@ class TestResultsOutOfRange:
         assert not (tmp_path / "plots").exists()
 
     @pytest.mark.parametrize("ys, code", [
-        ([0.0, 0.0, 0.0, 1.0, 6.571157014032351e93], 3),
+        (UNSTABLE, 3),
         ([0.0, 0.0, 1.0, 1.5, 1.75, 1.875, 1.9375, 1.96875], 0),
     ], ids=["unstable_fit", "stable_fit"])
     def test_plot_dir_stderr_is_the_message_alone(self, tmp_path, ys, code):

@@ -150,12 +150,15 @@ class TestSolveBil:
         assert peak < 64e6
 
 
-def dense_x_update_matrix(spec, rho2):
-    """``rho2 (AᵀA + L ⊗ I) + I_x`` in the solver's normalized units.
+def dense_x_update_matrix(spec, lam, freeze=None):
+    """``rho2 (AᵀA + L ⊗ I) + I_x`` in the solver's normalized units, at
+    ``rho2 = min(max(1, lam), 1e8)``, in the segment basis of ``freeze``.
 
     ``A`` comes from the model-equation oracle with its ``a`` columns divided
     by ``max |y|``; ``L = DᵀD`` for the row-difference matrix ``D`` of each
-    sequence.
+    sequence, present when ``lam > 0``. With a freeze set (per sequence, the
+    1-based differences held at zero) the matrix is ``Pᵀ K P`` for the
+    orthonormal segment basis ``P``.
     """
     orders = spec.orders
     ys = [s.samples for s in spec.sequences]
@@ -167,9 +170,15 @@ def dense_x_update_matrix(spec, rho2):
     for length in spec.lengths:
         D = np.diff(np.eye(length), axis=0)
         laplacians.append(np.kron(D.T @ D, np.eye(orders.n_b)))
+    rho2 = min(max(1.0, lam), 1e8)
     K = rho2 * (A.T @ A)
-    K[:n_x, :n_x] += np.eye(n_x) + rho2 * scipy.linalg.block_diag(*laplacians)
-    return K
+    K[:n_x, :n_x] += np.eye(n_x) + (rho2 * scipy.linalg.block_diag(*laplacians) if lam else 0.0)
+    if freeze is None:
+        return K
+    P = scipy.linalg.block_diag(
+        *(segment_basis(n, orders.n_b, sorted(set(range(1, n)) - set(f)))
+          for n, f in zip(spec.lengths, freeze)), np.eye(orders.n_a))
+    return P.T @ K @ P
 
 
 def tall_series(N=700):
@@ -249,12 +258,16 @@ class TestXUpdateSolve:
 
 
 class TestBandSolveLapack:
-    """A vector right-hand side, as every banded iteration and the final
-    ``x`` pass, is solved in place by two non-transposed BLAS ``dtbsv``
-    sweeps, the held lower factor and then its upper-band transpose; BLAS
-    returns no ``info``, so that path has none to check. A block of columns
-    (``Kxx^-1 Kxa`` and the dense projector's columns) is one ``dpbtrs``
-    call, and a non-zero ``info`` from it raises."""
+    """``Kxx = L' D L'ᵀ`` is held as the unit lower factor ``L' = L
+    diag(L)^-1`` of the banded Cholesky factor ``L``, its upper-band
+    transpose and the reciprocal pivots ``1 / diag(L)²``. A vector
+    right-hand side, as every banded iteration, the final ``x`` pass and
+    ``Kxx^-1 Kxa`` for one lagged column, is solved in place by two
+    non-transposed unit-diagonal BLAS ``dtbsv`` sweeps with the pivot
+    multiply between them; BLAS returns no ``info``, so that path has none
+    to check. A block of columns (``Kxx^-1 Kxa`` for ``n_a >= 2`` and the
+    dense projector's columns) is two unit-diagonal ``dtbtrs`` calls, and a
+    non-zero ``info`` from either raises."""
 
     @staticmethod
     def failing(ab, b, **kwargs):
@@ -263,22 +276,37 @@ class TestBandSolveLapack:
     def test_block_solve_failure_raises(self, monkeypatch):
         spec = build_problem([np.arange(9.0)], ArxOrders(n_a=0, n_b=2), 0.1)
         work = _Workspace(spec, 7.0)
-        monkeypatch.setattr(solver, "dpbtrs", self.failing)
-        with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
-            work.solve_K(np.ones((work.p, 2)))
+        real = solver.dtbtrs
+        for fails in (0, 1):        # the L' sweep, then the L'ᵀ sweep
+            calls = []
+
+            def failing_once(ab, b, **kwargs):
+                calls.append(kwargs.get("uplo", "U"))
+                x, info = real(ab, b, **kwargs)
+                return x, 2 if len(calls) == fails + 1 else info
+
+            monkeypatch.setattr(solver, "dtbtrs", failing_once)
+            with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+                work.solve_K(np.ones((work.p, 2)))
+            assert calls == ["L", "U"][: fails + 1]
 
     def test_schur_setup_failure_raises(self, monkeypatch):
-        spec = build_problem([np.arange(9.0)], ArxOrders(n_a=1, n_b=2), 0.1)
-        monkeypatch.setattr(solver, "dpbtrs", self.failing)
+        # two lagged columns: Kxx^-1 Kxa is a block solve
+        spec = build_problem([np.arange(9.0)], ArxOrders(n_a=2, n_b=2), 0.1)
+        monkeypatch.setattr(solver, "dtbtrs", self.failing)
         with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
             _Workspace(spec, 7.0)
 
     def test_vector_solve_has_no_info(self, monkeypatch):
+        # one lagged column: the set-up's Kxx^-1 Kxa takes the vector path
+        # too, so a banded workspace builds with dtbtrs failing
         spec = build_problem([np.arange(9.0)], ArxOrders(n_a=1, n_b=2), 0.1)
-        work = _Workspace(spec, 7.0)
-        out = dtbsv(1, np.ones((2, 3)), np.ones(3), lower=1)
+        out = dtbsv(1, np.ones((2, 3)), np.ones(3), lower=1, diag=1)
         assert isinstance(out, np.ndarray) and out.shape == (3,)
-        monkeypatch.setattr(solver, "dpbtrs", self.failing)
+        monkeypatch.setattr(solver, "dtbtrs", self.failing)
+        monkeypatch.setattr(solver, "_DENSE_MAX_ROWS", 0)
+        work = _Workspace(spec, 7.0)
+        assert work.P is None
         rhs = np.ones(work.p)
         expected = np.linalg.solve(dense_x_update_matrix(spec, 7.0), rhs)
         assert np.allclose(work.solve_K(rhs), expected, rtol=0,
@@ -293,15 +321,47 @@ class TestBandSolveLapack:
 
         def recording(k, a, x, **kwargs):
             calls.append((np.shares_memory(x, rhs), kwargs.get("lower", 0),
-                          kwargs.get("trans", 0), kwargs.get("overwrite_x")))
+                          kwargs.get("trans", 0), kwargs.get("diag", 0),
+                          kwargs.get("overwrite_x")))
             return dtbsv(k, a, x, **kwargs)
 
         monkeypatch.setattr(solver, "dtbsv", recording)
-        monkeypatch.setattr(solver, "dpbtrs", self.failing)
+        monkeypatch.setattr(solver, "dtbtrs", self.failing)
         out = work.solve_K(rhs)
         assert out is rhs
-        assert calls == [(True, 1, 0, 1), (True, 0, 0, 1)]
+        assert calls == [(True, 1, 0, 1, 1), (True, 0, 0, 1, 1)]
         assert np.allclose(out, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+
+    FREEZE = ((1, 2, 5, 6, 7, 11, 12), (3, 4, 8))
+
+    @pytest.mark.parametrize("n_a", [0, 2])
+    @pytest.mark.parametrize("n_b", [1, 2, 3, 4])
+    def test_unit_factor_matches_dense_oracle(self, n_b, n_a):
+        rng = np.random.default_rng(10 * n_b + n_a)
+        ys = [rng.normal(size=length) for length in (13, 9)]
+        spec = build_problem(ys, ArxOrders(n_a=n_a, n_b=n_b, n_k=1), 0.1)
+        for lam, freeze in itertools.product((0.0, 3.0, 1e8), (None, self.FREEZE)):
+            case = f"lambda {lam}, freeze {freeze}"
+            solve = _Workspace(spec, lam, freeze).solve_K
+            K = dense_x_update_matrix(spec, lam, freeze)
+            n_x = solve.n_x
+            # L' diag(1 / reciprocal pivots) L'ᵀ rebuilds Kxx, and Kxx ⪰ I
+            # puts every pivot at 1 or above
+            unit = np.zeros((n_x, n_x))
+            for d, row in enumerate(solve._factor):
+                unit += np.diag(row[: n_x - d], -d)
+                assert np.array_equal(solve._upper[solve._bandwidth - d, d:], row[: n_x - d])
+            assert np.all(solve._factor[0] == 1.0), case
+            assert np.all(solve._inv_pivots <= 1.0), case
+            rebuilt = (unit / solve._inv_pivots) @ unit.T
+            Kxx = K[:n_x, :n_x]
+            assert np.max(np.abs(rebuilt - Kxx)) <= 1e-12 * np.max(np.abs(Kxx)), case
+            # vector and block solves; the forward error follows cond(K)
+            tol = 10 * K.shape[0] * np.finfo(float).eps * np.linalg.cond(K)
+            for rhs in (rng.normal(size=K.shape[0]), rng.normal(size=(K.shape[0], 3))):
+                expected = np.linalg.solve(K, rhs)
+                assert solve(rhs) is rhs
+                assert np.max(np.abs(rhs - expected)) <= tol * np.max(np.abs(expected)), case
 
 
 class TestSegmentSubspace:
