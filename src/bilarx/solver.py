@@ -185,17 +185,17 @@ class _XSolve:
     eigendecomposition. The factor is held in unit form, ``Kxx = L' D
     L'ᵀ`` with ``L' = L diag(L)^-1`` and ``D = diag(L)²``: ``L'`` in lower
     band form, ``L'ᵀ`` in upper band form and the reciprocal pivots
-    ``1 / diag(L)²``, which ``Kxx ⪰ I`` keeps at or below 1. A sweep with
-    a unit diagonal divides by nothing, so no column waits on a division
-    by the previous pivot. A vector (each banded iteration's right-hand
-    side, the final ``x`` and ``Kxx^-1 Kxa`` for one lagged column) is
+    ``1 / diag(L)²``, which ``Kxx ⪰ I`` keeps at or below 1 up to rounding.
+    A sweep with a unit diagonal divides by nothing, so no column waits on
+    a division by the previous pivot. A vector (each banded iteration's
+    right-hand side, the final ``x`` and each column of ``Kxx^-1 Kxa``) is
     solved in place by a non-transposed BLAS ``dtbsv`` sweep with ``L'``,
     a multiply by the reciprocal pivots and a ``dtbsv`` sweep with
     ``L'ᵀ``: at n_x = 6000 that takes 56-61 us against 102-117 us for the
     two sweeps of the non-unit ``L`` and ``Lᵀ`` (2-core x86_64, one BLAS
-    thread). A block of columns (``Kxx^-1 Kxa`` for ``n_a >= 2`` and the
-    columns of ``Mᵀ`` when the workspace forms its dense projector) takes
-    the same three steps, the sweeps being LAPACK ``dtbtrs`` calls.
+    thread). A block of columns (the columns of ``Mᵀ`` when the workspace
+    forms its dense projector) takes the same three steps, the sweeps
+    being LAPACK ``dtbtrs`` calls.
     ``null(K) = {(0, v) : A_a v = 0}`` matches ``null(S)``, so a
     rank-deficient ``a`` block gets the minimum-norm solution.
     """
@@ -238,9 +238,7 @@ class _XSolve:
             self._Kxa = Kxa = np.column_stack([
                 np.bincount(taps, rho2 * weights.ravel() * lag, minlength=self.n_x)
                 for lag in np.repeat(lagged, n_b, axis=0).T])
-            # One lagged column takes the vector path, faster than a one-column block.
-            self._W = (self._solve_xx(Kxa[:, 0])[:, None] if Kxa.shape[1] == 1
-                       else self._solve_xx(Kxa))
+            self._W = np.column_stack([self._solve_xx(c) for c in Kxa.T])
             S = rho2 * (lagged.T @ lagged) - Kxa.T @ self._W
             vals, vecs = scipy.linalg.eigh(S)
             cutoff = np.max(np.abs(vals)) * S.shape[0] * np.finfo(float).eps

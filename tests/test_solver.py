@@ -262,12 +262,12 @@ class TestBandSolveLapack:
     diag(L)^-1`` of the banded Cholesky factor ``L``, its upper-band
     transpose and the reciprocal pivots ``1 / diag(L)²``. A vector
     right-hand side, as every banded iteration, the final ``x`` pass and
-    ``Kxx^-1 Kxa`` for one lagged column, is solved in place by two
+    each column of ``Kxx^-1 Kxa``, is solved in place by two
     non-transposed unit-diagonal BLAS ``dtbsv`` sweeps with the pivot
     multiply between them; BLAS returns no ``info``, so that path has none
-    to check. A block of columns (``Kxx^-1 Kxa`` for ``n_a >= 2`` and the
-    dense projector's columns) is two unit-diagonal ``dtbtrs`` calls, and a
-    non-zero ``info`` from either raises."""
+    to check. A block of columns (the dense projector's columns) is two
+    unit-diagonal ``dtbtrs`` calls, and a non-zero ``info`` from either
+    raises."""
 
     @staticmethod
     def failing(ab, b, **kwargs):
@@ -291,16 +291,17 @@ class TestBandSolveLapack:
             assert calls == ["L", "U"][: fails + 1]
 
     def test_schur_setup_failure_raises(self, monkeypatch):
-        # two lagged columns: Kxx^-1 Kxa is a block solve
+        # the Schur set-up solves each lagged column on the vector path; at
+        # this size the workspace also builds its dense projector, a block solve
         spec = build_problem([np.arange(9.0)], ArxOrders(n_a=2, n_b=2), 0.1)
         monkeypatch.setattr(solver, "dtbtrs", self.failing)
         with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
             _Workspace(spec, 7.0)
 
     def test_vector_solve_has_no_info(self, monkeypatch):
-        # one lagged column: the set-up's Kxx^-1 Kxa takes the vector path
-        # too, so a banded workspace builds with dtbtrs failing
-        spec = build_problem([np.arange(9.0)], ArxOrders(n_a=1, n_b=2), 0.1)
+        # the set-up's Kxx^-1 Kxa takes the vector path too, column by
+        # column, so a banded workspace builds with dtbtrs failing
+        spec = build_problem([np.arange(9.0)], ArxOrders(n_a=2, n_b=2), 0.1)
         out = dtbsv(1, np.ones((2, 3)), np.ones(3), lower=1, diag=1)
         assert isinstance(out, np.ndarray) and out.shape == (3,)
         monkeypatch.setattr(solver, "dtbtrs", self.failing)
@@ -346,15 +347,16 @@ class TestBandSolveLapack:
             K = dense_x_update_matrix(spec, lam, freeze)
             n_x = solve.n_x
             # L' diag(1 / reciprocal pivots) L'ᵀ rebuilds Kxx, and Kxx ⪰ I
-            # puts every pivot at 1 or above
+            # puts every pivot at 1 or above, up to rounding on the scale of Kxx
+            Kxx = K[:n_x, :n_x]
             unit = np.zeros((n_x, n_x))
             for d, row in enumerate(solve._factor):
                 unit += np.diag(row[: n_x - d], -d)
                 assert np.array_equal(solve._upper[solve._bandwidth - d, d:], row[: n_x - d])
             assert np.all(solve._factor[0] == 1.0), case
-            assert np.all(solve._inv_pivots <= 1.0), case
+            pivot_tol = 64 * np.finfo(float).eps * np.max(np.abs(Kxx))
+            assert np.all(solve._inv_pivots <= 1.0 + pivot_tol), case
             rebuilt = (unit / solve._inv_pivots) @ unit.T
-            Kxx = K[:n_x, :n_x]
             assert np.max(np.abs(rebuilt - Kxx)) <= 1e-12 * np.max(np.abs(Kxx)), case
             # vector and block solves; the forward error follows cond(K)
             tol = 10 * K.shape[0] * np.finfo(float).eps * np.linalg.cond(K)
